@@ -14,7 +14,7 @@ from .errors import (
     OracleUnsupportedError,
     UnknownVertexError,
 )
-from .graphs import Cycle, Edge, Graph, Path
+from .graphs import Cycle, Edge, Graph
 from .hereditary import (
     ENUMERATION_CUTOFF,
     HereditarySaturatedSet,
@@ -48,7 +48,7 @@ from .graphdoc import (
     load_graph,
     parse_graph_json,
 )
-from .laurent import LaurentElement, laurent_mul, laurent_perp_is_zero
+from .laurent import LaurentElement, laurent_perp_is_zero
 from .oracle import (
     DEFAULT_DIMENSION_CAP,
     IdealSubspace,
@@ -84,7 +84,6 @@ __all__ = [
     "OracleAlgebra",
     "OracleDimensionError",
     "OracleUnsupportedError",
-    "Path",
     "RegularityReport",
     "Subspace",
     "UnknownVertexError",
@@ -107,7 +106,6 @@ __all__ = [
     "is_hereditary",
     "is_regular",
     "is_saturated",
-    "laurent_mul",
     "laurent_perp_is_zero",
     "load_graph",
     "maximal_graded_ideals",

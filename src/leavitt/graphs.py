@@ -1,4 +1,4 @@
-"""Finite directed multigraphs: paths, cycles, reachability, Condition (L).
+"""Finite directed multigraphs: reachability, exit-free cycles, Condition (L).
 
 Vertices and edges are named and keep insertion order.  Parallel edges and
 loops are allowed.  All values are immutable after construction and every
@@ -23,55 +23,12 @@ class Edge(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Path:
-    """Finite path: consecutive edges, or a bare base vertex when trivial.
-
-    A trivial path has length 0 and source = target = its base vertex.
-    Nontrivial paths require the target of each edge to be the source of
-    the next one.
-    """
-
-    edges: tuple[Edge, ...] = ()
-    base: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if not self.edges:
-            if self.base is None:
-                raise ValueError("a trivial path needs a base vertex")
-            return
-        if self.base is not None:
-            raise ValueError("base vertex is only meaningful for trivial paths")
-        for left, right in zip(self.edges, self.edges[1:]):
-            if left.dst != right.src:
-                raise ValueError(f"edges {left.name!r} and {right.name!r} are not consecutive")
-
-    @classmethod
-    def trivial(cls, vertex: str) -> "Path":
-        return cls((), vertex)
-
-    @property
-    def source(self) -> str:
-        return self.base if self.base is not None else self.edges[0].src
-
-    @property
-    def target(self) -> str:
-        return self.base if self.base is not None else self.edges[-1].dst
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    def vertex_set(self) -> frozenset[str]:
-        """All vertices the path visits."""
-        if not self.edges:
-            return frozenset((self.base,))
-        return frozenset(e.src for e in self.edges) | {self.edges[-1].dst}
-
-
-@dataclass(frozen=True)
 class Cycle:
-    """Nontrivial closed path whose edge sources are pairwise distinct."""
+    """Nontrivial closed path whose edge sources are pairwise distinct.
+
+    Only the exponential referee :meth:`Graph.cycles` builds these; the tests
+    compare the linear-time cycle layer against it.
+    """
 
     edges: tuple[Edge, ...]
 
@@ -232,8 +189,51 @@ class Graph:
 
     # -- cycles ----------------------------------------------------------------
 
+    def _cyclic_core(self, out: dict[str, tuple[Edge, ...]]) -> frozenset[str]:
+        """Vertices of the subgraph ``out`` that survive Kahn peeling.
+
+        ``out`` maps each vertex of a subgraph to its out-edges; edges leaving
+        the subgraph are ignored.  Repeatedly deleting vertices of in-degree 0
+        leaves exactly the vertices that some cycle of the subgraph reaches.
+        Iterative, O(V + E).
+        """
+        indeg = dict.fromkeys(out, 0)
+        for es in out.values():
+            for e in es:
+                if e.dst in indeg:
+                    indeg[e.dst] += 1
+        queue = [v for v, d in indeg.items() if not d]
+        while queue:
+            for e in out[queue.pop()]:
+                if e.dst in indeg:
+                    indeg[e.dst] -= 1
+                    if not indeg[e.dst]:
+                        queue.append(e.dst)
+        return frozenset(v for v, d in indeg.items() if d)
+
+    def exit_free_cycle_vertices(self) -> frozenset[str]:
+        """Union of the vertex sets of all cycles without an exit.
+
+        A cycle has no exit exactly when each of its vertices emits exactly one
+        edge, so these are the cycle vertices of the subgraph of out-degree-1
+        vertices.  There each vertex has at most one successor, so a cycle
+        reaches only its own vertices and the Kahn core is the union of cycles.
+        """
+        return self._cyclic_core({v: es for v, es in self._out.items() if len(es) == 1})
+
+    def condition_l(self) -> bool:
+        """Condition (L): every cycle has an exit (vacuously true without cycles)."""
+        return not self.exit_free_cycle_vertices()
+
+    def is_acyclic(self) -> bool:
+        return not self._cyclic_core(self._out)
+
     def cycles(self) -> tuple[Cycle, ...]:
-        """All cycles, one canonical representative per rotation class."""
+        """All cycles, one canonical representative per rotation class.
+
+        Exponential referee for the linear-time methods above; the library
+        itself never enumerates cycles.
+        """
         found: dict[tuple[str, ...], Cycle] = {}
         for start in self.vertices:
             self._cycle_dfs(start, start, (), {start}, found)
@@ -248,7 +248,10 @@ class Graph:
                 self._cycle_dfs(start, e.dst, acc + (e,), visited | {e.dst}, found)
 
     def cycle_has_exit(self, cycle: Cycle) -> bool:
-        """True iff some vertex on the cycle emits an edge other than its cycle edge."""
+        """True iff some vertex on the cycle emits an edge other than its cycle edge.
+
+        Part of the referee, with :meth:`cycles`.
+        """
         for e in cycle.edges:
             if self._edge_by_name.get(e.name) != e:
                 raise ValueError(f"cycle edge {e.name!r} does not belong to this graph")
@@ -256,33 +259,6 @@ class Graph:
         return any(
             out.name not in cycle_names for e in cycle.edges for out in self._out[e.src]
         )
-
-    def condition_l(self) -> bool:
-        """Condition (L): every cycle has an exit (vacuously true without cycles)."""
-        return all(self.cycle_has_exit(c) for c in self.cycles())
-
-    def exit_free_cycle_vertices(self) -> frozenset[str]:
-        """Union of the vertex sets of all cycles without an exit."""
-        out: frozenset[str] = frozenset()
-        for c in self.cycles():
-            if not self.cycle_has_exit(c):
-                out |= c.vertex_set()
-        return out
-
-    def is_acyclic(self) -> bool:
-        indeg = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            indeg[e.dst] += 1
-        queue = [v for v in self.vertices if indeg[v] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for e in self._out[v]:
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    queue.append(e.dst)
-        return seen == len(self.vertices)
 
     # -- derived graphs ----------------------------------------------------------
 

@@ -62,20 +62,8 @@ def perp(ideal: GradedIdeal) -> GradedIdeal:
 
 
 def double_perp(ideal: GradedIdeal) -> GradedIdeal:
-    """The double annihilator: vertices whose whole tree sits in the backward closure.
-
-    Computed directly and cross-checked against perp(perp(ideal)).
-    """
-    g = ideal.graph
-    bar = bar_closure(ideal)
-    direct = frozenset(w for w in g.vertices if g.tree(w) <= bar)
-    via_perp = perp(perp(ideal))
-    if direct != via_perp.vertices:
-        raise AssertionError(
-            f"double annihilator mismatch: direct {sorted(direct)} vs "
-            f"iterated {sorted(via_perp.vertices)}"
-        )
-    return via_perp
+    """The double annihilator: vertices whose whole tree sits in the backward closure."""
+    return perp(perp(ideal))
 
 
 def is_regular(ideal: GradedIdeal) -> bool:

@@ -86,11 +86,6 @@ class LaurentElement:
         return f"LaurentElement(GF({self.p}), {terms})"
 
 
-def laurent_mul(f: LaurentElement, g: LaurentElement) -> LaurentElement:
-    """Convolution product."""
-    return f * g
-
-
 def laurent_perp_is_zero(f: LaurentElement, degree_window: Iterable[int] = DEFAULT_DEGREE_WINDOW) -> bool:
     """Spot-check that a nonzero element annihilates nothing.
 

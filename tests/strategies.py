@@ -1,4 +1,4 @@
-"""Hypothesis strategies for small random graphs."""
+"""Hypothesis strategies for small random graphs, and fixed graph families."""
 
 from hypothesis import strategies as st
 
@@ -32,3 +32,11 @@ def graphs_with_subset(draw, max_vertices=5, max_edges=8, acyclic=False):
         return g, frozenset()
     picks = draw(st.lists(st.sampled_from(sorted(g.vertices)), max_size=len(g.vertices)))
     return g, frozenset(picks)
+
+
+def ring(n):
+    """One cycle through ``n`` vertices; it has no exit."""
+    return Graph(
+        tuple(f"v{i}" for i in range(n)),
+        tuple((f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)),
+    )

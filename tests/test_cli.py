@@ -5,6 +5,8 @@ import pytest
 from leavitt import Graph, dump_graph_json, ideals
 from leavitt.cli import main
 
+from .strategies import ring
+
 
 @pytest.fixture
 def graph_file(tmp_path, loop_with_exit):
@@ -42,6 +44,13 @@ def test_analyze_zero_ideal(graph_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ideal"] == []
     assert doc["is_regular"] is True
+
+
+def test_analyze_long_ring(tmp_path, capsys):
+    assert main(["analyze", "--graph", write_graph(tmp_path, ring(3000)), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["is_regular"] is True
+    assert doc["quotient_condition_L"] is False
 
 
 def test_analyze_unknown_vertex(graph_file, capsys):

@@ -1,9 +1,12 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from leavitt import Cycle, Edge, Graph, Path, UnknownVertexError, is_hereditary
+from leavitt import Cycle, Edge, Graph, UnknownVertexError, is_hereditary
 
-from .strategies import graphs
+from .strategies import graphs, ring
+
+# Loops and parallel edges included; small enough for the exponential referee.
+referee_graphs = graphs(max_vertices=6, max_edges=10)
 
 
 def test_regular_vertices(loop_with_exit, edgeless_ab, path_abc):
@@ -108,20 +111,6 @@ def test_vertex_subset_validates(path_abc):
         path_abc.vertex_subset(["a", "zz"])
 
 
-def test_path_validation():
-    e1 = Edge("e1", "a", "b")
-    e2 = Edge("e2", "b", "c")
-    p = Path((e1, e2))
-    assert p.source == "a" and p.target == "c" and p.length == 2
-    assert p.vertex_set() == {"a", "b", "c"}
-    trivial = Path.trivial("a")
-    assert trivial.source == trivial.target == "a" and trivial.length == 0
-    with pytest.raises(ValueError):
-        Path((e2, e1))
-    with pytest.raises(ValueError):
-        Path(())
-
-
 def test_cycle_validation():
     loop = Edge("f", "u", "u")
     assert Cycle((loop,)).vertex_set() == {"u"}
@@ -176,9 +165,24 @@ def test_condition_l_iff_no_exit_free_vertices(g):
     assert g.condition_l() == (g.exit_free_cycle_vertices() == frozenset())
 
 
-@given(graphs())
+@settings(max_examples=300)
+@given(referee_graphs)
 def test_is_acyclic_matches_cycle_enumeration(g):
     assert g.is_acyclic() == (len(g.cycles()) == 0)
+
+
+@settings(max_examples=300)
+@given(referee_graphs)
+def test_exit_free_cycle_vertices_match_cycle_enumeration(g):
+    want = frozenset().union(*(c.vertex_set() for c in g.cycles() if not g.cycle_has_exit(c)))
+    assert g.exit_free_cycle_vertices() == want
+
+
+def test_cycle_layer_on_long_ring_does_not_recurse():
+    g = ring(10**5)
+    assert not g.condition_l()
+    assert g.exit_free_cycle_vertices() == frozenset(g.vertices)
+    assert not g.is_acyclic()
 
 
 @given(graphs(acyclic=True))

@@ -155,6 +155,8 @@ def test_galois_properties(g):
         assert p1.vertices == everything - bar
         # sandwich: H inside double perp inside the backward closure
         assert j.vertices <= dp.vertices <= bar
+        # the double perp is the set of vertices whose whole tree lies in bar
+        assert dp.vertices == {w for w in g.vertices if g.tree(w) <= bar}
         # the annihilator is always regular, and triple perp equals perp
         assert is_regular(p1)
         assert perp(dp).vertices == p1.vertices
