@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 property failure, 2 parse error, 3 semantic error
-(unknown vertex, unsupported graph), 4 resource cutoff.
+(unknown vertex, unsupported graph, negative verify bound), 4 resource cutoff.
 """
 
 from __future__ import annotations

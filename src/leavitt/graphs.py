@@ -116,19 +116,6 @@ class Graph:
     def _edge_by_name(self) -> dict[str, Edge]:
         return {e.name: e for e in self.edges}
 
-    @cached_property
-    def _vertex_index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def _out_masks(self) -> tuple[int, ...]:
-        """Per-vertex bitmask of out-neighbours (vertex order = insertion order)."""
-        masks = [0] * len(self.vertices)
-        idx = self._vertex_index
-        for e in self.edges:
-            masks[idx[e.src]] |= 1 << idx[e.dst]
-        return tuple(masks)
-
     # -- basic accessors ------------------------------------------------------
 
     def __contains__(self, vertex: str) -> bool:
@@ -141,8 +128,8 @@ class Graph:
     def vertex_subset(self, subset: Iterable[str]) -> frozenset[str]:
         """Validate and freeze a collection of vertex ids."""
         out = frozenset(subset)
-        for v in out:
-            self.require_vertex(v)
+        if not out <= self._vset:
+            raise UnknownVertexError(f"unknown vertex: {min(out - self._vset)!r}")
         return out
 
     def out_edges(self, vertex: str) -> tuple[Edge, ...]:
@@ -162,30 +149,33 @@ class Graph:
     def sinks(self) -> frozenset[str]:
         return frozenset(v for v in self.vertices if not self._out[v])
 
-    def tree(self, vertex: str) -> frozenset[str]:
-        """Forward-reachable set of ``vertex``, including the vertex itself."""
-        self.require_vertex(vertex)
-        seen = {vertex}
-        frontier = [vertex]
-        while frontier:
-            v = frontier.pop()
-            for e in self._out[v]:
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    frontier.append(e.dst)
-        return frozenset(seen)
+    def _reach(
+        self, subset: Iterable[str], table: dict[str, tuple[Edge, ...]], end: str
+    ) -> frozenset[str]:
+        """``subset`` plus every vertex a path along ``table`` leads to from it.
 
-    def backward_reach(self, subset: Iterable[str]) -> frozenset[str]:
-        """All vertices with a (possibly trivial) path into ``subset``."""
+        ``table`` maps each vertex to the edges to follow from it (``_out`` or
+        ``_in``) and ``end`` names the edge field that gives the next vertex.
+        Iterative, O(V + E).
+        """
+        step = Edge._fields.index(end)
         seen = set(self.vertex_subset(subset))
         frontier = list(seen)
         while frontier:
-            v = frontier.pop()
-            for e in self._in[v]:
-                if e.src not in seen:
-                    seen.add(e.src)
-                    frontier.append(e.src)
+            for e in table[frontier.pop()]:
+                w = e[step]
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
         return frozenset(seen)
+
+    def tree(self, vertex: str) -> frozenset[str]:
+        """Forward-reachable set of ``vertex``, including the vertex itself."""
+        return self._reach((vertex,), self._out, "dst")
+
+    def backward_reach(self, subset: Iterable[str]) -> frozenset[str]:
+        """All vertices with a (possibly trivial) path into ``subset``."""
+        return self._reach(subset, self._in, "src")
 
     # -- cycles ----------------------------------------------------------------
 

@@ -1,10 +1,14 @@
 """Hereditary and saturated vertex sets: predicates, closure, lattice enumeration.
 
-A vertex set is *hereditary* when it absorbs everything reachable forward
-from it, and *saturated* when every emitter whose out-neighbours all lie in
-the set is forced into it as well; sinks are never forced.  The sets that
-satisfy both form a lattice (meet = intersection, join = closure of the
-union) which is exactly the lattice of graded ideals of the path algebra.
+A vertex set is *hereditary* when every edge leaving one of its vertices
+lands back inside it, and *saturated* when every emitter outside it has an
+edge that leaves it (an emitter whose edges all land inside is forced in;
+sinks are never forced).  The sets that satisfy both form a lattice
+(meet = intersection, join = closure of the union) which is exactly the
+lattice of graded ideals of the path algebra.
+
+The predicates and the closure are linear in the size of the graph.  Only
+the lattice scan, which is exponential by design, works on bitmasks.
 """
 
 from __future__ import annotations
@@ -19,65 +23,20 @@ from .graphs import Graph
 ENUMERATION_CUTOFF = 20
 
 
-def _mask_of(graph: Graph, subset: Iterable[str]) -> int:
-    idx = graph._vertex_index
-    mask = 0
-    for v in graph.vertex_subset(subset):
-        mask |= 1 << idx[v]
-    return mask
-
-
-def _vertices_of_mask(graph: Graph, mask: int) -> frozenset[str]:
-    return frozenset(v for v, i in graph._vertex_index.items() if (mask >> i) & 1)
-
-
-def _is_hereditary_mask(graph: Graph, mask: int) -> bool:
-    out = graph._out_masks
-    for i in range(len(out)):
-        if (mask >> i) & 1 and out[i] & ~mask:
-            return False
-    return True
-
-
-def _is_saturated_mask(graph: Graph, mask: int) -> bool:
-    out = graph._out_masks
-    for i in range(len(out)):
-        # only emitters are constrained; sinks have an empty out-mask
-        if out[i] and not (mask >> i) & 1 and not out[i] & ~mask:
-            return False
-    return True
-
-
-def _closure_mask(graph: Graph, mask: int) -> int:
-    out = graph._out_masks
-    n = len(out)
-    while True:
-        before = mask
-        # forward absorption to a fixed point
-        while True:
-            grown = mask
-            for i in range(n):
-                if (mask >> i) & 1:
-                    grown |= out[i]
-            if grown == mask:
-                break
-            mask = grown
-        # one saturation sweep
-        for i in range(n):
-            if out[i] and not (mask >> i) & 1 and not out[i] & ~mask:
-                mask |= 1 << i
-        if mask == before:
-            return mask
-
-
 def is_hereditary(graph: Graph, subset: Iterable[str]) -> bool:
-    """True iff every edge leaving the set lands back inside it."""
-    return _is_hereditary_mask(graph, _mask_of(graph, subset))
+    """True iff every edge leaving a member of the set lands back inside it."""
+    members = graph.vertex_subset(subset)
+    return all(e.dst in members for v in members for e in graph._out[v])
 
 
 def is_saturated(graph: Graph, subset: Iterable[str]) -> bool:
-    """True iff every emitter with all out-neighbours inside the set is inside too."""
-    return _is_saturated_mask(graph, _mask_of(graph, subset))
+    """True iff every emitter outside the set has an edge that leaves the set."""
+    members = graph.vertex_subset(subset)
+    return all(
+        any(e.dst not in members for e in es)
+        for v, es in graph._out.items()
+        if es and v not in members
+    )
 
 
 @dataclass(frozen=True)
@@ -89,10 +48,9 @@ class HereditarySaturatedSet:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", frozenset(self.vertices))
-        mask = _mask_of(self.graph, self.vertices)
-        if not _is_hereditary_mask(self.graph, mask):
+        if not is_hereditary(self.graph, self.vertices):
             raise ValueError(f"{sorted(self.vertices)} is not hereditary")
-        if not _is_saturated_mask(self.graph, mask):
+        if not is_saturated(self.graph, self.vertices):
             raise ValueError(f"{sorted(self.vertices)} is not saturated")
 
     def __contains__(self, vertex: str) -> bool:
@@ -112,26 +70,46 @@ class HereditarySaturatedSet:
 def hs_closure(graph: Graph, subset: Iterable[str]) -> HereditarySaturatedSet:
     """Smallest hereditary saturated superset of ``subset``.
 
-    Computed as a fixed point alternating forward absorption with
-    saturation sweeps; the two closure rules commute to the same least
-    fixed point, the order is fixed only for determinism.
+    Two linear passes.  The forward reach of ``subset`` is its smallest
+    hereditary superset.  Saturating it keeps it hereditary, since a vertex
+    joins only once all of its edges land inside.  The saturation is one
+    counting worklist: each emitter outside the set counts its edges that
+    leave the set, joins when the count reaches 0, and on joining lowers the
+    count of each in-neighbour by one per in-edge.  O(V + E) in total.
     """
-    mask = _closure_mask(graph, _mask_of(graph, subset))
-    return HereditarySaturatedSet(graph, _vertices_of_mask(graph, mask))
+    closed = set(graph._reach(subset, graph._out, "dst"))
+    leaving = {
+        v: sum(e.dst not in closed for e in es)
+        for v, es in graph._out.items()
+        if es and v not in closed
+    }
+    ready = [v for v, k in leaving.items() if not k]
+    while ready:
+        v = ready.pop()
+        closed.add(v)
+        for e in graph._in[v]:
+            if e.src in leaving:
+                leaving[e.src] -= 1
+                if not leaving[e.src]:
+                    ready.append(e.src)
+    return HereditarySaturatedSet(graph, frozenset(closed))
 
 
 def enumerate_hs_sets(graph: Graph) -> list[HereditarySaturatedSet]:
     """Every hereditary saturated subset, sorted by (size, membership).
 
-    Brute force over all 2^|vertices| subsets; exponential by design and
-    guarded by ``ENUMERATION_CUTOFF``.
+    Brute force over all 2^|vertices| subsets as bitmasks (bit i is the
+    i-th vertex); exponential by design and guarded by ``ENUMERATION_CUTOFF``.
     """
     n = len(graph.vertices)
     if n > ENUMERATION_CUTOFF:
         raise LatticeTooLargeError(
             f"graph has {n} vertices; exhaustive enumeration is capped at {ENUMERATION_CUTOFF}"
         )
-    out = graph._out_masks
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    out = [0] * n
+    for e in graph.edges:
+        out[index[e.src]] |= 1 << index[e.dst]
     emitters = [i for i in range(n) if out[i]]
     hits = []
     for mask in range(1 << n):
@@ -145,7 +123,12 @@ def enumerate_hs_sets(graph: Graph) -> list[HereditarySaturatedSet]:
                 break
         if ok:
             hits.append(mask)
-    sets = [HereditarySaturatedSet(graph, _vertices_of_mask(graph, m)) for m in hits]
+    sets = [
+        HereditarySaturatedSet(
+            graph, frozenset(v for v, i in index.items() if (mask >> i) & 1)
+        )
+        for mask in hits
+    ]
     sets.sort(key=lambda h: (len(h.vertices), h.sorted_vertices()))
     return sets
 

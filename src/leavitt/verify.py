@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from random import Random
 
 from . import ideals
+from .errors import LatticeTooLargeError
 from .graphdoc import document_from_graph
 from .graphs import Graph
-from .hereditary import HereditarySaturatedSet, enumerate_hs_sets, hs_closure
+from .hereditary import ENUMERATION_CUTOFF, HereditarySaturatedSet, enumerate_hs_sets, hs_closure
 from .ideals import GradedIdeal
 from .laurent import LaurentElement, laurent_perp_is_zero
 from .oracle import (
@@ -79,6 +80,21 @@ class VerifyConfig:
     trials: int = 500
     seed: int = 42
     prime: int = 2
+
+    def __post_init__(self):
+        """Refuse bounds that are negative or past the lattice cutoff, before any work."""
+        for flag, value in (
+            ("--max-vertices", self.max_vertices),
+            ("--max-edges", self.max_edges),
+            ("--trials", self.trials),
+        ):
+            if value < 0:
+                raise ValueError(f"{flag} must be non-negative, got {value}")
+        if self.max_vertices > ENUMERATION_CUTOFF:
+            raise LatticeTooLargeError(
+                f"--max-vertices {self.max_vertices} is past the lattice enumeration "
+                f"cutoff of {ENUMERATION_CUTOFF} vertices"
+            )
 
 
 @dataclass(frozen=True)
@@ -159,7 +175,8 @@ def exhaustive_acyclic_graphs(
 
     Labeled graphs are enumerated as edge multisets over ordered vertex
     pairs (loops excluded: they are cycles) and deduplicated by the minimal
-    relabeling under vertex permutations.
+    relabeling under vertex permutations.  Acyclicity does not depend on the
+    labels, so only the first graph of each class is built and tested.
     """
     family: list[Graph] = []
     seen: set[tuple] = set()
@@ -168,36 +185,17 @@ def exhaustive_acyclic_graphs(
         perms = list(itertools.permutations(range(n)))
         for m in range(max_edges + 1):
             for combo in itertools.combinations_with_replacement(pairs, m):
-                if not _is_dag(n, combo):
-                    continue
                 key = min(
                     (tuple(sorted((perm[a], perm[b]) for a, b in combo)) for perm in perms),
                     default=(),
                 )
-                full_key = (n, key)
-                if full_key in seen:
+                if (n, key) in seen:
                     continue
-                seen.add(full_key)
-                family.append(_graph_from_pairs(n, combo))
+                seen.add((n, key))
+                graph = _graph_from_pairs(n, combo)
+                if graph.is_acyclic():
+                    family.append(graph)
     return tuple(family)
-
-
-def _is_dag(n: int, pairs) -> bool:
-    indeg = [0] * n
-    out: list[list[int]] = [[] for _ in range(n)]
-    for a, b in pairs:
-        out[a].append(b)
-        indeg[b] += 1
-    queue = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == n
 
 
 def _graph_from_pairs(n: int, pairs) -> Graph:
@@ -433,25 +431,11 @@ def calculus_checks_for_graph(graph: Graph):
             ):
                 failures.append(Failure(row, graph, f"{label}: check raised {exc!r}"))
 
-    everything = graph._vset
-    proper = [h for h in hs_sets if h.vertices != everything]
-    for h in proper:
-        if any(h.vertices < other.vertices for other in proper):
-            continue
+    try:
+        counts[ROW_MAXIMAL] += len(ideals.maximal_graded_ideals(graph))
+    except Exception as exc:  # the dichotomy itself raises AssertionError
         counts[ROW_MAXIMAL] += 1
-        label = f"H={h.sorted_vertices()}"
-        try:
-            j = GradedIdeal(h)
-            if not ideals.is_regular(j) and ideals.perp(j).vertices:
-                failures.append(
-                    Failure(
-                        ROW_MAXIMAL,
-                        graph,
-                        f"{label}: maximal but neither regular nor annihilator-zero",
-                    )
-                )
-        except Exception as exc:
-            failures.append(Failure(ROW_MAXIMAL, graph, f"{label}: check raised {exc!r}"))
+        failures.append(Failure(ROW_MAXIMAL, graph, f"check raised {exc!r}"))
 
     return counts, failures
 

@@ -56,6 +56,8 @@ def test_analyze_long_ring(tmp_path, capsys):
 def test_analyze_unknown_vertex(graph_file, capsys):
     assert main(["analyze", "--graph", graph_file, "--generators", "zz"]) == 3
     assert "unknown vertex" in capsys.readouterr().err
+    assert main(["analyze", "--graph", graph_file, "--generators", "zz,yy"]) == 3
+    assert capsys.readouterr().err == "error: unknown vertex: 'yy'\n"
 
 
 def test_parse_error(tmp_path, capsys):
@@ -143,6 +145,18 @@ def test_verify_zero_trials(capsys):
     assert main(["verify", "--trials", "0"]) == 0
     out = capsys.readouterr().out
     assert "result: PASS" in out
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--max-vertices", "--max-edges"])
+def test_verify_refuses_negative_bounds(flag, capsys):
+    assert main(["verify", flag, "-1"]) == 3
+    err = capsys.readouterr().err
+    assert flag in err and "non-negative" in err
+
+
+def test_verify_refuses_max_vertices_past_cutoff(capsys):
+    assert main(["verify", "--max-vertices", "21", "--trials", "1", "--max-edges", "0"]) == 4
+    assert "--max-vertices 21" in capsys.readouterr().err
 
 
 def test_verify_is_byte_deterministic(capsys):

@@ -109,6 +109,9 @@ def test_vertex_subset_validates(path_abc):
     assert path_abc.vertex_subset(["a", "a", "b"]) == {"a", "b"}
     with pytest.raises(UnknownVertexError):
         path_abc.vertex_subset(["a", "zz"])
+    # the least unknown id, whatever the frozenset iteration order
+    with pytest.raises(UnknownVertexError, match=r"^unknown vertex: 'xz'$"):
+        path_abc.vertex_subset(["zz", "a", "yy", "xz"])
 
 
 def test_cycle_validation():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from leavitt import (
     ENUMERATION_CUTOFF,
@@ -15,7 +15,21 @@ from leavitt import (
     is_saturated,
 )
 
-from .strategies import graphs, graphs_with_subset
+from .strategies import graphs, graphs_with_subset, ring
+
+
+def naive_hs_closure(g, subset):
+    """Referee: alternate absorbing out-neighbours with adding every emitter
+    whose edges all land inside, until neither adds anything."""
+    closed = set(subset)
+    while True:
+        grown = closed | {e.dst for e in g.edges if e.src in closed}
+        grown |= {
+            v for v in g.vertices if g.out_edges(v) and all(e.dst in grown for e in g.out_edges(v))
+        }
+        if grown == closed:
+            return frozenset(closed)
+        closed = grown
 
 
 def test_is_hereditary(loop_with_exit):
@@ -145,3 +159,38 @@ def test_intersections_stay_hereditary_saturated(g):
             meet = a.vertices & b.vertices
             assert is_hereditary(g, meet)
             assert is_saturated(g, meet)
+
+
+# Loops and parallel edges included: a closure that counted distinct
+# out-neighbours instead of edges would let a vertex with parallel edges in
+# too early.  Every single-vertex generator is tried, since one random
+# subset per graph rarely hits such a vertex.
+@settings(max_examples=300)
+@given(graphs(max_vertices=6, max_edges=10))
+def test_closure_matches_naive_fixed_point(g):
+    for subset in [()] + [(v,) for v in g.vertices]:
+        assert hs_closure(g, subset).vertices == naive_hs_closure(g, subset)
+
+
+def test_closure_counts_parallel_edges():
+    # u has two edges into v and one into the sink w: v joining leaves u out
+    g = Graph(
+        ("x", "v", "u", "w"),
+        (("a", "v", "x"), ("b", "u", "v"), ("c", "u", "v"), ("d", "u", "w")),
+    )
+    assert hs_closure(g, {"x"}).vertices == {"x", "v"}
+
+
+def test_closure_of_one_ring_vertex_is_the_ring():
+    g = ring(10**4)
+    assert hs_closure(g, ["v0"]).vertices == frozenset(g.vertices)
+
+
+def test_closure_of_a_long_chain_sink_is_the_chain():
+    # every vertex joins by saturation, one after the other, from the sink back
+    n = 10**4
+    g = Graph(
+        tuple(f"v{i}" for i in range(n)),
+        tuple((f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)),
+    )
+    assert hs_closure(g, [f"v{n - 1}"]).vertices == frozenset(g.vertices)

@@ -2,9 +2,10 @@ from random import Random
 
 import pytest
 
-from leavitt import Graph, ideals
+from leavitt import ENUMERATION_CUTOFF, Graph, LatticeTooLargeError, ideals
 from leavitt.verify import (
     ALL_ROWS,
+    ROW_MAXIMAL,
     ROW_PERP_VSET,
     VerifyConfig,
     calculus_checks_for_graph,
@@ -46,6 +47,20 @@ def test_row_subset_and_unknown_row():
         run_verification(SMALL, rows=["no-such-row"])
 
 
+@pytest.mark.parametrize("field", ["trials", "max_vertices", "max_edges"])
+def test_config_refuses_negative_bounds(field):
+    VerifyConfig(**{field: 0})
+    flag = "--" + field.replace("_", "-")
+    with pytest.raises(ValueError, match=flag):
+        VerifyConfig(**{field: -1})
+
+
+def test_config_refuses_max_vertices_past_cutoff():
+    VerifyConfig(max_vertices=ENUMERATION_CUTOFF)  # constructed, not run
+    with pytest.raises(LatticeTooLargeError):
+        VerifyConfig(max_vertices=ENUMERATION_CUTOFF + 1)
+
+
 def test_random_graph_stream_is_seeded():
     a = [random_graph(Random(7), 5, 8) for _ in range(10)]
     b = [random_graph(Random(7), 5, 8) for _ in range(10)]
@@ -77,6 +92,18 @@ def test_calculus_checks_clean_on_loop_with_exit(loop_with_exit):
     counts, failures = calculus_checks_for_graph(loop_with_exit)
     assert not failures
     assert counts["perp-always-regular"] == 3  # one trial per hereditary saturated set
+    assert counts[ROW_MAXIMAL] == 1  # one trial per maximal proper set: {v}
+
+
+def test_maximal_dichotomy_violation_is_one_failure(monkeypatch, edgeless_ab):
+    def broken(graph):
+        raise AssertionError("maximal set ['a'] is neither regular nor annihilator-zero")
+
+    monkeypatch.setattr(ideals, "maximal_graded_ideals", broken)
+    counts, failures = calculus_checks_for_graph(edgeless_ab)
+    assert counts[ROW_MAXIMAL] == 1
+    assert [f.row for f in failures] == [ROW_MAXIMAL]
+    assert "neither regular nor annihilator-zero" in failures[0].detail
 
 
 def test_laurent_checks_pass():
