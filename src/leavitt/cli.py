@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 property failure, 2 parse error, 3 semantic error
-(unknown vertex, unsupported graph, negative verify bound), 4 resource cutoff.
+(unknown vertex, unsupported graph, negative verify bound, a prime past the
+int64-exact bound), 4 resource cutoff.
 """
 
 from __future__ import annotations

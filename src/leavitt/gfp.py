@@ -4,11 +4,34 @@ Row spaces are kept in reduced row echelon form, which is canonical: two
 subspaces are equal iff their RREF matrices are equal, so RREF bytes double
 as subspace signatures.  Because the form is fully reduced, reducing a
 vector against a basis is a single matrix product, not a pivot loop.
+
+Entries are residues in [0, p), and every int64 step adds up at most some
+number of products of two residues, so it is exact while
+terms * (p - 1)^2 <= 2^63 - 1 (see :func:`max_exact_prime`).  Past that,
+:func:`rref` and :func:`matmul_mod` raise ``OverflowError``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+INT64_MAX = 2**63 - 1
+
+
+def max_exact_prime(terms: int) -> int:
+    """Largest p for which a sum of ``terms`` products of residues mod p fits in int64.
+
+    The sums are: 1 term in the row update of :func:`rref`, the inner
+    dimension in the int64 fallback of :func:`matmul_mod`, and a block size
+    in ``OracleAlgebra.mul``.  For an algebra of dimension at most ``terms``
+    the last two are at most ``terms``.
+    """
+    return math.isqrt(INT64_MAX // max(terms, 1)) + 1
+
+
+_RREF_MAX_PRIME = max_exact_prime(1)
 
 
 def is_prime(n: int) -> bool:
@@ -40,6 +63,10 @@ def rref(matrix: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
     Returns (R, pivot_columns); len(pivot_columns) is the rank.
     """
+    if p > _RREF_MAX_PRIME:
+        raise OverflowError(
+            f"rref over GF({p}) overflows int64 (largest exact prime {_RREF_MAX_PRIME})"
+        )
     a = np.array(matrix, dtype=np.int64) % p
     rows, cols = a.shape
     pivots: list[int] = []
@@ -74,10 +101,13 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     inner = a.shape[1]
     if inner == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if inner * (p - 1) * (p - 1) < 2**53:
+    largest = inner * (p - 1) * (p - 1)
+    if largest < 2**53:
         prod = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    else:
+    elif largest <= INT64_MAX:
         prod = a @ b
+    else:
+        raise OverflowError(f"{inner}-term products over GF({p}) overflow int64")
     return prod % p
 
 

@@ -89,11 +89,11 @@ def pc_bijection_check(graph: Graph, h: HereditarySaturatedSet) -> bool:
     set is regular; the check itself is unconditional so the implication can
     be property-tested.
     """
-    if h.graph != graph:
-        raise GraphMismatchError("vertex set belongs to a different graph")
-    left = graph.exit_free_cycle_vertices() - h.vertices
-    right = quotient_graph(graph, h).exit_free_cycle_vertices()
-    return left == right
+    return _pc_bijection(graph, h, quotient_graph(graph, h).exit_free_cycle_vertices())
+
+
+def _pc_bijection(graph: Graph, h: HereditarySaturatedSet, quotient_pc: frozenset[str]) -> bool:
+    return graph.exit_free_cycle_vertices() - h.vertices == quotient_pc
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,9 @@ def analyze(graph: Graph, generators: Iterable[str]) -> RegularityReport:
     ideal = ideal_from_generators(graph, generators)
     bar = bar_closure(ideal)
     perp_ideal = perp(ideal)
-    dp_ideal = double_perp(ideal)
+    dp_ideal = perp(perp_ideal)
     quotient = quotient_graph(graph, ideal.h)
+    quotient_pc = quotient.exit_free_cycle_vertices()
     return RegularityReport(
         ideal=ideal,
         bar_closure=bar,
@@ -136,8 +137,8 @@ def analyze(graph: Graph, generators: Iterable[str]) -> RegularityReport:
         double_perp_set=dp_ideal.vertices,
         is_regular=ideal.vertices == dp_ideal.vertices,
         quotient=quotient,
-        quotient_condition_l=quotient.condition_l(),
-        pc_bijection_holds=pc_bijection_check(graph, ideal.h),
+        quotient_condition_l=not quotient_pc,
+        pc_bijection_holds=_pc_bijection(graph, ideal.h, quotient_pc),
     )
 
 
@@ -156,8 +157,9 @@ def maximal_graded_ideals(graph: Graph) -> list[tuple[GradedIdeal, str]]:
         if any(h.vertices < other.vertices for other in proper):
             continue
         ideal = GradedIdeal(h)
-        regular = is_regular(ideal)
-        perp_zero = not perp(ideal).vertices
+        perp_ideal = perp(ideal)
+        regular = h.vertices == perp(perp_ideal).vertices
+        perp_zero = not perp_ideal.vertices
         if regular and perp_zero:
             label = CLASS_BOTH
         elif regular:

@@ -16,7 +16,21 @@ over GF(p) with no graph-theoretic shortcuts.
 
 Costs are polynomial in the algebra dimension but the dimension itself is
 exponential-ish in graph size; intended inputs are desk-scale graphs,
-capped at ``DEFAULT_DIMENSION_CAP``.
+capped at ``DEFAULT_DIMENSION_CAP``.  All arithmetic is exact int64, which
+bounds the prime by the cap (see :func:`leavitt.gfp.max_exact_prime`).
+
+Ideals of vertex subsets are built once each by :class:`IdealMemo`: the
+ideal generated by a set is the sum of the ideals generated by its elements
+(ring theory, not the vertex calculus under test), so the ideal of X is the
+ideal of X minus its last vertex plus that vertex's ideal, one row reduction
+of the new rows.  Bases are interned by their RREF bytes, and annihilators
+are memoized by the RREF bytes of their argument.
+
+The public :class:`IdealSubspace` constructor audits closure under
+multiplication by every matrix unit.  Two results skip that audit because
+they are closed by construction: the fixed point of
+:func:`ideal_generated_by`, whose last round is that audit, and a sum of
+two such ideals.  The result of :func:`perp_subspace` is still audited.
 """
 
 from __future__ import annotations
@@ -28,6 +42,7 @@ from .gfp import (
     as_matrix,
     in_rowspace,
     is_prime,
+    max_exact_prime,
     nullspace_from_rref,
     reduce_rowspace,
     residual,
@@ -38,7 +53,7 @@ from .graphs import Graph
 DEFAULT_DIMENSION_CAP = 2000
 
 # cap on rows * dim * dim entries per batched product tensor (memory guard)
-_BATCH_ENTRIES = 1 << 21
+_BATCH_ENTRIES = 1 << 20
 
 
 class OracleAlgebra:
@@ -140,6 +155,22 @@ class OracleAlgebra:
         the left products of each row by every matrix unit, then the right
         products.
         """
+        yield from self._unit_products(rows, transpose=False)
+
+    def annihilator_constraints(self, rows: np.ndarray):
+        """Yield constraint rows for {a : a*x = x*a = 0 for x in rows}.
+
+        For each x the equations (a*x)_k = 0 and (x*a)_k = 0 are linear in
+        the coordinates of a; the yielded matrices hold them as rows.
+        """
+        yield from self._unit_products(rows, transpose=True)
+
+    def _unit_products(self, rows: np.ndarray, transpose: bool):
+        """Nonzero rows of the unit-product tensors, one batch at a time.
+
+        left[s, i, k] = (unit_i * x_s)[k] and right[s, i, k] = (x_s * unit_i)[k];
+        rows are indexed by (s, i), or by (s, k) when transposed.
+        """
         dim = self.dimension
         if dim == 0 or rows.shape[0] == 0:
             return
@@ -154,39 +185,12 @@ class OracleAlgebra:
                 # fancy assignment suffices (no accumulation happens)
                 left[:, self._ta, self._tc] = block[:, self._tb]
                 right[:, self._tb, self._tc] = block[:, self._ta]
-            prods = np.concatenate([left.reshape(-1, dim), right.reshape(-1, dim)])
-            prods = prods[prods.any(axis=1)]
-            if prods.shape[0]:
-                yield prods
-
-    def annihilator_constraints(self, rows: np.ndarray):
-        """Yield constraint rows for {a : a*x = x*a = 0 for x in rows}.
-
-        For each x the equations (a*x)_k = 0 and (x*a)_k = 0 are linear in
-        the coordinates of a; the yielded matrices hold them as rows.
-        """
-        dim = self.dimension
-        if dim == 0 or rows.shape[0] == 0:
-            return
-        step = max(1, _BATCH_ENTRIES // (dim * dim))
-        for start in range(0, rows.shape[0], step):
-            block = rows[start : start + step]
-            t = block.shape[0]
-            left = np.zeros((t, dim, dim), dtype=np.int64)
-            right = np.zeros((t, dim, dim), dtype=np.int64)
-            if self._ta.size:
-                # left[s, i, k] = (unit_i * x_s)[k];  right[s, i, k] = (x_s * unit_i)[k]
-                left[:, self._ta, self._tc] = block[:, self._tb]
-                right[:, self._tb, self._tc] = block[:, self._ta]
-            cons = np.concatenate(
-                [
-                    left.transpose(0, 2, 1).reshape(-1, dim),
-                    right.transpose(0, 2, 1).reshape(-1, dim),
-                ]
-            )
-            cons = cons[cons.any(axis=1)]
-            if cons.shape[0]:
-                yield cons
+            if transpose:
+                left, right = left.transpose(0, 2, 1), right.transpose(0, 2, 1)
+            out = np.concatenate([left.reshape(-1, dim), right.reshape(-1, dim)])
+            out = out[out.any(axis=1)]
+            if out.shape[0]:
+                yield out
 
     def homogeneous_component(self, x: np.ndarray, degree: int) -> np.ndarray:
         return np.where(self.degrees == degree, x % self.p, 0)
@@ -276,8 +280,23 @@ def _paths_into(graph: Graph, sink: str) -> list[tuple[tuple[str, ...], str]]:
     return done
 
 
+def require_exact_prime(p: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> None:
+    """Refuse a prime past the int64-exact bound for algebras up to ``dimension_cap``.
+
+    Cheap, so it runs before the trial-division primality test, which is
+    slow on huge inputs.
+    """
+    bound = max_exact_prime(dimension_cap)
+    if p > bound:
+        raise ValueError(
+            f"prime {p} is past {bound}, the largest p with exact int64 "
+            f"arithmetic up to oracle dimension {dimension_cap}"
+        )
+
+
 def build_oracle(graph: Graph, p: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> OracleAlgebra:
     """Validated construction of the matrix oracle for an acyclic graph."""
+    require_exact_prime(p, dimension_cap)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not graph.is_acyclic():
@@ -344,6 +363,19 @@ class IdealSubspace(Subspace):
             if residual(prods, self.basis, self.pivots, algebra.p).any():
                 raise ValueError("subspace is not closed under two-sided multiplication")
 
+    @classmethod
+    def _proven(cls, algebra: OracleAlgebra, basis: np.ndarray, pivots: tuple[int, ...]):
+        """An ideal from an RREF basis that is already proven closed; no audit.
+
+        The basis is copied: it may be a view of a larger work array, which
+        a memo would otherwise keep alive.
+        """
+        ideal = cls.__new__(cls)
+        ideal.algebra = algebra
+        ideal.basis = basis.copy()
+        ideal.pivots = pivots
+        return ideal
+
 
 def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
     """Least two-sided ideal containing the generators.
@@ -351,7 +383,8 @@ def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
     Iterated row reduction to a fixed point: multiply the current basis by
     every matrix unit on both sides, keep what falls outside the span,
     re-reduce, repeat.  Reaching full rank ends the search early since the
-    whole algebra is an ideal.
+    whole algebra is an ideal.  The last round is a closure audit, so the
+    result is not audited again.
     """
     dim = algebra.dimension
     basis, pivots = reduce_rowspace(as_matrix(generators, dim), algebra.p, stop_rank=dim)
@@ -367,7 +400,66 @@ def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
         basis, pivots = reduce_rowspace(
             np.vstack([basis] + fresh), algebra.p, stop_rank=dim
         )
-    return IdealSubspace(algebra, basis)
+    return IdealSubspace._proven(algebra, basis, pivots)
+
+
+def _sum_of_ideals(algebra: OracleAlgebra, a: IdealSubspace, b: IdealSubspace) -> IdealSubspace:
+    """a + b, itself an ideal: reduce b's basis against a's, row-reduce only the new rows."""
+    fresh = residual(b.basis, a.basis, a.pivots, algebra.p)
+    fresh = fresh[fresh.any(axis=1)]
+    if not fresh.shape[0]:
+        return a
+    basis, pivots = rref(np.vstack([a.basis, fresh]), algebra.p)
+    return IdealSubspace._proven(algebra, basis, pivots)
+
+
+class IdealMemo:
+    """Ideals of vertex subsets and annihilators over one algebra, each built once.
+
+    Holds one object per distinct ideal (interned by its RREF bytes), the
+    ideal of every subset asked for and of its prefixes in graph vertex
+    order, and the annihilator of every ideal asked for.  Create one per
+    pass over an algebra and let it go with the pass.
+    """
+
+    def __init__(self, algebra: OracleAlgebra):
+        self.algebra = algebra
+        self._interned: dict[bytes, IdealSubspace] = {}
+        self._by_subset: dict[tuple[str, ...], IdealSubspace] = {}
+        self._perps: dict[bytes, IdealSubspace] = {}
+
+    def _intern(self, ideal: IdealSubspace) -> IdealSubspace:
+        return self._interned.setdefault(ideal.signature(), ideal)
+
+    def of_vertices(self, vertices) -> IdealSubspace:
+        """Ideal generated by the images of the given vertices.
+
+        A single vertex's ideal comes from :func:`ideal_generated_by`; the
+        ideal of a larger subset is that of the subset minus its last vertex
+        plus that vertex's ideal.
+        """
+        algebra = self.algebra
+        members = algebra.graph.vertex_subset(vertices)
+        key = tuple(v for v in algebra.graph.vertices if v in members)
+        for end in range(len(key) + 1):  # every prefix, shortest first
+            prefix = key[:end]
+            if prefix in self._by_subset:
+                continue
+            if end <= 1:
+                ideal = ideal_generated_by(algebra, [algebra.vertex_image(v) for v in prefix])
+            else:
+                ideal = _sum_of_ideals(
+                    algebra, self._by_subset[prefix[:-1]], self.of_vertices(prefix[-1:])
+                )
+            self._by_subset[prefix] = self._intern(ideal)
+        return self._by_subset[key]
+
+    def perp(self, ideal: IdealSubspace) -> IdealSubspace:
+        """:func:`perp_subspace`, memoized by the RREF bytes of the argument."""
+        key = ideal.signature()
+        if key not in self._perps:
+            self._perps[key] = self._intern(perp_subspace(self.algebra, ideal))
+        return self._perps[key]
 
 
 def perp_subspace(algebra: OracleAlgebra, ideal: IdealSubspace) -> IdealSubspace:

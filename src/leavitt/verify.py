@@ -23,10 +23,12 @@ from .hereditary import ENUMERATION_CUTOFF, HereditarySaturatedSet, enumerate_hs
 from .ideals import GradedIdeal
 from .laurent import LaurentElement, laurent_perp_is_zero
 from .oracle import (
+    IdealMemo,
     build_oracle,
     ideal_generated_by,
     is_graded_subspace,
     perp_subspace,
+    require_exact_prime,
     vertex_set_of,
 )
 
@@ -82,7 +84,8 @@ class VerifyConfig:
     prime: int = 2
 
     def __post_init__(self):
-        """Refuse bounds that are negative or past the lattice cutoff, before any work."""
+        """Refuse, before any work, bounds that are negative or past the lattice
+        cutoff, and a prime past the oracle's int64-exact bound."""
         for flag, value in (
             ("--max-vertices", self.max_vertices),
             ("--max-edges", self.max_edges),
@@ -95,6 +98,7 @@ class VerifyConfig:
                 f"--max-vertices {self.max_vertices} is past the lattice enumeration "
                 f"cutoff of {ENUMERATION_CUTOFF} vertices"
             )
+        require_exact_prime(self.prime)
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,8 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
     """Rows refereed by the matrix oracle, for one acyclic graph.
 
     Returns (trial counts per row, failures, algebra) so callers can reuse
-    the built algebra.
+    the built algebra.  Each distinct ideal is built once per call: the
+    per-set rows and the lattice count share one :class:`IdealMemo`.
     """
     counts = {row: 0 for row in ORACLE_ROWS}
     failures: list[Failure] = []
@@ -240,14 +245,14 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
             failures.append(Failure(row, graph, f"setup failed: {exc}"))
         return counts, failures, None
 
+    memo = IdealMemo(algebra)
     for h in hs_sets:
         for row in (ROW_PERP_VSET, ROW_DPERP_VSET, ROW_REGULARITY, ROW_PERP_GRADED):
             counts[row] += 1
         try:
-            images = [algebra.vertex_image(v) for v in h.sorted_vertices()]
-            ideal = ideal_generated_by(algebra, images)
-            perp1 = perp_subspace(algebra, ideal)
-            perp2 = perp_subspace(algebra, perp1)
+            ideal = memo.of_vertices(h.vertices)
+            perp1 = memo.perp(ideal)
+            perp2 = memo.perp(perp1)
 
             j = GradedIdeal(h)
             bar = ideals.bar_closure(j)
@@ -307,8 +312,7 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
         signatures = set()
         for size in range(len(graph.vertices) + 1):
             for subset in itertools.combinations(graph.vertices, size):
-                images = [algebra.vertex_image(v) for v in subset]
-                ideal = ideal_generated_by(algebra, images)
+                ideal = memo.of_vertices(subset)
                 signatures.add(ideal.signature())
                 closed = hs_closure(graph, subset)
                 got = vertex_set_of(algebra, ideal)

@@ -1,8 +1,9 @@
-"""Hypothesis strategies for small random graphs, and fixed graph families."""
+"""Hypothesis strategies for small random graphs, fixed graph families and prime edges."""
 
 from hypothesis import strategies as st
 
 from leavitt import Graph
+from leavitt.gfp import is_prime
 
 
 @st.composite
@@ -40,3 +41,13 @@ def ring(n):
         tuple(f"v{i}" for i in range(n)),
         tuple((f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)),
     )
+
+
+def primes_around(bound):
+    """The largest prime at most ``bound`` and the least prime above it."""
+    below, above = bound, bound + 1
+    while not is_prime(below):
+        below -= 1
+    while not is_prime(above):
+        above += 1
+    return below, above

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from leavitt import Graph, dump_graph_json, ideals
+from leavitt import DEFAULT_DIMENSION_CAP, Graph, dump_graph_json, ideals
 from leavitt.cli import main
+from leavitt.gfp import max_exact_prime
 
-from .strategies import ring
+from .strategies import primes_around, ring
 
 
 @pytest.fixture
@@ -159,6 +160,12 @@ def test_verify_refuses_max_vertices_past_cutoff(capsys):
     assert "--max-vertices 21" in capsys.readouterr().err
 
 
+def test_verify_refuses_prime_past_the_int64_bound(capsys):
+    _good, bad = primes_around(max_exact_prime(DEFAULT_DIMENSION_CAP))
+    assert main(["verify", "--prime", str(bad)]) == 3
+    assert "int64" in capsys.readouterr().err
+
+
 def test_verify_is_byte_deterministic(capsys):
     argv = ["verify", "--max-vertices", "3", "--max-edges", "3", "--trials", "25"]
     assert main(argv) == 0
@@ -206,3 +213,12 @@ def test_oracle_check_dimension_cap(tmp_path, capsys):
 def test_oracle_check_nonprime(tmp_path, capsys):
     path = write_graph(tmp_path, Graph(("a",), ()))
     assert main(["oracle-check", "--graph", path, "--prime", "6"]) == 3
+
+
+def test_oracle_check_prime_bound(tmp_path, capsys):
+    good, bad = primes_around(max_exact_prime(DEFAULT_DIMENSION_CAP))
+    path = write_graph(tmp_path, Graph(("a", "b"), (("e", "a", "b"),)))
+    assert main(["oracle-check", "--graph", path, "--prime", str(good)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert main(["oracle-check", "--graph", path, "--prime", str(bad)]) == 3
+    assert "int64" in capsys.readouterr().err

@@ -4,15 +4,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leavitt.gfp import (
+    INT64_MAX,
     as_matrix,
     in_rowspace,
     is_prime,
     matmul_mod,
+    max_exact_prime,
     nullspace,
     reduce_rowspace,
     residual,
     rref,
 )
+
+from .strategies import primes_around
 
 
 def test_is_prime():
@@ -98,3 +102,33 @@ def test_matmul_mod_matches_plain(a_rows, b_rows):
     a = np.array(a_rows, dtype=np.int64)
     b = np.array(b_rows, dtype=np.int64)
     assert np.array_equal(matmul_mod(a, b, 5), (a @ b) % 5)
+
+
+@pytest.mark.parametrize("terms", [1, 3, 121, 2000])
+def test_max_exact_prime_is_the_int64_edge(terms):
+    bound = max_exact_prime(terms)
+    assert terms * (bound - 1) ** 2 <= INT64_MAX < terms * bound**2
+
+
+def test_nullspace_exact_at_last_good_prime_and_refused_past_it():
+    good, bad = primes_around(max_exact_prime(1))
+    rng = np.random.default_rng(7)
+    mat = rng.integers(0, good, size=(4, 6), dtype=np.int64)
+    ns = nullspace(mat, good)
+    assert ns.shape == (2, 6)
+    for v in ns.tolist():  # exact check in Python integers
+        assert all(sum(a * b for a, b in zip(row, v)) % good == 0 for row in mat.tolist())
+    with pytest.raises(OverflowError):
+        rref(mat, bad)
+    with pytest.raises(OverflowError):
+        nullspace(mat, 4294967311)  # (p - 1)^2 alone is past int64
+
+
+def test_matmul_mod_exact_at_last_good_prime_and_refused_past_it():
+    good, bad = primes_around(max_exact_prime(3))
+    # the largest possible sum: every entry p - 1, three terms
+    a = np.full((2, 3), good - 1, dtype=np.int64)
+    b = np.full((3, 2), good - 1, dtype=np.int64)
+    assert matmul_mod(a, b, good).tolist() == [[3 * (good - 1) ** 2 % good] * 2] * 2
+    with pytest.raises(OverflowError):
+        matmul_mod(a, b, bad)

@@ -1,6 +1,7 @@
 from hypothesis import given
 
 from leavitt import (
+    CLASS_BOTH,
     CLASS_PERP_ZERO,
     CLASS_REGULAR,
     GradedIdeal,
@@ -17,7 +18,7 @@ from leavitt import (
     quotient_graph,
 )
 
-from .strategies import graphs
+from .strategies import graphs, graphs_with_subset
 
 
 def isolated_pair():
@@ -192,3 +193,26 @@ def test_regular_ideals_respect_quotient_laws(g):
         assert quotient_l == (pc <= h.vertices)
         if cond_l:
             assert quotient_l
+
+
+@given(graphs_with_subset())
+def test_analyze_matches_the_separate_calls(case):
+    g, generators = case
+    report = analyze(g, generators)
+    j = ideal_from_generators(g, generators)
+    assert report.perp_set == perp(j).vertices
+    assert report.double_perp_set == double_perp(j).vertices
+    assert report.is_regular == is_regular(j)
+    assert report.quotient_condition_l == quotient_graph(g, j.h).condition_l()
+    assert report.pc_bijection_holds == pc_bijection_check(g, j.h)
+
+
+@given(graphs())
+def test_maximal_labels_match_the_separate_calls(g):
+    for ideal, label in maximal_graded_ideals(g):
+        regular, perp_zero = is_regular(ideal), not perp(ideal).vertices
+        assert label == {
+            (True, True): CLASS_BOTH,
+            (True, False): CLASS_REGULAR,
+            (False, True): CLASS_PERP_ZERO,
+        }[(regular, perp_zero)]

@@ -1,12 +1,17 @@
+import itertools
+from random import Random
+
 import numpy as np
 import pytest
 
 from leavitt import (
+    DEFAULT_DIMENSION_CAP,
     Graph,
     IdealSubspace,
     OracleDimensionError,
     OracleUnsupportedError,
     Subspace,
+    UnknownVertexError,
     build_oracle,
     enumerate_hs_sets,
     hs_closure,
@@ -15,6 +20,11 @@ from leavitt import (
     perp_subspace,
     vertex_set_of,
 )
+from leavitt.gfp import max_exact_prime
+from leavitt.oracle import IdealMemo
+from leavitt.verify import exhaustive_acyclic_graphs
+
+from .strategies import primes_around
 
 
 def path_ab():
@@ -148,3 +158,83 @@ def test_subspace_equality_and_signature():
     assert i1.signature() == i2.signature()
     zero = ideal_generated_by(algebra, [])
     assert zero != i1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_summed_subset_ideals_match_generation(p):
+    for graph in exhaustive_acyclic_graphs(3, 4):
+        algebra = build_oracle(graph, p)
+        memo = IdealMemo(algebra)
+        for size in range(len(graph.vertices) + 1):
+            for subset in itertools.combinations(graph.vertices, size):
+                summed = memo.of_vertices(subset)
+                generated = ideal_generated_by(algebra, [algebra.vertex_image(v) for v in subset])
+                assert summed.signature() == generated.signature()
+                assert summed.pivots == generated.pivots
+                # the sum skipped the audit; the public constructor must accept it
+                audited = IdealSubspace(algebra, summed.basis)
+                assert audited.signature() == summed.signature()
+                assert memo.of_vertices(reversed(subset)) is summed
+                perp = memo.perp(summed)
+                assert perp.signature() == perp_subspace(algebra, summed).signature()
+                assert memo.perp(summed) is perp
+
+
+def test_memo_interns_equal_ideals():
+    # M_2 is simple: a and b generate the same ideal, and so does {a, b}
+    memo = IdealMemo(build_oracle(path_ab(), 3))
+    whole = memo.of_vertices({"a"})
+    assert memo.of_vertices({"b"}) is whole
+    assert memo.of_vertices({"a", "b"}) is whole
+    assert memo.perp(memo.perp(whole)) is whole
+
+
+def test_memo_rejects_unknown_vertices():
+    memo = IdealMemo(build_oracle(path_ab(), 2))
+    with pytest.raises(UnknownVertexError):
+        memo.of_vertices({"a", "zz"})
+
+
+def _random_element(algebra, rng):
+    vec = algebra.zero()
+    for i in rng.sample(range(algebra.dimension), min(3, algebra.dimension)):
+        vec[i] = rng.randrange(algebra.p)
+    return vec
+
+
+def test_generated_ideal_passes_the_audit():
+    rng = Random(11)
+    for graph in exhaustive_acyclic_graphs(3, 4):
+        for p in (2, 3, 5):
+            algebra = build_oracle(graph, p)
+            for _ in range(2):
+                gens = [_random_element(algebra, rng) for _ in range(rng.randint(1, 2))]
+                ideal = ideal_generated_by(algebra, gens)
+                audited = IdealSubspace(algebra, ideal.basis)
+                assert audited.signature() == ideal.signature()
+                assert audited.pivots == ideal.pivots
+                # a contiguous copy, not a view pinning the row reduction's work array
+                assert ideal.basis.base is None and ideal.basis.flags.c_contiguous
+
+
+def test_build_oracle_prime_bound():
+    good, bad = primes_around(max_exact_prime(DEFAULT_DIMENSION_CAP))
+    algebra = build_oracle(Graph(("a", "b"), ()), good)
+    a_block = ideal_generated_by(algebra, [algebra.vertex_image("a")])
+    assert vertex_set_of(algebra, perp_subspace(algebra, a_block)) == {"b"}
+    with pytest.raises(ValueError, match="int64"):
+        build_oracle(path_ab(), bad)
+    with pytest.raises(ValueError, match="int64"):
+        build_oracle(path_ab(), 2**127 - 1)  # refused before the slow primality test
+
+
+def test_prime_bound_follows_the_dimension_cap():
+    good, bad = primes_around(max_exact_prime(4))
+    algebra = build_oracle(path_ab(), good, dimension_cap=4)
+    rng = Random(3)
+    for _ in range(5):
+        ideal = ideal_generated_by(algebra, [_random_element(algebra, rng)])
+        assert IdealSubspace(algebra, ideal.basis).signature() == ideal.signature()
+        assert perp_subspace(algebra, ideal).dim == 4 - ideal.dim
+    with pytest.raises(ValueError, match="int64"):
+        build_oracle(path_ab(), bad, dimension_cap=4)

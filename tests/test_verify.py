@@ -2,7 +2,8 @@ from random import Random
 
 import pytest
 
-from leavitt import ENUMERATION_CUTOFF, Graph, LatticeTooLargeError, ideals
+from leavitt import DEFAULT_DIMENSION_CAP, ENUMERATION_CUTOFF, Graph, LatticeTooLargeError, ideals
+from leavitt.gfp import max_exact_prime
 from leavitt.verify import (
     ALL_ROWS,
     ROW_MAXIMAL,
@@ -16,6 +17,8 @@ from leavitt.verify import (
     random_graph,
     run_verification,
 )
+
+from .strategies import primes_around
 
 SMALL = VerifyConfig(max_vertices=3, max_edges=4, trials=40)
 
@@ -59,6 +62,13 @@ def test_config_refuses_max_vertices_past_cutoff():
     VerifyConfig(max_vertices=ENUMERATION_CUTOFF)  # constructed, not run
     with pytest.raises(LatticeTooLargeError):
         VerifyConfig(max_vertices=ENUMERATION_CUTOFF + 1)
+
+
+def test_config_refuses_prime_past_the_int64_bound():
+    good, bad = primes_around(max_exact_prime(DEFAULT_DIMENSION_CAP))
+    assert VerifyConfig(prime=good).prime == good  # built, not run
+    with pytest.raises(ValueError, match="int64"):
+        VerifyConfig(prime=bad)
 
 
 def test_random_graph_stream_is_seeded():
