@@ -8,6 +8,7 @@ Laurent-polynomial model act as independent referees.
 from .errors import (
     GraphDocumentError,
     GraphMismatchError,
+    InvalidArgumentError,
     LatticeTooLargeError,
     LeavittError,
     OracleDimensionError,
@@ -78,6 +79,7 @@ __all__ = [
     "GraphMismatchError",
     "HereditarySaturatedSet",
     "IdealSubspace",
+    "InvalidArgumentError",
     "LatticeTooLargeError",
     "LaurentElement",
     "LeavittError",

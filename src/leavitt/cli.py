@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 property failure, 2 parse error, 3 semantic error
-(unknown vertex, unsupported graph, negative verify bound, a prime past the
-int64-exact bound), 4 resource cutoff.
+(unknown vertex, unsupported graph, negative verify bound, a non-prime
+``--prime`` or one past the int64-exact bound), 4 resource cutoff, 5
+internal error (any other exception; one ``internal error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from .errors import (
     GraphDocumentError,
     GraphMismatchError,
+    InvalidArgumentError,
     LatticeTooLargeError,
     OracleDimensionError,
     OracleUnsupportedError,
@@ -216,12 +218,15 @@ def main(argv=None) -> int:
     except GraphDocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UnknownVertexError, GraphMismatchError, OracleUnsupportedError, ValueError) as exc:
+    except (UnknownVertexError, GraphMismatchError, OracleUnsupportedError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (LatticeTooLargeError, OracleDimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:  # a crash must not pass for a user error or a property failure
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

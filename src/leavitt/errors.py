@@ -27,3 +27,7 @@ class OracleUnsupportedError(LeavittError):
 
 class OracleDimensionError(LeavittError):
     """The oracle dimension exceeds the configured cap."""
+
+
+class InvalidArgumentError(LeavittError, ValueError):
+    """A caller-supplied parameter is refused: a negative bound or a bad prime."""

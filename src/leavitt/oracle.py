@@ -24,7 +24,7 @@ ideal generated by a set is the sum of the ideals generated by its elements
 (ring theory, not the vertex calculus under test), so the ideal of X is the
 ideal of X minus its last vertex plus that vertex's ideal, one row reduction
 of the new rows.  Bases are interned by their RREF bytes, and annihilators
-are memoized by the RREF bytes of their argument.
+and vertex sets are memoized by the RREF bytes of their argument.
 
 The public :class:`IdealSubspace` constructor audits closure under
 multiplication by every matrix unit.  Two results skip that audit because
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OracleDimensionError, OracleUnsupportedError
+from .errors import InvalidArgumentError, OracleDimensionError, OracleUnsupportedError
 from .gfp import (
     as_matrix,
     in_rowspace,
@@ -169,7 +169,10 @@ class OracleAlgebra:
         """Nonzero rows of the unit-product tensors, one batch at a time.
 
         left[s, i, k] = (unit_i * x_s)[k] and right[s, i, k] = (x_s * unit_i)[k];
-        rows are indexed by (s, i), or by (s, k) when transposed.
+        rows are indexed by (s, i), or by (s, k) when transposed, left rows
+        first.  Both tensors are written in place into one array in output
+        layout, which is released before the batch is yielded, so a batch
+        holds no more than one tensor pair plus its nonzero rows at a time.
         """
         dim = self.dimension
         if dim == 0 or rows.shape[0] == 0:
@@ -177,23 +180,20 @@ class OracleAlgebra:
         step = max(1, _BATCH_ENTRIES // (dim * dim))
         for start in range(0, rows.shape[0], step):
             block = rows[start : start + step]
-            t = block.shape[0]
-            left = np.zeros((t, dim, dim), dtype=np.int64)
-            right = np.zeros((t, dim, dim), dtype=np.int64)
+            pair = np.zeros((2, block.shape[0], dim, dim), dtype=np.int64)
+            left, right = pair
+            if transpose:
+                left, right = left.transpose(0, 2, 1), right.transpose(0, 2, 1)
             if self._ta.size:
                 # matrix-unit products copy single coordinates, so plain
                 # fancy assignment suffices (no accumulation happens)
                 left[:, self._ta, self._tc] = block[:, self._tb]
                 right[:, self._tb, self._tc] = block[:, self._ta]
-            if transpose:
-                left, right = left.transpose(0, 2, 1), right.transpose(0, 2, 1)
-            out = np.concatenate([left.reshape(-1, dim), right.reshape(-1, dim)])
+            out = pair.reshape(-1, dim)
             out = out[out.any(axis=1)]
+            del pair, left, right
             if out.shape[0]:
                 yield out
-
-    def homogeneous_component(self, x: np.ndarray, degree: int) -> np.ndarray:
-        return np.where(self.degrees == degree, x % self.p, 0)
 
     # -- construction internals ------------------------------------------------
 
@@ -281,24 +281,24 @@ def _paths_into(graph: Graph, sink: str) -> list[tuple[tuple[str, ...], str]]:
 
 
 def require_exact_prime(p: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> None:
-    """Refuse a prime past the int64-exact bound for algebras up to ``dimension_cap``.
+    """Refuse p unless it is a prime with exact int64 arithmetic up to ``dimension_cap``.
 
-    Cheap, so it runs before the trial-division primality test, which is
-    slow on huge inputs.
+    The bound is tested first: it is cheap, and it keeps the trial-division
+    primality test, which is slow on huge inputs, to small p.
     """
     bound = max_exact_prime(dimension_cap)
     if p > bound:
-        raise ValueError(
+        raise InvalidArgumentError(
             f"prime {p} is past {bound}, the largest p with exact int64 "
             f"arithmetic up to oracle dimension {dimension_cap}"
         )
+    if not is_prime(p):
+        raise InvalidArgumentError(f"{p} is not prime")
 
 
 def build_oracle(graph: Graph, p: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> OracleAlgebra:
     """Validated construction of the matrix oracle for an acyclic graph."""
     require_exact_prime(p, dimension_cap)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if not graph.is_acyclic():
         raise OracleUnsupportedError("the matrix oracle covers acyclic graphs only")
     dim = 0
@@ -418,8 +418,8 @@ class IdealMemo:
 
     Holds one object per distinct ideal (interned by its RREF bytes), the
     ideal of every subset asked for and of its prefixes in graph vertex
-    order, and the annihilator of every ideal asked for.  Create one per
-    pass over an algebra and let it go with the pass.
+    order, and the annihilator and vertex set of every ideal asked for.
+    Create one per pass over an algebra and let it go with the pass.
     """
 
     def __init__(self, algebra: OracleAlgebra):
@@ -427,6 +427,7 @@ class IdealMemo:
         self._interned: dict[bytes, IdealSubspace] = {}
         self._by_subset: dict[tuple[str, ...], IdealSubspace] = {}
         self._perps: dict[bytes, IdealSubspace] = {}
+        self._vertex_sets: dict[bytes, frozenset[str]] = {}
 
     def _intern(self, ideal: IdealSubspace) -> IdealSubspace:
         return self._interned.setdefault(ideal.signature(), ideal)
@@ -461,6 +462,13 @@ class IdealMemo:
             self._perps[key] = self._intern(perp_subspace(self.algebra, ideal))
         return self._perps[key]
 
+    def vertex_set(self, ideal: IdealSubspace) -> frozenset[str]:
+        """:func:`vertex_set_of`, memoized by the RREF bytes of the argument."""
+        key = ideal.signature()
+        if key not in self._vertex_sets:
+            self._vertex_sets[key] = vertex_set_of(self.algebra, ideal)
+        return self._vertex_sets[key]
+
 
 def perp_subspace(algebra: OracleAlgebra, ideal: IdealSubspace) -> IdealSubspace:
     """Two-sided annihilator {a : a*x = x*a = 0 for all x in the ideal}.
@@ -484,17 +492,32 @@ def perp_subspace(algebra: OracleAlgebra, ideal: IdealSubspace) -> IdealSubspace
 
 
 def vertex_set_of(algebra: OracleAlgebra, subspace: Subspace) -> frozenset[str]:
-    """Vertices whose generator image lies in the subspace."""
-    return frozenset(
-        v for v in algebra.graph.vertices if subspace.contains(algebra.vertex_image(v))
-    )
+    """Vertices whose generator image lies in the subspace.
+
+    All vertex images are reduced against the basis at once; a zero
+    residual row marks a member.
+    """
+    vertices = algebra.graph.vertices
+    images = as_matrix([algebra.vertex_image(v) for v in vertices], algebra.dimension)
+    outside = residual(images, subspace.basis, subspace.pivots, algebra.p).any(axis=1)
+    return frozenset(v for v, out in zip(vertices, outside) if not out)
 
 
 def is_graded_subspace(algebra: OracleAlgebra, subspace: Subspace) -> bool:
-    """True iff each homogeneous component of each basis element stays inside."""
-    for row in subspace.basis:
-        present = np.unique(algebra.degrees[row != 0])
-        for d in present:
-            if not subspace.contains(algebra.homogeneous_component(row, int(d))):
-                return False
+    """True iff each homogeneous component of each basis element stays inside.
+
+    The components of the basis rows in every degree of the algebra are
+    stacked and tested with one membership call per batch of at most
+    ``_BATCH_ENTRIES`` entries; the algebras of `verify` take one batch.
+    """
+    degrees = algebra.degrees
+    levels = np.unique(degrees)
+    step = max(1, _BATCH_ENTRIES // max(1, levels.size * algebra.dimension))
+    for start in range(0, subspace.dim, step):
+        block = subspace.basis[start : start + step]
+        components = np.where(degrees == levels[:, None, None], block, 0).reshape(
+            -1, algebra.dimension
+        )
+        if not subspace.contains(components[components.any(axis=1)]):
+            return False
     return True

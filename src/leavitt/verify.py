@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from random import Random
 
 from . import ideals
-from .errors import LatticeTooLargeError
+from .errors import InvalidArgumentError, LatticeTooLargeError
 from .graphdoc import document_from_graph
 from .graphs import Graph
 from .hereditary import ENUMERATION_CUTOFF, HereditarySaturatedSet, enumerate_hs_sets, hs_closure
@@ -85,14 +85,15 @@ class VerifyConfig:
 
     def __post_init__(self):
         """Refuse, before any work, bounds that are negative or past the lattice
-        cutoff, and a prime past the oracle's int64-exact bound."""
+        cutoff, and a prime that is not prime or is past the oracle's
+        int64-exact bound."""
         for flag, value in (
             ("--max-vertices", self.max_vertices),
             ("--max-edges", self.max_edges),
             ("--trials", self.trials),
         ):
             if value < 0:
-                raise ValueError(f"{flag} must be non-negative, got {value}")
+                raise InvalidArgumentError(f"{flag} must be non-negative, got {value}")
         if self.max_vertices > ENUMERATION_CUTOFF:
             raise LatticeTooLargeError(
                 f"--max-vertices {self.max_vertices} is past the lattice enumeration "
@@ -230,8 +231,9 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
     """Rows refereed by the matrix oracle, for one acyclic graph.
 
     Returns (trial counts per row, failures, algebra) so callers can reuse
-    the built algebra.  Each distinct ideal is built once per call: the
-    per-set rows and the lattice count share one :class:`IdealMemo`.
+    the built algebra.  Each distinct ideal, and its vertex set, is built
+    once per call: the per-set rows and the lattice count share one
+    :class:`IdealMemo`.
     """
     counts = {row: 0 for row in ORACLE_ROWS}
     failures: list[Failure] = []
@@ -257,7 +259,7 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
             j = GradedIdeal(h)
             bar = ideals.bar_closure(j)
 
-            got = vertex_set_of(algebra, perp1)
+            got = memo.vertex_set(perp1)
             want = graph._vset - bar
             if got != want:
                 failures.append(
@@ -269,7 +271,7 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
                     )
                 )
 
-            got2 = vertex_set_of(algebra, perp2)
+            got2 = memo.vertex_set(perp2)
             want2 = frozenset(w for w in graph.vertices if graph.tree(w) <= bar)
             if got2 != want2:
                 failures.append(
@@ -315,7 +317,7 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
                 ideal = memo.of_vertices(subset)
                 signatures.add(ideal.signature())
                 closed = hs_closure(graph, subset)
-                got = vertex_set_of(algebra, ideal)
+                got = memo.vertex_set(ideal)
                 if got != closed.vertices:
                     raise AssertionError(
                         f"X={sorted(subset)}: oracle vertex set {sorted(got)} != "

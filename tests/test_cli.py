@@ -160,6 +160,27 @@ def test_verify_refuses_max_vertices_past_cutoff(capsys):
     assert "--max-vertices 21" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_non_prime(monkeypatch, capsys):
+    with monkeypatch.context() as m:  # refused before any work is started
+        m.setattr("leavitt.cli.run_verification", None)
+        assert main(["verify", "--prime", "4"]) == 3
+    assert capsys.readouterr().err == "error: 4 is not prime\n"
+    assert main(["verify", "--prime", "5", "--max-vertices", "2", "--max-edges", "2", "--trials", "3"]) == 0
+    assert capsys.readouterr().out.endswith("result: PASS\n")
+
+
+@pytest.mark.parametrize("error", [ValueError("not hereditary"), RecursionError("too deep")])
+def test_internal_error_exits_5(graph_file, monkeypatch, capsys, error):
+    def crash(*args):
+        raise error
+
+    monkeypatch.setattr("leavitt.cli.analyze", crash)
+    assert main(["analyze", "--graph", graph_file]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
+
+
 def test_verify_refuses_prime_past_the_int64_bound(capsys):
     _good, bad = primes_around(max_exact_prime(DEFAULT_DIMENSION_CAP))
     assert main(["verify", "--prime", str(bad)]) == 3

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from leavitt.gfp import (
     INT64_MAX,
+    _rref_pivot_loop,
     as_matrix,
     in_rowspace,
     is_prime,
     matmul_mod,
     max_exact_prime,
     nullspace,
+    nullspace_from_rref,
     reduce_rowspace,
     residual,
     rref,
@@ -132,3 +135,42 @@ def test_matmul_mod_exact_at_last_good_prime_and_refused_past_it():
     assert matmul_mod(a, b, good).tolist() == [[3 * (good - 1) ** 2 % good] * 2] * 2
     with pytest.raises(OverflowError):
         matmul_mod(a, b, bad)
+
+
+@st.composite
+def gf2_matrices(draw):
+    """Matrices over the integers with row widths around byte and word edges.
+
+    Entries run past 0/1, and negative, so the reduction mod 2 is exercised;
+    some matrices repeat their rows, some get the identity appended in a
+    shuffled order and so reach full rank.
+    """
+    cols = draw(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 121, 130]))
+    rows = draw(st.integers(min_value=0, max_value=40))
+    mat = draw(arrays(np.int64, (rows, cols), elements=st.integers(min_value=-3, max_value=3)))
+    if rows and draw(st.booleans()):
+        picks = draw(st.lists(st.integers(min_value=0, max_value=rows - 1), min_size=1, max_size=rows))
+        mat = np.vstack([mat, mat[picks]])
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(cols)))
+        mat = np.vstack([mat, np.eye(cols, dtype=np.int64)[list(order)]])
+    return mat
+
+
+@settings(max_examples=300)
+@given(gf2_matrices())
+def test_packed_gf2_rref_matches_the_pivot_loop(mat):
+    want, want_pivots = _rref_pivot_loop(mat % 2, 2)
+    got, pivots = rref(mat, 2)
+    assert pivots == want_pivots
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # the chunked reduction and the kernel built on the packed rref agree with it
+    chunked, chunked_pivots = reduce_rowspace(mat, 2, chunk=5)
+    assert chunked_pivots == want_pivots and chunked.tobytes() == want.tobytes()
+    cols = mat.shape[1]
+    kernel = nullspace(mat, 2)
+    assert kernel.tobytes() == nullspace_from_rref(want, want_pivots, 2, cols).tobytes()
+    assert kernel.shape == (cols - len(want_pivots), cols)
+    assert not (mat @ kernel.T % 2).any()

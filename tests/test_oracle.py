@@ -20,7 +20,7 @@ from leavitt import (
     perp_subspace,
     vertex_set_of,
 )
-from leavitt.gfp import max_exact_prime
+from leavitt.gfp import max_exact_prime, rref
 from leavitt.oracle import IdealMemo
 from leavitt.verify import exhaustive_acyclic_graphs
 
@@ -178,6 +178,57 @@ def test_summed_subset_ideals_match_generation(p):
                 perp = memo.perp(summed)
                 assert perp.signature() == perp_subspace(algebra, summed).signature()
                 assert memo.perp(summed) is perp
+
+
+def _spans(subspace, vector):
+    """Membership by rank, one vector at a time: the batched calls' referee."""
+    stacked = np.vstack([subspace.basis, vector])
+    return len(rref(stacked, subspace.algebra.p)[1]) == subspace.dim
+
+
+def _referee_vertex_set(algebra, subspace):
+    return frozenset(v for v in algebra.graph.vertices if _spans(subspace, algebra.vertex_image(v)))
+
+
+def _referee_is_graded(algebra, subspace):
+    for row in subspace.basis:
+        for d in np.unique(algebra.degrees[row != 0]):
+            if not _spans(subspace, np.where(algebra.degrees == d, row, 0)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("batch_entries", [None, 40])
+@pytest.mark.parametrize("p", [2, 3])
+def test_batched_membership_matches_the_per_vector_referee(p, batch_entries, monkeypatch):
+    if batch_entries is not None:  # many small batches instead of one
+        monkeypatch.setattr("leavitt.oracle._BATCH_ENTRIES", batch_entries)
+    ungraded = 0
+    for graph in exhaustive_acyclic_graphs(3, 4):
+        algebra = build_oracle(graph, p)
+        memo = IdealMemo(algebra)
+        subspaces = []
+        for size in range(len(graph.vertices) + 1):
+            for subset in itertools.combinations(graph.vertices, size):
+                ideal = memo.of_vertices(subset)
+                subspaces += [ideal, memo.perp(ideal)]
+        # a vertex image plus an edge image spans a line that is not graded,
+        # also after the first unit (degree 0, first pivot) is added to it,
+        # and so does the sum of the units of one sign once two degrees have it
+        first_unit = np.eye(1, algebra.dimension, dtype=np.int64)[0]
+        for e in graph.edges:
+            mixed = algebra.vertex_image(e.src) + algebra.edge_image(e.name)
+            subspaces += [Subspace(algebra, [mixed]), Subspace(algebra, [first_unit, mixed])]
+        for sign in (-1, 1):
+            subspaces.append(Subspace(algebra, [np.sign(algebra.degrees) == sign]))
+        for subspace in subspaces:
+            assert vertex_set_of(algebra, subspace) == _referee_vertex_set(algebra, subspace)
+            graded = is_graded_subspace(algebra, subspace)
+            assert graded == _referee_is_graded(algebra, subspace)
+            ungraded += not graded
+            if isinstance(subspace, IdealSubspace):
+                assert memo.vertex_set(subspace) == vertex_set_of(algebra, subspace)
+    assert ungraded > 0
 
 
 def test_memo_interns_equal_ideals():

@@ -64,6 +64,12 @@ def test_config_refuses_max_vertices_past_cutoff():
         VerifyConfig(max_vertices=ENUMERATION_CUTOFF + 1)
 
 
+def test_config_refuses_a_non_prime():
+    assert VerifyConfig(prime=5).prime == 5  # built, not run
+    with pytest.raises(ValueError, match="4 is not prime"):
+        VerifyConfig(prime=4)
+
+
 def test_config_refuses_prime_past_the_int64_bound():
     good, bad = primes_around(max_exact_prime(DEFAULT_DIMENSION_CAP))
     assert VerifyConfig(prime=good).prime == good  # built, not run
