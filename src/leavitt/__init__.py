@@ -25,6 +25,7 @@ from .hereditary import (
     hs_meet,
     is_hereditary,
     is_saturated,
+    lattice_with_regularity,
 )
 from .ideals import (
     CLASS_BOTH,
@@ -108,6 +109,7 @@ __all__ = [
     "is_hereditary",
     "is_regular",
     "is_saturated",
+    "lattice_with_regularity",
     "laurent_perp_is_zero",
     "load_graph",
     "maximal_graded_ideals",

@@ -22,8 +22,8 @@ from .errors import (
     UnknownVertexError,
 )
 from .graphdoc import document_from_graph, load_graph
-from .hereditary import enumerate_hs_sets
-from .ideals import GradedIdeal, analyze, bar_closure, ideal_from_generators, is_regular, perp, quotient_graph
+from .hereditary import hs_closure, lattice_with_regularity
+from .ideals import analyze, bar_closure, ideal_from_generators, perp, quotient_graph
 from .oracle import build_oracle
 from .verify import VerifyConfig, oracle_checks_for_graph, run_verification
 
@@ -61,21 +61,17 @@ def cmd_analyze(args) -> int:
 
 def cmd_lattice(args) -> int:
     graph = load_graph(args.graph)
-    sets = enumerate_hs_sets(graph)
-    flagged = [(h, is_regular(GradedIdeal(h))) for h in sets]
+    flagged = lattice_with_regularity(graph)
     if args.dot:
-        print(_lattice_dot(flagged), end="")
+        print(_lattice_dot(graph, flagged), end="")
         return 0
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {"vertices": list(h.sorted_vertices()), "is_regular": reg}
-                    for h, reg in flagged
-                ],
-                indent=2,
-            )
+        json.dump(
+            [{"vertices": list(h.sorted_vertices()), "is_regular": reg} for h, reg in flagged],
+            sys.stdout,
+            indent=2,
         )
+        sys.stdout.write("\n")
         return 0
     print(f"{len(flagged)} hereditary saturated sets")
     for h, reg in flagged:
@@ -83,22 +79,29 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def _lattice_dot(flagged) -> str:
+def _lattice_dot(graph, flagged) -> str:
+    """Hasse diagram: one node per set, an arrow from each set to each upper cover.
+
+    Every upper cover of a is the closure of a plus one vertex (any vertex of
+    the cover outside a generates it over a), and the minimal such closures
+    are exactly the covers: at most |vertices| closures per set.
+    """
     lines = ["digraph hs_lattice {", "  rankdir=BT;"]
+    position = {}
     for i, (h, reg) in enumerate(flagged):
+        position[h.vertices] = i
         label = _format_set(h.vertices)
         if reg:
             label += "\\nregular"
         lines.append(f'  n{i} [label="{label}"];')
-    for i, (a, _ra) in enumerate(flagged):
-        for j, (b, _rb) in enumerate(flagged):
-            if not a.vertices < b.vertices:
-                continue
-            covers = not any(
-                a.vertices < c.vertices < b.vertices for c, _rc in flagged
-            )
-            if covers:
-                lines.append(f"  n{i} -> n{j};")
+    for i, (a, _reg) in enumerate(flagged):
+        above = {
+            hs_closure(graph, a.vertices | {v}).vertices
+            for v in graph.vertices
+            if v not in a.vertices
+        }
+        covers = sorted(position[b] for b in above if not any(c < b for c in above))
+        lines.extend(f"  n{i} -> n{j};" for j in covers)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -8,7 +8,9 @@ sinks are never forced).  The sets that satisfy both form a lattice
 lattice of graded ideals of the path algebra.
 
 The predicates and the closure are linear in the size of the graph.  Only
-the lattice scan, which is exponential by design, works on bitmasks.
+the lattice pass works on bitmasks: it branches over strongly connected
+components, so its work grows with the number of sets it lists, and it reads
+each set's regularity off the same masks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Iterable
 from .errors import GraphMismatchError, LatticeTooLargeError
 from .graphs import Graph
 
-# Exhaustive enumeration walks all 2^|vertices| subsets; past this it refuses.
+# The lattice pass costs O(#components) per listed set, but a graph with n
+# vertices can have 2^n sets (no edges); past this many vertices it refuses.
 ENUMERATION_CUTOFF = 20
 
 
@@ -96,41 +99,80 @@ def hs_closure(graph: Graph, subset: Iterable[str]) -> HereditarySaturatedSet:
 
 
 def enumerate_hs_sets(graph: Graph) -> list[HereditarySaturatedSet]:
-    """Every hereditary saturated subset, sorted by (size, membership).
+    """Every hereditary saturated subset, sorted by (size, membership)."""
+    return [h for h, _ in lattice_with_regularity(graph)]
 
-    Brute force over all 2^|vertices| subsets as bitmasks (bit i is the
-    i-th vertex); exponential by design and guarded by ``ENUMERATION_CUTOFF``.
+
+def lattice_with_regularity(graph: Graph) -> list[tuple[HereditarySaturatedSet, bool]]:
+    """Every hereditary saturated subset with its regularity flag, in one pass.
+
+    The pass branches over strongly connected components, successors first.
+    A hereditary set holds each component wholly or not at all, and both
+    predicates only look along out-edges.  So once every component that a
+    component C reaches is decided, C's choice is local: out if an edge of C
+    leaves to a vertex outside the set (hereditary), in if C is one vertex
+    without a loop whose edges all land inside (saturated), and either way
+    otherwise (a sink, or C has an internal edge).  No branch dead-ends, so
+    finding the sets costs O(#components) mask operations per listed set.
+
+    The flag is the formula of :func:`leavitt.ideals.perp` on bitmasks:
+    bar(H) is the OR of the backward reach masks of H's vertices, perp(H) is
+    everything outside bar(H), and H is regular iff H == perp(perp(H)).
+    bar(H) grows with H during the branching; bar(perp(H)) costs
+    O(|perp(H)|) per set.
+
+    Bit ``n - 1 - i`` stands for the i-th vertex in sorted order, so among
+    sets of one size, larger masks come first in membership order.
     """
     n = len(graph.vertices)
     if n > ENUMERATION_CUTOFF:
         raise LatticeTooLargeError(
             f"graph has {n} vertices; exhaustive enumeration is capped at {ENUMERATION_CUTOFF}"
         )
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    out = [0] * n
+    names = sorted(graph.vertices)
+    bit = {v: 1 << (n - 1 - i) for i, v in enumerate(names)}
+    succ = dict.fromkeys(bit.values(), 0)
     for e in graph.edges:
-        out[index[e.src]] |= 1 << index[e.dst]
-    emitters = [i for i in range(n) if out[i]]
-    hits = []
-    for mask in range(1 << n):
-        # hereditary + saturated together: an emitter is inside iff covered
-        ok = True
-        for i in emitters:
-            inside = (mask >> i) & 1
-            covered = not out[i] & ~mask
-            if inside != covered:
-                ok = False
-                break
-        if ok:
-            hits.append(mask)
-    sets = [
-        HereditarySaturatedSet(
-            graph, frozenset(v for v, i in index.items() if (mask >> i) & 1)
-        )
-        for mask in hits
-    ]
-    sets.sort(key=lambda h: (len(h.vertices), h.sorted_vertices()))
-    return sets
+        succ[bit[e.src]] |= bit[e.dst]
+    fwd = {bit[v]: sum(bit[w] for w in graph.tree(v)) for v in names}
+    back = {bit[v]: sum(bit[w] for w in graph.backward_reach((v,))) for v in names}
+    # a component is fwd & back of any of its vertices; reaching more comes later
+    components = sorted({fwd[b] & back[b] for b in succ}, key=lambda c: fwd[c & -c].bit_count())
+    partial = [(0, 0)]  # (set, bar(set)) over the components decided so far
+    for comp in components:
+        edges_to = 0
+        for b in _bits(comp):
+            edges_to |= succ[b]
+        exits = edges_to & ~comp
+        # one vertex without a loop that emits; larger components have internal edges
+        forced = edges_to and not edges_to & comp
+        bar = back[comp & -comp]
+        grown = []
+        for h, h_bar in partial:
+            if exits & ~h:
+                grown.append((h, h_bar))
+            elif forced:
+                grown.append((h | comp, h_bar | bar))
+            else:
+                grown += ((h, h_bar), (h | comp, h_bar | bar))
+        partial = grown
+    everything = (1 << n) - 1
+    partial.sort(key=lambda pair: (pair[0].bit_count(), -pair[0]))
+    out = []
+    for h, h_bar in partial:
+        perp_bar = 0
+        for b in _bits(everything & ~h_bar):
+            perp_bar |= back[b]
+        members = frozenset(v for v in names if h & bit[v])
+        out.append((HereditarySaturatedSet(graph, members), h == everything & ~perp_bar))
+    return out
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def _require_same_graph(a: HereditarySaturatedSet, b: HereditarySaturatedSet) -> None:

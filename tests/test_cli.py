@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
 
-from leavitt import DEFAULT_DIMENSION_CAP, Graph, dump_graph_json, ideals
+from leavitt import DEFAULT_DIMENSION_CAP, GradedIdeal, Graph, dump_graph_json, enumerate_hs_sets, ideals, is_regular
+from leavitt import cli
 from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
 
-from .strategies import primes_around, ring
+from .strategies import graphs, primes_around, ring
 
 
 @pytest.fixture
@@ -94,6 +98,57 @@ def test_lattice_dot(graph_file, capsys):
     assert out.startswith("digraph hs_lattice {")
     assert out.count("->") == 2  # covering relations of the 3-chain
     assert "regular" in out
+
+
+def naive_lattice_dot(g):
+    """Referee: the Hasse diagram with b covering a when no third set lies
+    strictly between them, tested over every triple of sets."""
+    flagged = [(h, is_regular(GradedIdeal(h))) for h in enumerate_hs_sets(g)]
+    lines = ["digraph hs_lattice {", "  rankdir=BT;"]
+    for i, (h, reg) in enumerate(flagged):
+        label = "{" + ", ".join(sorted(h.vertices)) + "}"
+        if reg:
+            label += "\\nregular"
+        lines.append(f'  n{i} [label="{label}"];')
+    for i, (a, _ra) in enumerate(flagged):
+        for j, (b, _rb) in enumerate(flagged):
+            if a.vertices < b.vertices and not any(
+                a.vertices < c.vertices < b.vertices for c, _rc in flagged
+            ):
+                lines.append(f"  n{i} -> n{j};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def lattice_dot(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["lattice", "--graph", path, "--dot"]) == 0
+    return out.getvalue()
+
+
+# Loops and parallel edges included; one file, rewritten for each example.
+@settings(max_examples=150)
+@given(graphs(max_vertices=6, max_edges=10))
+def test_lattice_dot_matches_cubic_cover_test(tmp_path_factory, g):
+    path = write_graph(tmp_path_factory.getbasetemp(), g, "dot_referee.json")
+    assert lattice_dot(path) == naive_lattice_dot(g)
+
+
+def test_lattice_dot_closure_count_is_bounded(tmp_path, monkeypatch):
+    # the Boolean lattice on 10 points: 1024 sets, each with at most 10 closures
+    calls = []
+    closure = cli.hs_closure
+
+    def counted(graph, subset):
+        calls.append(subset)
+        return closure(graph, subset)
+
+    monkeypatch.setattr(cli, "hs_closure", counted)
+    path = write_graph(tmp_path, Graph(tuple(f"v{i}" for i in range(10)), ()))
+    out = lattice_dot(path)
+    assert len(calls) <= 1024 * 10
+    assert out.count("->") == 10 * 2**9
 
 
 def test_lattice_empty_graph(tmp_path, capsys):

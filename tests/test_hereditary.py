@@ -5,6 +5,7 @@ from leavitt import (
     ENUMERATION_CUTOFF,
     Graph,
     GraphMismatchError,
+    GradedIdeal,
     HereditarySaturatedSet,
     LatticeTooLargeError,
     enumerate_hs_sets,
@@ -12,7 +13,9 @@ from leavitt import (
     hs_join,
     hs_meet,
     is_hereditary,
+    is_regular,
     is_saturated,
+    lattice_with_regularity,
 )
 
 from .strategies import graphs, graphs_with_subset, ring
@@ -30,6 +33,23 @@ def naive_hs_closure(g, subset):
         if grown == closed:
             return frozenset(closed)
         closed = grown
+
+
+def naive_enumerate_hs_sets(g):
+    """Referee: scan all 2^n subsets as bitmasks (bit i is the i-th vertex);
+    an emitter must be inside exactly when all its edges land inside."""
+    n = len(g.vertices)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    out = [0] * n
+    for e in g.edges:
+        out[index[e.src]] |= 1 << index[e.dst]
+    emitters = [i for i in range(n) if out[i]]
+    hits = [
+        frozenset(v for v, i in index.items() if (mask >> i) & 1)
+        for mask in range(1 << n)
+        if all((mask >> i) & 1 == (not out[i] & ~mask) for i in emitters)
+    ]
+    return sorted(hits, key=lambda h: (len(h), sorted(h)))
 
 
 def test_is_hereditary(loop_with_exit):
@@ -88,6 +108,81 @@ def test_enumerate_single_edge_graph():
 
 def test_enumerate_empty_graph():
     assert [h.sorted_vertices() for h in enumerate_hs_sets(Graph((), ()))] == [()]
+
+
+def lattice_listing(g):
+    return [(h.sorted_vertices(), regular) for h, regular in lattice_with_regularity(g)]
+
+
+# Loops and parallel edges included, so that loops, cycles and forced-in
+# emitters meet in one graph.
+@settings(max_examples=300)
+@given(graphs(max_vertices=8, max_edges=14))
+def test_enumeration_matches_subset_scan_and_regularity(g):
+    flagged = lattice_with_regularity(g)
+    assert [h.vertices for h in enumerate_hs_sets(g)] == naive_enumerate_hs_sets(g)
+    assert [h.vertices for h, _ in flagged] == naive_enumerate_hs_sets(g)
+    assert [reg for _, reg in flagged] == [is_regular(GradedIdeal(h)) for h, _ in flagged]
+
+
+def test_lattice_of_a_long_chain():
+    # one sink: the sink decides everything, and both sets are regular
+    n = 20
+    g = Graph(
+        tuple(f"v{i:02d}" for i in range(n)),
+        tuple((f"e{i}", f"v{i:02d}", f"v{i + 1:02d}") for i in range(n - 1)),
+    )
+    assert lattice_listing(g) == [((), True), (tuple(sorted(g.vertices)), True)]
+
+
+def test_lattice_of_a_long_ring():
+    g = ring(20)
+    assert lattice_listing(g) == [((), True), (tuple(sorted(g.vertices)), True)]
+
+
+def test_lattice_of_a_comb():
+    # spine s0 -> ... -> s9 with a sink tooth ti at each si: one set per set S
+    # of teeth, holding S and every si whose teeth ti, ..., t9 all lie in S
+    teeth = 10
+    spine = [f"s{i}" for i in range(teeth)]
+    tips = [f"t{i}" for i in range(teeth)]
+    g = Graph(
+        tuple(spine + tips),
+        tuple((f"a{i}", spine[i], spine[i + 1]) for i in range(teeth - 1))
+        + tuple((f"b{i}", spine[i], tips[i]) for i in range(teeth)),
+    )
+    expected = []
+    for mask in range(1 << teeth):
+        chosen = {i for i in range(teeth) if (mask >> i) & 1}
+        members = {tips[i] for i in chosen}
+        members |= {spine[i] for i in range(teeth) if set(range(i, teeth)) <= chosen}
+        expected.append(frozenset(members))
+    expected.sort(key=lambda h: (len(h), sorted(h)))
+    assert lattice_listing(g) == [(tuple(sorted(h)), True) for h in expected]
+
+
+def test_lattice_of_two_cycles_joined_by_one_edge():
+    # {c, d} is closed but not regular: every vertex has a path into it
+    g = Graph(
+        ("a", "b", "c", "d"),
+        (("ab", "a", "b"), ("ba", "b", "a"), ("bc", "b", "c"), ("cd", "c", "d"), ("dc", "d", "c")),
+    )
+    assert lattice_listing(g) == [
+        ((), True),
+        (("c", "d"), False),
+        (("a", "b", "c", "d"), True),
+    ]
+
+
+def test_lattice_of_a_loop_vertex_whose_only_edge_is_the_loop(single_loop):
+    # the loop keeps w free: it is never forced in, unlike a loopless emitter
+    assert lattice_listing(single_loop) == [((), True), (("w",), True)]
+    g = Graph(("x", "w"), (("l", "w", "w"), ("e", "x", "w")))
+    assert lattice_listing(g) == [((), True), (("w", "x"), True)]
+
+
+def test_lattice_of_the_empty_graph():
+    assert lattice_listing(Graph((), ())) == [((), True)]
 
 
 def test_enumeration_cutoff():
