@@ -21,8 +21,6 @@ from .hereditary import (
     HereditarySaturatedSet,
     enumerate_hs_sets,
     hs_closure,
-    hs_join,
-    hs_meet,
     is_hereditary,
     is_saturated,
     lattice_with_regularity,
@@ -101,8 +99,6 @@ __all__ = [
     "enumerate_hs_sets",
     "graph_from_document",
     "hs_closure",
-    "hs_join",
-    "hs_meet",
     "ideal_from_generators",
     "ideal_generated_by",
     "is_graded_subspace",

@@ -21,7 +21,7 @@ from .errors import (
     OracleUnsupportedError,
     UnknownVertexError,
 )
-from .graphdoc import document_from_graph, load_graph
+from .graphdoc import dump_graph_json, load_graph
 from .hereditary import hs_closure, lattice_with_regularity
 from .ideals import analyze, bar_closure, ideal_from_generators, perp, quotient_graph
 from .oracle import build_oracle
@@ -111,7 +111,7 @@ def cmd_quotient(args) -> int:
     generators = graph.vertex_subset(_split_generators(args.generators))
     ideal = ideal_from_generators(graph, generators)
     quotient = quotient_graph(graph, ideal.h)
-    print(json.dumps(document_from_graph(quotient), indent=2))
+    print(dump_graph_json(quotient), end="")
     return 0
 
 

@@ -194,13 +194,12 @@ def in_rowspace(vectors, basis: np.ndarray, pivots: tuple[int, ...], p: int) -> 
 def reduce_rowspace(
     matrix: np.ndarray,
     p: int,
-    stop_rank: int | None = None,
     chunk: int = 256,
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """RREF of a (possibly tall) matrix, processed in chunks.
 
     Each chunk is first reduced against the basis built so far, which keeps
-    the inner eliminations small; once the rank reaches ``stop_rank`` the
+    the inner eliminations small; once the rank reaches the column count the
     remaining rows cannot contribute and are skipped.
     """
     mat = np.array(matrix, dtype=np.int64)
@@ -209,7 +208,7 @@ def reduce_rowspace(
     basis = np.zeros((0, mat.shape[1]), dtype=np.int64)
     pivots: tuple[int, ...] = ()
     for start in range(0, mat.shape[0], chunk):
-        if stop_rank is not None and len(pivots) >= stop_rank:
+        if len(pivots) == mat.shape[1]:
             break
         res = residual(mat[start : start + chunk], basis, pivots, p)
         fresh = res[res.any(axis=1)]
@@ -237,5 +236,5 @@ def nullspace_from_rref(
 def nullspace(matrix: np.ndarray, p: int) -> np.ndarray:
     """RREF basis of {x : matrix @ x = 0} over GF(p)."""
     mat = np.array(matrix, dtype=np.int64)
-    red, piv = reduce_rowspace(mat, p, stop_rank=mat.shape[1])
+    red, piv = reduce_rowspace(mat, p)
     return nullspace_from_rref(red, piv, p, mat.shape[1])

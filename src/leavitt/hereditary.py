@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import GraphMismatchError, LatticeTooLargeError
+from .errors import LatticeTooLargeError
 from .graphs import Graph
 
 # The lattice pass costs O(#components) per listed set, but a graph with n
@@ -56,18 +56,8 @@ class HereditarySaturatedSet:
         if not is_saturated(self.graph, self.vertices):
             raise ValueError(f"{sorted(self.vertices)} is not saturated")
 
-    def __contains__(self, vertex: str) -> bool:
-        return vertex in self.vertices
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     def sorted_vertices(self) -> tuple[str, ...]:
         return tuple(sorted(self.vertices))
-
-    @property
-    def is_everything(self) -> bool:
-        return self.vertices == self.graph._vset
 
 
 def hs_closure(graph: Graph, subset: Iterable[str]) -> HereditarySaturatedSet:
@@ -174,19 +164,3 @@ def _bits(mask: int):
         yield low
         mask ^= low
 
-
-def _require_same_graph(a: HereditarySaturatedSet, b: HereditarySaturatedSet) -> None:
-    if a.graph != b.graph:
-        raise GraphMismatchError("operands live over different graphs")
-
-
-def hs_meet(a: HereditarySaturatedSet, b: HereditarySaturatedSet) -> HereditarySaturatedSet:
-    """Lattice meet: the intersection (hereditary saturated again)."""
-    _require_same_graph(a, b)
-    return HereditarySaturatedSet(a.graph, a.vertices & b.vertices)
-
-
-def hs_join(a: HereditarySaturatedSet, b: HereditarySaturatedSet) -> HereditarySaturatedSet:
-    """Lattice join: the closure of the union."""
-    _require_same_graph(a, b)
-    return hs_closure(a.graph, a.vertices | b.vertices)

@@ -15,7 +15,7 @@ from typing import Iterable
 from .errors import GraphMismatchError
 from .graphdoc import document_from_graph
 from .graphs import Graph
-from .hereditary import HereditarySaturatedSet, enumerate_hs_sets, hs_closure
+from .hereditary import HereditarySaturatedSet, hs_closure
 
 CLASS_REGULAR = "regular"
 CLASS_PERP_ZERO = "perp_zero"
@@ -142,16 +142,19 @@ def analyze(graph: Graph, generators: Iterable[str]) -> RegularityReport:
     )
 
 
-def maximal_graded_ideals(graph: Graph) -> list[tuple[GradedIdeal, str]]:
+def maximal_graded_ideals(
+    hs_sets: list[HereditarySaturatedSet],
+) -> list[tuple[GradedIdeal, str]]:
     """Maximal proper hereditary saturated sets with their dichotomy label.
 
-    Every maximal element is regular, has zero annihilator, or both: the
-    double annihilator is hereditary saturated and contains the set, so by
-    maximality it is the set itself (regular) or everything (annihilator
-    zero).  A set matching neither label would be a bug and raises.
+    ``hs_sets`` is the sorted listing of :func:`enumerate_hs_sets`, whose
+    last entry is the whole vertex set.  Every maximal element is regular,
+    has zero annihilator, or both: the double annihilator is hereditary
+    saturated and contains the set, so by maximality it is the set itself
+    (regular) or everything (annihilator zero).  A set matching neither
+    label would be a bug and raises.
     """
-    everything = graph._vset
-    proper = [h for h in enumerate_hs_sets(graph) if h.vertices != everything]
+    proper = hs_sets[:-1]
     out = []
     for h in proper:
         if any(h.vertices < other.vertices for other in proper):

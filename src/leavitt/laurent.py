@@ -14,7 +14,8 @@ from typing import Iterable, Mapping
 
 from .gfp import is_prime
 
-DEFAULT_DEGREE_WINDOW = range(-6, 7)
+# the monomial degrees that laurent_perp_is_zero multiplies by
+DEGREE_WINDOW = range(-6, 7)
 
 
 class LaurentElement:
@@ -86,17 +87,17 @@ class LaurentElement:
         return f"LaurentElement(GF({self.p}), {terms})"
 
 
-def laurent_perp_is_zero(f: LaurentElement, degree_window: Iterable[int] = DEFAULT_DEGREE_WINDOW) -> bool:
+def laurent_perp_is_zero(f: LaurentElement) -> bool:
     """Spot-check that a nonzero element annihilates nothing.
 
-    Multiplies ``f`` by every monomial in the degree window (a spanning
-    family for that window) and confirms the product is nonzero with
+    Multiplies ``f`` by every monomial with degree in ``DEGREE_WINDOW`` (a
+    spanning family for that window) and confirms the product is nonzero with
     additive lowest/highest degrees — the degree argument that settles the
     infinite statement.  Raises on f = 0, whose annihilator is everything.
     """
     if f.is_zero:
         raise ValueError("annihilator test needs a nonzero element")
-    for d in degree_window:
+    for d in DEGREE_WINDOW:
         g = LaurentElement.monomial(f.p, d)
         prod = f * g
         if prod.is_zero:

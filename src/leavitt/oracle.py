@@ -387,7 +387,7 @@ def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
     result is not audited again.
     """
     dim = algebra.dimension
-    basis, pivots = reduce_rowspace(as_matrix(generators, dim), algebra.p, stop_rank=dim)
+    basis, pivots = reduce_rowspace(as_matrix(generators, dim), algebra.p)
     while len(pivots) < dim:
         fresh = []
         for prods in algebra.product_rows(basis):
@@ -397,9 +397,7 @@ def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
                 fresh.append(out)
         if not fresh:
             break
-        basis, pivots = reduce_rowspace(
-            np.vstack([basis] + fresh), algebra.p, stop_rank=dim
-        )
+        basis, pivots = reduce_rowspace(np.vstack([basis] + fresh), algebra.p)
     return IdealSubspace._proven(algebra, basis, pivots)
 
 
@@ -483,9 +481,7 @@ def perp_subspace(algebra: OracleAlgebra, ideal: IdealSubspace) -> IdealSubspace
         keep = residual(cons, basis, pivots, algebra.p)
         keep = keep[keep.any(axis=1)]
         if keep.shape[0]:
-            basis, pivots = reduce_rowspace(
-                np.vstack([basis, keep]), algebra.p, stop_rank=dim
-            )
+            basis, pivots = reduce_rowspace(np.vstack([basis, keep]), algebra.p)
         if len(pivots) == dim:
             break
     return IdealSubspace(algebra, nullspace_from_rref(basis, pivots, algebra.p, dim))

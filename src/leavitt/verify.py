@@ -2,17 +2,21 @@
 
 Each row states one law the vertex-set calculus must satisfy.  The laws
 about annihilators are refereed against the matrix oracle on an exhaustive
-family of small acyclic graphs; the purely graph-level laws run over seeded
-random graph samples (cycles allowed); the Laurent row covers the single
-exit-free cycle family.  A failing row is reported together with a greedily
-minimized witness graph.
+family of small acyclic graphs, one per isomorphism class, listed from edge
+multisets whose edges all run from a lower vertex label to a higher one (a
+topological labelling, which every acyclic graph has).  The purely
+graph-level laws run over seeded random graph samples (cycles allowed); the
+Laurent row covers the single exit-free cycle family.  A failing row is
+reported together with a greedily minimized witness graph.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
+from functools import partial
 from random import Random
 
 from . import ideals
@@ -60,15 +64,17 @@ ALL_ROWS = (
     ROW_LAURENT,
 )
 
-ORACLE_ROWS = (ROW_PERP_VSET, ROW_DPERP_VSET, ROW_REGULARITY, ROW_PERP_GRADED, ROW_LATTICE_COUNT)
-CALCULUS_ROWS = (
+# rows with one trial per hereditary saturated set; each family adds one row per graph
+ORACLE_SET_ROWS = (ROW_PERP_VSET, ROW_DPERP_VSET, ROW_REGULARITY, ROW_PERP_GRADED)
+CALCULUS_SET_ROWS = (
     ROW_PERP_REGULAR,
     ROW_PC_BIJECTION,
     ROW_QUOTIENT_L_PC,
     ROW_REGULAR_L_IFF_PC,
     ROW_L_PRESERVED,
-    ROW_MAXIMAL,
 )
+ORACLE_ROWS = ORACLE_SET_ROWS + (ROW_LATTICE_COUNT,)
+CALCULUS_ROWS = CALCULUS_SET_ROWS + (ROW_MAXIMAL,)
 
 # the exhaustive oracle family stays desk-scale regardless of requested bounds
 ORACLE_FAMILY_MAX_VERTICES = 4
@@ -130,24 +136,8 @@ class VerificationMatrix:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": {
-                "max_vertices": self.config.max_vertices,
-                "max_edges": self.config.max_edges,
-                "trials": self.config.trials,
-                "seed": self.config.seed,
-                "prime": self.config.prime,
-            },
-            "rows": [
-                {
-                    "name": r.name,
-                    "trials": r.trials,
-                    "failures": r.failures,
-                    "seed": r.seed,
-                    "counterexample": r.counterexample,
-                    "detail": r.detail,
-                }
-                for r in self.rows
-            ],
+            "config": asdict(self.config),
+            "rows": [asdict(r) for r in self.rows],
             "passed": self.passed,
         }
 
@@ -178,36 +168,29 @@ def exhaustive_acyclic_graphs(
 ) -> tuple[Graph, ...]:
     """Every acyclic multigraph within the bounds, one per isomorphism class.
 
-    Labeled graphs are enumerated as edge multisets over ordered vertex
-    pairs (loops excluded: they are cycles) and deduplicated by the minimal
-    relabeling under vertex permutations.  Acyclicity does not depend on the
-    labels, so only the first graph of each class is built and tested.
+    Every acyclic graph has a topological labelling, one in which each edge
+    runs from a lower label to a higher one.  So the edge multisets over the
+    pairs (i, j) with i < j reach every isomorphism class, and only acyclic
+    ones.  They are deduplicated by the minimal relabelling under vertex
+    permutations; the first multiset of each class is its representative.
     """
     family: list[Graph] = []
-    seen: set[tuple] = set()
     for n in range(max_vertices + 1):
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        pairs = list(itertools.combinations(range(n), 2))
         perms = list(itertools.permutations(range(n)))
+        seen: set[tuple] = set()
         for m in range(max_edges + 1):
             for combo in itertools.combinations_with_replacement(pairs, m):
-                key = min(
-                    (tuple(sorted((perm[a], perm[b]) for a, b in combo)) for perm in perms),
-                    default=(),
-                )
-                if (n, key) in seen:
-                    continue
-                seen.add((n, key))
-                graph = _graph_from_pairs(n, combo)
-                if graph.is_acyclic():
-                    family.append(graph)
+                key = min(tuple(sorted((perm[a], perm[b]) for a, b in combo)) for perm in perms)
+                if key not in seen:
+                    seen.add(key)
+                    family.append(_graph_from_pairs(n, combo))
     return tuple(family)
 
 
 def _graph_from_pairs(n: int, pairs) -> Graph:
     vertices = tuple(f"v{i}" for i in range(n))
-    edges = tuple(
-        (f"e{k}", f"v{a}", f"v{b}") for k, (a, b) in enumerate(sorted(pairs))
-    )
+    edges = tuple((f"e{k}", f"v{a}", f"v{b}") for k, (a, b) in enumerate(pairs))
     return Graph(vertices, edges)
 
 
@@ -227,6 +210,11 @@ def random_graph(rng: Random, max_vertices: int, max_edges: int) -> Graph:
 # -- per-graph checks -----------------------------------------------------------
 
 
+def _setup_failed(rows, graph: Graph, exc: Exception):
+    """One trial and one failure per row, for a graph whose set-up raised."""
+    return dict.fromkeys(rows, 1), [Failure(row, graph, f"setup failed: {exc}") for row in rows]
+
+
 def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
     """Rows refereed by the matrix oracle, for one acyclic graph.
 
@@ -235,81 +223,54 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
     once per call: the per-set rows and the lattice count share one
     :class:`IdealMemo`.
     """
-    counts = {row: 0 for row in ORACLE_ROWS}
-    failures: list[Failure] = []
     try:
         if algebra is None:
             algebra = build_oracle(graph, p)
         hs_sets = enumerate_hs_sets(graph)
     except Exception as exc:  # oracle build is part of what the rows verify
-        for row in ORACLE_ROWS:
-            counts[row] += 1
-            failures.append(Failure(row, graph, f"setup failed: {exc}"))
-        return counts, failures, None
+        return *_setup_failed(ORACLE_ROWS, graph, exc), None
 
+    counts = dict.fromkeys(ORACLE_SET_ROWS, len(hs_sets))
+    counts[ROW_LATTICE_COUNT] = 1
+    failures: list[Failure] = []
     memo = IdealMemo(algebra)
     for h in hs_sets:
-        for row in (ROW_PERP_VSET, ROW_DPERP_VSET, ROW_REGULARITY, ROW_PERP_GRADED):
-            counts[row] += 1
+        label = f"H={h.sorted_vertices()}"
+
+        def fail(row: str, detail: str) -> None:
+            failures.append(Failure(row, graph, f"{label}: {detail}"))
+
         try:
             ideal = memo.of_vertices(h.vertices)
             perp1 = memo.perp(ideal)
             perp2 = memo.perp(perp1)
-
             j = GradedIdeal(h)
             bar = ideals.bar_closure(j)
 
             got = memo.vertex_set(perp1)
             want = graph._vset - bar
             if got != want:
-                failures.append(
-                    Failure(
-                        ROW_PERP_VSET,
-                        graph,
-                        f"H={h.sorted_vertices()}: oracle perp {sorted(got)} != "
-                        f"calculus {sorted(want)}",
-                    )
-                )
-
+                fail(ROW_PERP_VSET, f"oracle perp {sorted(got)} != calculus {sorted(want)}")
             got2 = memo.vertex_set(perp2)
             want2 = frozenset(w for w in graph.vertices if graph.tree(w) <= bar)
             if got2 != want2:
-                failures.append(
-                    Failure(
-                        ROW_DPERP_VSET,
-                        graph,
-                        f"H={h.sorted_vertices()}: oracle double perp {sorted(got2)} != "
-                        f"calculus {sorted(want2)}",
-                    )
+                fail(
+                    ROW_DPERP_VSET,
+                    f"oracle double perp {sorted(got2)} != calculus {sorted(want2)}",
                 )
-
             oracle_regular = perp2 == ideal
             calculus_regular = ideals.is_regular(j)
             if oracle_regular != calculus_regular:
-                failures.append(
-                    Failure(
-                        ROW_REGULARITY,
-                        graph,
-                        f"H={h.sorted_vertices()}: oracle regular={oracle_regular} but "
-                        f"calculus says {calculus_regular}",
-                    )
+                fail(
+                    ROW_REGULARITY,
+                    f"oracle regular={oracle_regular} but calculus says {calculus_regular}",
                 )
-
             if not is_graded_subspace(algebra, perp1):
-                failures.append(
-                    Failure(
-                        ROW_PERP_GRADED,
-                        graph,
-                        f"H={h.sorted_vertices()}: annihilator is not graded",
-                    )
-                )
+                fail(ROW_PERP_GRADED, "annihilator is not graded")
         except Exception as exc:
-            for row in (ROW_PERP_VSET, ROW_DPERP_VSET, ROW_REGULARITY, ROW_PERP_GRADED):
-                failures.append(
-                    Failure(row, graph, f"H={h.sorted_vertices()}: check raised {exc!r}")
-                )
+            for row in ORACLE_SET_ROWS:
+                fail(row, f"check raised {exc!r}")
 
-    counts[ROW_LATTICE_COUNT] += 1
     try:
         signatures = set()
         for size in range(len(graph.vertices) + 1):
@@ -362,85 +323,55 @@ def _random_element(algebra, rng: Random):
 
 def calculus_checks_for_graph(graph: Graph):
     """Graph-level rows (no oracle) for one graph, cycles allowed."""
-    counts = {row: 0 for row in CALCULUS_ROWS}
-    failures: list[Failure] = []
     try:
         hs_sets = enumerate_hs_sets(graph)
         cond_l = graph.condition_l()
         pc = graph.exit_free_cycle_vertices()
     except Exception as exc:
-        for row in CALCULUS_ROWS:
-            counts[row] += 1
-            failures.append(Failure(row, graph, f"setup failed: {exc}"))
-        return counts, failures
+        return _setup_failed(CALCULUS_ROWS, graph, exc)
 
+    counts = dict.fromkeys(CALCULUS_SET_ROWS, len(hs_sets))
+    failures: list[Failure] = []
     for h in hs_sets:
-        for row in (
-            ROW_PERP_REGULAR,
-            ROW_PC_BIJECTION,
-            ROW_QUOTIENT_L_PC,
-            ROW_REGULAR_L_IFF_PC,
-            ROW_L_PRESERVED,
-        ):
-            counts[row] += 1
         label = f"H={h.sorted_vertices()}"
+
+        def fail(row: str, detail: str) -> None:
+            failures.append(Failure(row, graph, f"{label}: {detail}"))
+
         try:
             j = GradedIdeal(h)
             p1 = ideals.perp(j)
             if not ideals.is_regular(p1):
-                failures.append(Failure(ROW_PERP_REGULAR, graph, f"{label}: perp not regular"))
+                fail(ROW_PERP_REGULAR, "perp not regular")
             p3 = ideals.perp(ideals.double_perp(j))
             if p1.vertices != p3.vertices:
-                failures.append(
-                    Failure(
-                        ROW_PERP_REGULAR,
-                        graph,
-                        f"{label}: perp {sorted(p1.vertices)} != triple perp {sorted(p3.vertices)}",
-                    )
+                fail(
+                    ROW_PERP_REGULAR,
+                    f"perp {sorted(p1.vertices)} != triple perp {sorted(p3.vertices)}",
                 )
 
             regular = ideals.is_regular(j)
             quotient_l = ideals.quotient_graph(graph, h).condition_l()
             pc_inside = pc <= h.vertices
-
             if regular and not ideals.pc_bijection_check(graph, h):
-                failures.append(
-                    Failure(ROW_PC_BIJECTION, graph, f"{label}: regular but cycle sets differ")
-                )
+                fail(ROW_PC_BIJECTION, "regular but cycle sets differ")
             if quotient_l and not pc_inside:
-                failures.append(
-                    Failure(
-                        ROW_QUOTIENT_L_PC,
-                        graph,
-                        f"{label}: quotient satisfies (L) but exit-free vertices escape H",
-                    )
-                )
+                fail(ROW_QUOTIENT_L_PC, "quotient satisfies (L) but exit-free vertices escape H")
             if regular and quotient_l != pc_inside:
-                failures.append(
-                    Failure(
-                        ROW_REGULAR_L_IFF_PC,
-                        graph,
-                        f"{label}: regular but (L)-quotient={quotient_l} vs containment={pc_inside}",
-                    )
+                fail(
+                    ROW_REGULAR_L_IFF_PC,
+                    f"regular but (L)-quotient={quotient_l} vs containment={pc_inside}",
                 )
             if cond_l and regular and not quotient_l:
-                failures.append(
-                    Failure(ROW_L_PRESERVED, graph, f"{label}: quotient lost Condition (L)")
-                )
+                fail(ROW_L_PRESERVED, "quotient lost Condition (L)")
         except Exception as exc:
-            for row in (
-                ROW_PERP_REGULAR,
-                ROW_PC_BIJECTION,
-                ROW_QUOTIENT_L_PC,
-                ROW_REGULAR_L_IFF_PC,
-                ROW_L_PRESERVED,
-            ):
-                failures.append(Failure(row, graph, f"{label}: check raised {exc!r}"))
+            for row in CALCULUS_SET_ROWS:
+                fail(row, f"check raised {exc!r}")
 
     try:
-        counts[ROW_MAXIMAL] += len(ideals.maximal_graded_ideals(graph))
+        counts[ROW_MAXIMAL] = len(ideals.maximal_graded_ideals(hs_sets))
     except Exception as exc:  # the dichotomy itself raises AssertionError
-        counts[ROW_MAXIMAL] += 1
+        counts[ROW_MAXIMAL] = 1
         failures.append(Failure(ROW_MAXIMAL, graph, f"check raised {exc!r}"))
 
     return counts, failures
@@ -509,34 +440,22 @@ def minimize_counterexample(graph: Graph, still_fails) -> Graph:
     return graph
 
 
-def _row_fail_predicate(row: str, cfg: VerifyConfig):
-    if row in ORACLE_ROWS and row != ROW_PERP_GRADED:
+def _still_fails(row: str, cfg: VerifyConfig, g: Graph) -> bool:
+    """True iff the graph-carrying ``row`` still fails on ``g``.
 
-        def fails(g: Graph) -> bool:
-            _counts, failures, _ = oracle_checks_for_graph(g, cfg.prime)
-            return any(f.row == row for f in failures)
-
-        return fails
-    if row == ROW_PERP_GRADED:
-
-        def fails(g: Graph) -> bool:
-            _counts, failures, algebra = oracle_checks_for_graph(g, cfg.prime)
-            if any(f.row == row for f in failures):
-                return True
-            if algebra is None:
-                return False
-            rng = Random(cfg.seed + 1)
-            return any(random_ideal_check(algebra, rng) for _ in range(32))
-
-        return fails
+    ``perp-graded`` also fails when one of 32 random-ideal trials, seeded as
+    in the runner, finds a problem.
+    """
     if row in CALCULUS_ROWS:
-
-        def fails(g: Graph) -> bool:
-            _counts, failures = calculus_checks_for_graph(g)
-            return any(f.row == row for f in failures)
-
-        return fails
-    return None
+        _counts, failures = calculus_checks_for_graph(g)
+        return any(f.row == row for f in failures)
+    _counts, failures, algebra = oracle_checks_for_graph(g, cfg.prime)
+    if any(f.row == row for f in failures):
+        return True
+    if row != ROW_PERP_GRADED or algebra is None:
+        return False
+    rng = Random(cfg.seed + 1)
+    return any(random_ideal_check(algebra, rng) for _ in range(32))
 
 
 # -- the runner -------------------------------------------------------------------
@@ -554,9 +473,9 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
     if cfg.trials == 0:
         return VerificationMatrix(cfg, ())
 
-    counts = {row: 0 for row in ALL_ROWS}
-    failures: dict[str, list[Failure]] = {row: [] for row in ALL_ROWS}
-    seeds = {row: cfg.seed for row in ALL_ROWS}
+    counts: Counter[str] = Counter()
+    failures: list[Failure] = []
+    seeds = dict.fromkeys(ALL_ROWS, cfg.seed)
 
     if any(r in requested for r in ORACLE_ROWS):
         family = exhaustive_acyclic_graphs(
@@ -566,54 +485,44 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
         pool = []
         for g in family:
             c, fs, algebra = oracle_checks_for_graph(g, cfg.prime)
-            for row, k in c.items():
-                counts[row] += k
-            for f in fs:
-                failures[f.row].append(f)
+            counts.update(c)
+            failures += fs
             if algebra is not None:
                 pool.append((g, algebra))
         if ROW_PERP_GRADED in requested and pool:
             seeds[ROW_PERP_GRADED] = cfg.seed + 1
             rng = Random(cfg.seed + 1)
+            counts[ROW_PERP_GRADED] += cfg.trials
             for _ in range(cfg.trials):
                 g, algebra = pool[rng.randrange(len(pool))]
-                counts[ROW_PERP_GRADED] += 1
                 try:
                     problem = random_ideal_check(algebra, rng)
                 except Exception as exc:
                     problem = f"random ideal check raised {exc!r}"
                 if problem:
-                    failures[ROW_PERP_GRADED].append(Failure(ROW_PERP_GRADED, g, problem))
+                    failures.append(Failure(ROW_PERP_GRADED, g, problem))
 
     if any(r in requested for r in CALCULUS_ROWS):
         rng = Random(cfg.seed)
         for _ in range(cfg.trials):
-            g = random_graph(rng, cfg.max_vertices, cfg.max_edges)
-            c, fs = calculus_checks_for_graph(g)
-            for row, k in c.items():
-                counts[row] += k
-            for f in fs:
-                failures[f.row].append(f)
+            c, fs = calculus_checks_for_graph(random_graph(rng, cfg.max_vertices, cfg.max_edges))
+            counts.update(c)
+            failures += fs
 
     if ROW_LAURENT in requested:
         seeds[ROW_LAURENT] = cfg.seed + 2
-        t, fs = laurent_checks(Random(cfg.seed + 2), cfg.prime, cfg.trials)
-        counts[ROW_LAURENT] += t
-        failures[ROW_LAURENT].extend(fs)
+        counts[ROW_LAURENT], fs = laurent_checks(Random(cfg.seed + 2), cfg.prime, cfg.trials)
+        failures += fs
 
     results = []
     for name in requested:
-        fs = failures[name]
+        fs = [f for f in failures if f.row == name]
         counterexample = None
-        detail = ""
-        if fs:
-            detail = fs[0].detail
-            witness = next((f.graph for f in fs if f.graph is not None), None)
-            if witness is not None:
-                predicate = _row_fail_predicate(name, cfg)
-                if predicate is not None:
-                    witness = minimize_counterexample(witness, predicate)
-                counterexample = document_from_graph(witness)
+        witness = next((f.graph for f in fs if f.graph is not None), None)
+        if witness is not None:
+            witness = minimize_counterexample(witness, partial(_still_fails, name, cfg))
+            counterexample = document_from_graph(witness)
+        detail = fs[0].detail if fs else ""
         results.append(
             RowResult(name, counts[name], len(fs), seeds[name], counterexample, detail)
         )

@@ -5,6 +5,7 @@ family) run once per module and are shared across criteria.
 """
 
 import time
+from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
@@ -35,6 +36,8 @@ from leavitt.verify import (
 ORACLE_PRIME = 2
 RANDOM_FAMILY_SIZE = 1000
 RANDOM_SEED = 42
+# stdout of `leavitt verify --seed 42`, committed so that output drift shows
+GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify-seed42.txt"
 
 
 def report(number, description, ok):
@@ -206,5 +209,8 @@ def test_criterion_9_verify_is_deterministic(capsys):
     first = capsys.readouterr().out
     code_second = main(argv)
     second = capsys.readouterr().out
-    ok = code_first == 0 and code_second == 0 and first == second and first.strip()
-    report(9, "cmd_verify with seed 42 twice is byte-identical and passes", bool(ok))
+    golden = GOLDEN_VERIFY.read_text(encoding="utf-8")
+    ok = code_first == 0 and code_second == 0 and first == second == golden
+    report(
+        9, "cmd_verify with seed 42 twice is byte-identical to the golden copy and passes", ok
+    )

@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from leavitt import (
     ENUMERATION_CUTOFF,
     Graph,
-    GraphMismatchError,
     GradedIdeal,
     HereditarySaturatedSet,
     LatticeTooLargeError,
     enumerate_hs_sets,
     hs_closure,
-    hs_join,
-    hs_meet,
     is_hereditary,
     is_regular,
     is_saturated,
@@ -189,25 +186,6 @@ def test_enumeration_cutoff():
     big = Graph(tuple(f"v{i}" for i in range(ENUMERATION_CUTOFF + 1)), ())
     with pytest.raises(LatticeTooLargeError):
         enumerate_hs_sets(big)
-
-
-def test_meet_and_join(loop_with_exit, edgeless_ab):
-    sets = {h.vertices: h for h in enumerate_hs_sets(loop_with_exit)}
-    empty = sets[frozenset()]
-    v_only = sets[frozenset({"v"})]
-    everything = sets[frozenset({"u", "v"})]
-    assert hs_meet(empty, v_only).vertices == frozenset()
-    assert hs_join(v_only, everything).vertices == {"u", "v"}
-    assert hs_join(v_only, empty).vertices == {"v"}
-    ab = {h.vertices: h for h in enumerate_hs_sets(edgeless_ab)}
-    assert hs_join(ab[frozenset({"a"})], ab[frozenset({"b"})]).vertices == {"a", "b"}
-
-
-def test_meet_rejects_graph_mismatch(loop_with_exit, edgeless_ab):
-    a = enumerate_hs_sets(loop_with_exit)[0]
-    b = enumerate_hs_sets(edgeless_ab)[0]
-    with pytest.raises(GraphMismatchError):
-        hs_meet(a, b)
 
 
 @given(graphs_with_subset())

@@ -132,16 +132,14 @@ def test_report_json_keys(loop_with_exit):
 
 
 def test_maximal_graded_ideals(loop_with_exit, edgeless_ab, single_loop):
-    assert [
-        (i.sorted_vertices(), label) for i, label in maximal_graded_ideals(loop_with_exit)
-    ] == [(("v",), CLASS_PERP_ZERO)]
-    assert [
-        (i.sorted_vertices(), label) for i, label in maximal_graded_ideals(edgeless_ab)
-    ] == [(("a",), CLASS_REGULAR), (("b",), CLASS_REGULAR)]
-    assert [
-        (i.sorted_vertices(), label) for i, label in maximal_graded_ideals(single_loop)
-    ] == [((), CLASS_REGULAR)]
-    assert maximal_graded_ideals(Graph((), ())) == []
+    def labelled(g):
+        maximal = maximal_graded_ideals(enumerate_hs_sets(g))
+        return [(i.sorted_vertices(), label) for i, label in maximal]
+
+    assert labelled(loop_with_exit) == [(("v",), CLASS_PERP_ZERO)]
+    assert labelled(edgeless_ab) == [(("a",), CLASS_REGULAR), (("b",), CLASS_REGULAR)]
+    assert labelled(single_loop) == [((), CLASS_REGULAR)]
+    assert maximal_graded_ideals(enumerate_hs_sets(Graph((), ()))) == []
 
 
 @given(graphs())
@@ -209,7 +207,7 @@ def test_analyze_matches_the_separate_calls(case):
 
 @given(graphs())
 def test_maximal_labels_match_the_separate_calls(g):
-    for ideal, label in maximal_graded_ideals(g):
+    for ideal, label in maximal_graded_ideals(enumerate_hs_sets(g)):
         regular, perp_zero = is_regular(ideal), not perp(ideal).vertices
         assert label == {
             (True, True): CLASS_BOTH,

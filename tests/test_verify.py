@@ -1,3 +1,4 @@
+import itertools
 from random import Random
 
 import pytest
@@ -97,6 +98,49 @@ def test_exhaustive_family_deduplicates_relabelings():
     assert len(single_edge) == 1  # a->b and b->a are the same class
 
 
+def referee_acyclic_graphs(max_vertices, max_edges):
+    """Referee: edge multisets over all ordered pairs of distinct vertices,
+    one per isomorphism class, with the cyclic classes dropped."""
+    family = []
+    seen = set()
+    for n in range(max_vertices + 1):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        perms = list(itertools.permutations(range(n)))
+        for m in range(max_edges + 1):
+            for combo in itertools.combinations_with_replacement(pairs, m):
+                key = min(tuple(sorted((perm[a], perm[b]) for a, b in combo)) for perm in perms)
+                if (n, key) in seen:
+                    continue
+                seen.add((n, key))
+                graph = Graph(
+                    tuple(f"v{i}" for i in range(n)),
+                    tuple((f"e{k}", f"v{a}", f"v{b}") for k, (a, b) in enumerate(combo)),
+                )
+                if graph.is_acyclic():
+                    family.append(graph)
+    return family
+
+
+def class_key(graph):
+    """Isomorphism-class key of a graph on vertices v0..v(n-1)."""
+    n = len(graph.vertices)
+    pairs = [(int(e.src[1:]), int(e.dst[1:])) for e in graph.edges]
+    perms = itertools.permutations(range(n))
+    return n, min(tuple(sorted((perm[a], perm[b]) for a, b in pairs)) for perm in perms)
+
+
+@pytest.mark.parametrize(
+    "bounds", [(4, 5), (3, 5), (3, 3), (2, 8)], ids=lambda b: f"{b[0]}v{b[1]}e"
+)
+def test_exhaustive_family_matches_the_ordered_pair_referee(bounds):
+    family = exhaustive_acyclic_graphs(*bounds)
+    keys = [class_key(g) for g in family]
+    assert len(set(keys)) == len(keys)  # one graph per class
+    assert set(keys) == {class_key(g) for g in referee_acyclic_graphs(*bounds)}
+    if bounds == (4, 5):
+        assert len(family) == 198
+
+
 def test_oracle_checks_report_setup_failure(single_loop):
     counts, failures, algebra = oracle_checks_for_graph(single_loop, 2)
     assert algebra is None
@@ -112,7 +156,7 @@ def test_calculus_checks_clean_on_loop_with_exit(loop_with_exit):
 
 
 def test_maximal_dichotomy_violation_is_one_failure(monkeypatch, edgeless_ab):
-    def broken(graph):
+    def broken(hs_sets):
         raise AssertionError("maximal set ['a'] is neither regular nor annihilator-zero")
 
     monkeypatch.setattr(ideals, "maximal_graded_ideals", broken)
