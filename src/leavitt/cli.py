@@ -119,18 +119,17 @@ def cmd_perp(args) -> int:
     graph = load_graph(args.graph)
     generators = graph.vertex_subset(_split_generators(args.generators))
     ideal = ideal_from_generators(graph, generators)
-    perp_ideal = perp(ideal)
     payload = {
         "ideal": sorted(ideal.vertices),
         "bar_closure": sorted(bar_closure(ideal)),
-        "perp": sorted(perp_ideal.vertices),
+        "perp": sorted(perp(ideal).vertices),
     }
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"ideal vertex set: {_format_set(ideal.vertices)}")
-    print(f"backward closure: {_format_set(bar_closure(ideal))}")
-    print(f"perp vertex set: {_format_set(perp_ideal.vertices)}")
+    print(f"ideal vertex set: {_format_set(payload['ideal'])}")
+    print(f"backward closure: {_format_set(payload['bar_closure'])}")
+    print(f"perp vertex set: {_format_set(payload['perp'])}")
     return 0
 
 
@@ -221,7 +220,9 @@ def main(argv=None) -> int:
     except GraphDocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UnknownVertexError, GraphMismatchError, OracleUnsupportedError, InvalidArgumentError) as exc:
+    except (
+        UnknownVertexError, GraphMismatchError, OracleUnsupportedError, InvalidArgumentError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (LatticeTooLargeError, OracleDimensionError) as exc:

@@ -41,6 +41,9 @@ def max_exact_prime(terms: int) -> int:
 
 _RREF_MAX_PRIME = max_exact_prime(1)
 
+# rows per step of reduce_rowspace
+_CHUNK = 256
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -187,30 +190,29 @@ def residual(vectors, basis: np.ndarray, pivots: tuple[int, ...], p: int) -> np.
     return v
 
 
-def in_rowspace(vectors, basis: np.ndarray, pivots: tuple[int, ...], p: int) -> bool:
-    return not residual(vectors, basis, pivots, p).any()
-
-
 def reduce_rowspace(
     matrix: np.ndarray,
     p: int,
-    chunk: int = 256,
+    basis: np.ndarray | None = None,
+    pivots: tuple[int, ...] = (),
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """RREF of a (possibly tall) matrix, processed in chunks.
+    """RREF of the span of an RREF basis (empty by default) and the rows of ``matrix``.
 
-    Each chunk is first reduced against the basis built so far, which keeps
-    the inner eliminations small; once the rank reaches the column count the
-    remaining rows cannot contribute and are skipped.
+    The rows are taken ``_CHUNK`` at a time.  Each chunk is reduced against
+    the basis built so far, and only its nonzero residual rows are
+    row-reduced together with that basis, which keeps the eliminations
+    small.  Once the rank reaches the column count no row can add to it,
+    and the rest are skipped.
     """
-    mat = np.array(matrix, dtype=np.int64)
+    mat = np.asarray(matrix, dtype=np.int64)
     if mat.ndim == 1:
         mat = mat.reshape(1, -1)
-    basis = np.zeros((0, mat.shape[1]), dtype=np.int64)
-    pivots: tuple[int, ...] = ()
-    for start in range(0, mat.shape[0], chunk):
+    if basis is None:
+        basis = np.zeros((0, mat.shape[1]), dtype=np.int64)
+    for start in range(0, mat.shape[0], _CHUNK):
         if len(pivots) == mat.shape[1]:
             break
-        res = residual(mat[start : start + chunk], basis, pivots, p)
+        res = residual(mat[start : start + _CHUNK], basis, pivots, p)
         fresh = res[res.any(axis=1)]
         if fresh.shape[0]:
             basis, pivots = rref(np.vstack([basis, fresh]), p)
@@ -221,20 +223,13 @@ def nullspace_from_rref(
     basis: np.ndarray, pivots: tuple[int, ...], p: int, cols: int
 ) -> np.ndarray:
     """RREF basis of the right kernel, given the RREF of the matrix."""
-    free = [c for c in range(cols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     if not free:
         return np.zeros((0, cols), dtype=np.int64)
     out = np.zeros((len(free), cols), dtype=np.int64)
-    for k, c in enumerate(free):
-        out[k, c] = 1
-        for j, pc in enumerate(pivots):
-            out[k, pc] = (-int(basis[j, c])) % p
+    out[np.arange(len(free)), free] = 1
+    out[:, list(pivots)] = -basis[:, free].T % p
     reduced, _ = rref(out, p)
     return reduced
 
-
-def nullspace(matrix: np.ndarray, p: int) -> np.ndarray:
-    """RREF basis of {x : matrix @ x = 0} over GF(p)."""
-    mat = np.array(matrix, dtype=np.int64)
-    red, piv = reduce_rowspace(mat, p)
-    return nullspace_from_rref(red, piv, p, mat.shape[1])

@@ -19,18 +19,20 @@ exponential-ish in graph size; intended inputs are desk-scale graphs,
 capped at ``DEFAULT_DIMENSION_CAP``.  All arithmetic is exact int64, which
 bounds the prime by the cap (see :func:`leavitt.gfp.max_exact_prime`).
 
-Ideals of vertex subsets are built once each by :class:`IdealMemo`: the
-ideal generated by a set is the sum of the ideals generated by its elements
-(ring theory, not the vertex calculus under test), so the ideal of X is the
-ideal of X minus its last vertex plus that vertex's ideal, one row reduction
-of the new rows.  Bases are interned by their RREF bytes, and annihilators
-and vertex sets are memoized by the RREF bytes of their argument.
+Every RREF basis here grows by :func:`leavitt.gfp.reduce_rowspace`, which
+extends a basis by new rows.  Ideals of vertex subsets are built once each
+by :class:`IdealMemo`: the ideal generated by a set is the sum of the
+ideals generated by its elements (ring theory, not the vertex calculus
+under test), so the basis of the ideal of X is that of X minus its last
+vertex, extended by the basis of that vertex's ideal.  Bases are interned
+by their RREF bytes, and annihilators and vertex sets are memoized by the
+RREF bytes of their argument.
 
 The public :class:`IdealSubspace` constructor audits closure under
-multiplication by every matrix unit.  Two results skip that audit because
-they are closed by construction: the fixed point of
-:func:`ideal_generated_by`, whose last round is that audit, and a sum of
-two such ideals.  The result of :func:`perp_subspace` is still audited.
+multiplication by every matrix unit.  Ideals from :func:`ideal_generated_by`
+skip that audit, because its last round is that audit, and so do the
+subset ideals of :class:`IdealMemo`, because a sum of ideals is an ideal.
+The result of :func:`perp_subspace` is still audited.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import numpy as np
 from .errors import InvalidArgumentError, OracleDimensionError, OracleUnsupportedError
 from .gfp import (
     as_matrix,
-    in_rowspace,
     is_prime,
     max_exact_prime,
     nullspace_from_rref,
@@ -60,18 +61,15 @@ class OracleAlgebra:
     """Explicit finite-dimensional algebra over GF(p) for an acyclic graph.
 
     Use :func:`build_oracle` rather than constructing directly; the factory
-    validates the graph, the prime and the dimension cap.
+    validates the graph, the prime and the dimension cap, and passes the
+    paths into each sink that it listed to check the cap as ``paths``.
     """
 
-    def __init__(self, graph: Graph, p: int):
+    def __init__(self, graph: Graph, p: int, paths: dict[str, list[tuple[tuple[str, ...], str]]]):
         self.graph = graph
         self.p = p
-        self.sinks = tuple(sorted(graph.sinks()))
-        # per sink: all paths ending there as (edge-name tuple, source vertex),
-        # the trivial path included, sorted by (length, names) for determinism
-        self._paths: dict[str, list[tuple[tuple[str, ...], str]]] = {
-            v: _paths_into(graph, v) for v in self.sinks
-        }
+        self.sinks = tuple(sorted(paths))
+        self._paths = paths
         self._block_sizes = [len(self._paths[v]) for v in self.sinks]
         self.dimension = sum(n * n for n in self._block_sizes)
 
@@ -115,8 +113,10 @@ class OracleAlgebra:
             self._ta = self._tb = self._tc = np.zeros(0, dtype=np.int64)
 
         self._vertex_images = {v: self._build_vertex_image(v) for v in graph.vertices}
-        self._edge_images = {e.name: self._build_edge_image(e) for e in graph.edges}
-        self._ghost_images = {e.name: self._build_ghost_image(e) for e in graph.edges}
+        self._edge_images: dict[str, np.ndarray] = {}
+        self._ghost_images: dict[str, np.ndarray] = {}
+        for e in graph.edges:
+            self._edge_images[e.name], self._ghost_images[e.name] = self._build_edge_images(e)
         self._audit_relations()
 
     # -- element helpers -------------------------------------------------------
@@ -209,25 +209,17 @@ class OracleAlgebra:
                     out[self._unit(b, i, i)] = 1
         return out
 
-    def _build_edge_image(self, edge) -> np.ndarray:
-        out = self.zero()
+    def _build_edge_images(self, edge) -> tuple[np.ndarray, np.ndarray]:
+        """Images of the edge and of its ghost; the ghost's units are the edge's, transposed."""
+        image, ghost = self.zero(), self.zero()
         for b, v in enumerate(self.sinks):
             index = self._path_index[v]
             for j, (names, src) in enumerate(self._paths[v]):
                 if src == edge.dst:
                     i = index[(edge.name,) + names]
-                    out[self._unit(b, i, j)] = 1
-        return out
-
-    def _build_ghost_image(self, edge) -> np.ndarray:
-        out = self.zero()
-        for b, v in enumerate(self.sinks):
-            index = self._path_index[v]
-            for j, (names, src) in enumerate(self._paths[v]):
-                if src == edge.dst:
-                    i = index[(edge.name,) + names]
-                    out[self._unit(b, j, i)] = 1
-        return out
+                    image[self._unit(b, i, j)] = 1
+                    ghost[self._unit(b, j, i)] = 1
+        return image, ghost
 
     def _audit_relations(self) -> None:
         """Check the defining relations on every generator image; bugs abort."""
@@ -258,7 +250,8 @@ class OracleAlgebra:
         for v in sorted(g.regular_vertices()):
             acc = self.zero()
             for e in g.out_edges(v):
-                acc = (acc + self.mul(self._edge_images[e.name], self._ghost_images[e.name])) % self.p
+                product = self.mul(self._edge_images[e.name], self._ghost_images[e.name])
+                acc = (acc + product) % self.p
             if not np.array_equal(acc, vi[v]):
                 raise RuntimeError(f"range-decomposition relation fails at vertex {v}")
         total = self.zero()
@@ -269,6 +262,10 @@ class OracleAlgebra:
 
 
 def _paths_into(graph: Graph, sink: str) -> list[tuple[tuple[str, ...], str]]:
+    """Paths ending at the sink, the trivial one included, as (edge names, source).
+
+    Sorted by (length, names) for determinism.
+    """
     done = []
     stack: list[tuple[tuple[str, ...], str]] = [((), sink)]
     while stack:
@@ -301,15 +298,16 @@ def build_oracle(graph: Graph, p: int, dimension_cap: int = DEFAULT_DIMENSION_CA
     require_exact_prime(p, dimension_cap)
     if not graph.is_acyclic():
         raise OracleUnsupportedError("the matrix oracle covers acyclic graphs only")
+    paths = {}
     dim = 0
     for v in sorted(graph.sinks()):
-        n = len(_paths_into(graph, v))
-        dim += n * n
+        paths[v] = _paths_into(graph, v)
+        dim += len(paths[v]) ** 2
         if dim > dimension_cap:
             raise OracleDimensionError(
                 f"oracle dimension exceeds the cap of {dimension_cap}"
             )
-    return OracleAlgebra(graph, p)
+    return OracleAlgebra(graph, p, paths)
 
 
 class Subspace:
@@ -329,12 +327,8 @@ class Subspace:
         return self.dim == self.algebra.dimension
 
     def contains(self, vectors) -> bool:
-        return in_rowspace(
-            as_matrix([vectors] if np.ndim(vectors) == 1 else vectors, self.algebra.dimension),
-            self.basis,
-            self.pivots,
-            self.algebra.p,
-        )
+        vectors = as_matrix([vectors] if np.ndim(vectors) == 1 else vectors, self.algebra.dimension)
+        return not residual(vectors, self.basis, self.pivots, self.algebra.p).any()
 
     def signature(self) -> bytes:
         return self.basis.shape[0].to_bytes(4, "big") + self.basis.tobytes()
@@ -347,9 +341,6 @@ class Subspace:
             and self.algebra.graph == other.algebra.graph
             and np.array_equal(self.basis, other.basis)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.algebra.p, self.signature()))
 
 
 class IdealSubspace(Subspace):
@@ -380,34 +371,22 @@ class IdealSubspace(Subspace):
 def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
     """Least two-sided ideal containing the generators.
 
-    Iterated row reduction to a fixed point: multiply the current basis by
-    every matrix unit on both sides, keep what falls outside the span,
-    re-reduce, repeat.  Reaching full rank ends the search early since the
-    whole algebra is an ideal.  The last round is a closure audit, so the
-    result is not audited again.
+    Iterated row reduction to a fixed point: each round extends the basis,
+    batch by batch, by the products of the round-start basis with every
+    matrix unit on both sides.  A round that adds no rank ends the search,
+    and so does full rank, since the whole algebra is an ideal.  That last
+    round is a closure audit, so the result is not audited again.
     """
-    dim = algebra.dimension
-    basis, pivots = reduce_rowspace(as_matrix(generators, dim), algebra.p)
-    while len(pivots) < dim:
-        fresh = []
+    dim, p = algebra.dimension, algebra.p
+    basis, pivots = reduce_rowspace(as_matrix(generators, dim), p)
+    start_rank = -1
+    while start_rank < len(pivots) < dim:
+        start_rank = len(pivots)
+        # product_rows holds the round-start basis; rebinding basis leaves it be
         for prods in algebra.product_rows(basis):
-            out = residual(prods, basis, pivots, algebra.p)
-            out = out[out.any(axis=1)]
-            if out.shape[0]:
-                fresh.append(out)
-        if not fresh:
-            break
-        basis, pivots = reduce_rowspace(np.vstack([basis] + fresh), algebra.p)
-    return IdealSubspace._proven(algebra, basis, pivots)
-
-
-def _sum_of_ideals(algebra: OracleAlgebra, a: IdealSubspace, b: IdealSubspace) -> IdealSubspace:
-    """a + b, itself an ideal: reduce b's basis against a's, row-reduce only the new rows."""
-    fresh = residual(b.basis, a.basis, a.pivots, algebra.p)
-    fresh = fresh[fresh.any(axis=1)]
-    if not fresh.shape[0]:
-        return a
-    basis, pivots = rref(np.vstack([a.basis, fresh]), algebra.p)
+            basis, pivots = reduce_rowspace(prods, p, basis, pivots)
+            if len(pivots) == dim:
+                break
     return IdealSubspace._proven(algebra, basis, pivots)
 
 
@@ -434,8 +413,8 @@ class IdealMemo:
         """Ideal generated by the images of the given vertices.
 
         A single vertex's ideal comes from :func:`ideal_generated_by`; the
-        ideal of a larger subset is that of the subset minus its last vertex
-        plus that vertex's ideal.
+        basis of a larger subset's ideal is that of the subset minus its last
+        vertex, extended by the basis of that vertex's ideal.
         """
         algebra = self.algebra
         members = algebra.graph.vertex_subset(vertices)
@@ -447,9 +426,9 @@ class IdealMemo:
             if end <= 1:
                 ideal = ideal_generated_by(algebra, [algebra.vertex_image(v) for v in prefix])
             else:
-                ideal = _sum_of_ideals(
-                    algebra, self._by_subset[prefix[:-1]], self.of_vertices(prefix[-1:])
-                )
+                head, last = self._by_subset[prefix[:-1]], self.of_vertices(prefix[-1:])
+                basis, pivots = reduce_rowspace(last.basis, algebra.p, head.basis, head.pivots)
+                ideal = IdealSubspace._proven(algebra, basis, pivots)
             self._by_subset[prefix] = self._intern(ideal)
         return self._by_subset[key]
 
@@ -471,17 +450,14 @@ class IdealMemo:
 def perp_subspace(algebra: OracleAlgebra, ideal: IdealSubspace) -> IdealSubspace:
     """Two-sided annihilator {a : a*x = x*a = 0 for all x in the ideal}.
 
-    Solved as the nullspace of the stacked linear constraints coming from
-    each basis element of the ideal; the result is verified to be an ideal.
+    Solved as the nullspace of the linear constraints coming from each
+    basis element of the ideal, whose row space grows batch by batch; the
+    result is verified to be an ideal.
     """
     dim = algebra.dimension
-    basis = np.zeros((0, dim), dtype=np.int64)
-    pivots: tuple[int, ...] = ()
+    basis, pivots = np.zeros((0, dim), dtype=np.int64), ()
     for cons in algebra.annihilator_constraints(ideal.basis):
-        keep = residual(cons, basis, pivots, algebra.p)
-        keep = keep[keep.any(axis=1)]
-        if keep.shape[0]:
-            basis, pivots = reduce_rowspace(np.vstack([basis, keep]), algebra.p)
+        basis, pivots = reduce_rowspace(cons, algebra.p, basis, pivots)
         if len(pivots) == dim:
             break
     return IdealSubspace(algebra, nullspace_from_rref(basis, pivots, algebra.p, dim))

@@ -8,11 +8,9 @@ from leavitt.gfp import (
     INT64_MAX,
     _rref_pivot_loop,
     as_matrix,
-    in_rowspace,
     is_prime,
     matmul_mod,
     max_exact_prime,
-    nullspace,
     nullspace_from_rref,
     reduce_rowspace,
     residual,
@@ -20,6 +18,10 @@ from leavitt.gfp import (
 )
 
 from .strategies import primes_around
+
+
+def _kernel(mat, p):
+    return nullspace_from_rref(*reduce_rowspace(mat, p), p, mat.shape[1])
 
 
 def test_is_prime():
@@ -57,8 +59,8 @@ def test_rref_empty_shapes():
 
 def test_residual_and_membership():
     basis, piv = rref(np.array([[1, 0, 1], [0, 1, 1]]), 2)
-    assert in_rowspace(np.array([1, 1, 0]), basis, piv, 2)
-    assert not in_rowspace(np.array([1, 0, 0]), basis, piv, 2)
+    assert not residual(np.array([1, 1, 0]), basis, piv, 2).any()
+    assert residual(np.array([1, 0, 0]), basis, piv, 2).any()
     res = residual(np.array([[1, 1, 0], [1, 0, 0]]), basis, piv, 2)
     assert not res[0].any() and res[1].any()
 
@@ -66,7 +68,7 @@ def test_residual_and_membership():
 def test_nullspace_annihilates():
     m = np.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]])
     for p in (2, 3, 5):
-        ns = nullspace(m, p)
+        ns = _kernel(m, p)
         rank = len(rref(m, p)[1])
         assert ns.shape[0] == 4 - rank
         assert not (m @ ns.T % p).any()
@@ -79,22 +81,24 @@ def test_as_matrix():
         as_matrix([np.array([1, 2])], 3)
 
 
+def _rows(cols, most):
+    shape = st.tuples(st.integers(0, most), st.just(cols))
+    return arrays(np.int64, shape, elements=st.integers(0, 6))
+
+
 @given(
-    st.integers(min_value=0, max_value=30).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(min_value=0, max_value=6), min_size=4, max_size=4),
-            min_size=n,
-            max_size=n,
-        )
-    ),
+    st.integers(0, 6).flatmap(lambda cols: st.tuples(_rows(cols, 12), _rows(cols, 30))),
     st.sampled_from([2, 3, 5, 7]),
 )
-def test_reduce_rowspace_matches_rref(rows, p):
-    mat = as_matrix([np.array(r) for r in rows], 4)
-    r1, p1 = rref(mat, p)
-    r2, p2 = reduce_rowspace(mat, p, chunk=3)
-    assert p1 == p2
-    assert np.array_equal(r1, r2)
+def test_reduce_rowspace_matches_rref(pair, p):
+    """Extending the RREF of A by the rows of B, three rows at a time, is the RREF of A over B."""
+    a, b = pair
+    want, want_pivots = rref(np.vstack([a, b]), p)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr("leavitt.gfp._CHUNK", 3)
+        got, pivots = reduce_rowspace(b, p, *rref(a, p))
+    assert pivots == want_pivots
+    assert got.tobytes() == want.tobytes()
 
 
 @given(
@@ -117,14 +121,14 @@ def test_nullspace_exact_at_last_good_prime_and_refused_past_it():
     good, bad = primes_around(max_exact_prime(1))
     rng = np.random.default_rng(7)
     mat = rng.integers(0, good, size=(4, 6), dtype=np.int64)
-    ns = nullspace(mat, good)
+    ns = _kernel(mat, good)
     assert ns.shape == (2, 6)
     for v in ns.tolist():  # exact check in Python integers
         assert all(sum(a * b for a, b in zip(row, v)) % good == 0 for row in mat.tolist())
     with pytest.raises(OverflowError):
         rref(mat, bad)
     with pytest.raises(OverflowError):
-        nullspace(mat, 4294967311)  # (p - 1)^2 alone is past int64
+        _kernel(mat, 4294967311)  # (p - 1)^2 alone is past int64
 
 
 def test_matmul_mod_exact_at_last_good_prime_and_refused_past_it():
@@ -167,10 +171,12 @@ def test_packed_gf2_rref_matches_the_pivot_loop(mat):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     # the chunked reduction and the kernel built on the packed rref agree with it
-    chunked, chunked_pivots = reduce_rowspace(mat, 2, chunk=5)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr("leavitt.gfp._CHUNK", 5)
+        chunked, chunked_pivots = reduce_rowspace(mat, 2)
     assert chunked_pivots == want_pivots and chunked.tobytes() == want.tobytes()
     cols = mat.shape[1]
-    kernel = nullspace(mat, 2)
+    kernel = _kernel(mat, 2)
     assert kernel.tobytes() == nullspace_from_rref(want, want_pivots, 2, cols).tobytes()
     assert kernel.shape == (cols - len(want_pivots), cols)
     assert not (mat @ kernel.T % 2).any()
