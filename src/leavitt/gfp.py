@@ -200,9 +200,11 @@ def reduce_rowspace(
 
     The rows are taken ``_CHUNK`` at a time.  Each chunk is reduced against
     the basis built so far, and only its nonzero residual rows are
-    row-reduced together with that basis, which keeps the eliminations
-    small.  Once the rank reaches the column count no row can add to it,
-    and the rest are skipped.
+    row-reduced.  Those vanish on the basis's pivot columns, so the basis
+    is not reduced again: one matrix product clears the new pivot columns
+    from it, and the rows of both, ordered by pivot, are the new RREF.
+    Once the rank reaches the column count no row can add to it, and the
+    rest are skipped.
     """
     mat = np.asarray(matrix, dtype=np.int64)
     if mat.ndim == 1:
@@ -215,21 +217,27 @@ def reduce_rowspace(
         res = residual(mat[start : start + _CHUNK], basis, pivots, p)
         fresh = res[res.any(axis=1)]
         if fresh.shape[0]:
-            basis, pivots = rref(np.vstack([basis, fresh]), p)
+            new, new_pivots = rref(fresh, p)
+            if not pivots:
+                basis, pivots = new, new_pivots
+                continue
+            basis = (basis - matmul_mod(basis[:, list(new_pivots)], new, p)) % p
+            merged = pivots + new_pivots
+            basis = np.vstack([basis, new])[np.argsort(merged)]
+            pivots = tuple(sorted(merged))
     return basis, pivots
 
 
 def nullspace_from_rref(
     basis: np.ndarray, pivots: tuple[int, ...], p: int, cols: int
-) -> np.ndarray:
-    """RREF basis of the right kernel, given the RREF of the matrix."""
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """RREF basis of the right kernel and its pivots, given the RREF of the matrix."""
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
     if not free:
-        return np.zeros((0, cols), dtype=np.int64)
+        return np.zeros((0, cols), dtype=np.int64), ()
     out = np.zeros((len(free), cols), dtype=np.int64)
     out[np.arange(len(free)), free] = 1
     out[:, list(pivots)] = -basis[:, free].T % p
-    reduced, _ = rref(out, p)
-    return reduced
+    return rref(out, p)
 

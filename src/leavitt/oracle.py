@@ -19,6 +19,12 @@ exponential-ish in graph size; intended inputs are desk-scale graphs,
 capped at ``DEFAULT_DIMENSION_CAP``.  All arithmetic is exact int64, which
 bounds the prime by the cap (see :func:`leavitt.gfp.max_exact_prime`).
 
+Products by matrix units drive everything: ideal generation, the closure
+audit and the annihilator constraints.  A unit product copies one row or
+one column of a block, so the products of any number of elements by every
+unit are spanned by at most 2 * dim rows, built from bases of the spans of
+their block rows and block columns (``OracleAlgebra._unit_products``).
+
 Every RREF basis here grows by :func:`leavitt.gfp.reduce_rowspace`, which
 extends a basis by new rows.  Ideals of vertex subsets are built once each
 by :class:`IdealMemo`: the ideal generated by a set is the sum of the
@@ -32,7 +38,8 @@ The public :class:`IdealSubspace` constructor audits closure under
 multiplication by every matrix unit.  Ideals from :func:`ideal_generated_by`
 skip that audit, because its last round is that audit, and so do the
 subset ideals of :class:`IdealMemo`, because a sum of ideals is an ideal.
-The result of :func:`perp_subspace` is still audited.
+The result of :func:`perp_subspace` is still audited, but not row-reduced
+again: the nullspace comes out in RREF.
 """
 
 from __future__ import annotations
@@ -53,8 +60,13 @@ from .graphs import Graph
 
 DEFAULT_DIMENSION_CAP = 2000
 
-# cap on rows * dim * dim entries per batched product tensor (memory guard)
+# cap on the entries of the degree components stacked per membership call
+# of is_graded_subspace (memory guard)
 _BATCH_ENTRIES = 1 << 20
+
+# cap on the entries of one block-diagonal gather of block rows or columns
+# (memory guard: an algebra of many small blocks has width * width >> dim)
+_GATHER_ENTRIES = 1 << 20
 
 
 class OracleAlgebra:
@@ -112,6 +124,20 @@ class OracleAlgebra:
         else:
             self._ta = self._tb = self._tc = np.zeros(0, dtype=np.int64)
 
+        # positions: the rows (equally, columns) of all blocks, numbered in
+        # block order; unit k of block b sits at row position
+        # starts[b] + _unit_i[k] and column position starts[b] + _unit_j[k]
+        sizes = np.array(self._block_sizes, dtype=np.int64)
+        firsts = np.array(offsets, dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        self._pos_size = np.repeat(sizes, sizes)
+        self._pos_first_unit = np.repeat(firsts, sizes)
+        unit_block = np.repeat(np.arange(sizes.size), sizes * sizes)
+        local = np.arange(self.dimension) - firsts[unit_block]
+        self._unit_i, self._unit_j = np.divmod(local, sizes[unit_block])
+        self._unit_row_pos = starts[unit_block] + self._unit_i
+        self._unit_col_pos = starts[unit_block] + self._unit_j
+
         self._vertex_images = {v: self._build_vertex_image(v) for v in graph.vertices}
         self._edge_images: dict[str, np.ndarray] = {}
         self._ghost_images: dict[str, np.ndarray] = {}
@@ -149,51 +175,91 @@ class OracleAlgebra:
         return out % self.p
 
     def product_rows(self, rows: np.ndarray):
-        """Yield stacked products (unit * row and row * unit) in memory-bounded batches.
+        """Yield one matrix whose rows span every product unit * row and row * unit.
 
-        For a batch of t rows the yielded matrix has 2 * t * dim rows: first
-        the left products of each row by every matrix unit, then the right
-        products.
+        It has at most 2 * dim rows, whatever the number of input rows.
         """
-        yield from self._unit_products(rows, transpose=False)
+        yield self._unit_products(rows, transpose=False)
 
     def annihilator_constraints(self, rows: np.ndarray):
-        """Yield constraint rows for {a : a*x = x*a = 0 for x in rows}.
+        """Yield one matrix of constraint rows for {a : a*x = x*a = 0 for x in rows}.
 
         For each x the equations (a*x)_k = 0 and (x*a)_k = 0 are linear in
-        the coordinates of a; the yielded matrices hold them as rows.
+        the coordinates of a; the rows of the yielded matrix span them, and
+        there are at most 2 * dim of them.
         """
-        yield from self._unit_products(rows, transpose=True)
+        yield self._unit_products(rows, transpose=True)
 
-    def _unit_products(self, rows: np.ndarray, transpose: bool):
-        """Nonzero rows of the unit-product tensors, one batch at a time.
+    def _unit_products(self, rows: np.ndarray, transpose: bool) -> np.ndarray:
+        """Rows spanning the products of the rows by every matrix unit.
 
-        left[s, i, k] = (unit_i * x_s)[k] and right[s, i, k] = (x_s * unit_i)[k];
-        rows are indexed by (s, i), or by (s, k) when transposed, left rows
-        first.  Both tensors are written in place into one array in output
-        layout, which is released before the batch is yielded, so a batch
-        holds no more than one tensor pair plus its nonzero rows at a time.
+        Read each row x as its blocks x[b].  A left product unit * x copies
+        one row of a block to another row position, and a right product
+        x * unit copies one column.  So the left products of all rows span
+        the elements whose block-b rows all lie in R_b, the span of the rows
+        of every x[b], and the right products span those whose block-b
+        columns all lie in C_b, the span of the columns.  The constraint
+        (a*x)_k = 0 reads a column of x[b] along a row of a[b], and
+        (x*a)_k = 0 reads a row of x[b] along a column, so when transposed
+        the two spans trade places: rows in C_b and columns in R_b.
+
+        Each basis vector of R_b (C_b) is placed at every row (column)
+        position of its block, row-placed vectors first: at most
+        sum(n_b * n_b) = dim rows per side.
         """
         dim = self.dimension
         if dim == 0 or rows.shape[0] == 0:
-            return
-        step = max(1, _BATCH_ENTRIES // (dim * dim))
+            return np.zeros((0, dim), dtype=np.int64)
+        row_span, col_span = self._row_and_column_spans(rows)
+        if transpose:
+            row_span, col_span = col_span, row_span
+        return np.vstack(
+            [self._place(*row_span, along_rows=True), self._place(*col_span, along_rows=False)]
+        )
+
+    def _row_and_column_spans(self, rows: np.ndarray):
+        """RREF bases of the spans of the block rows and of the block columns.
+
+        The row (column) vectors of every block, each at its block's
+        positions, form one block-diagonal matrix per side, whose RREF rows
+        each lie in one block.  Both sides share one buffer, as the units
+        of a block fill the same (row position, column position) pairs
+        either way round.  The buffer holds a slice of the rows at a time,
+        of at most ``_GATHER_ENTRIES`` entries, for algebras of many blocks.
+        """
+        width, p = self._pos_size.size, self.p
+        row_span = col_span = np.zeros((0, width), dtype=np.int64), ()
+        step = max(1, _GATHER_ENTRIES // (width * width))
         for start in range(0, rows.shape[0], step):
-            block = rows[start : start + step]
-            pair = np.zeros((2, block.shape[0], dim, dim), dtype=np.int64)
-            left, right = pair
-            if transpose:
-                left, right = left.transpose(0, 2, 1), right.transpose(0, 2, 1)
-            if self._ta.size:
-                # matrix-unit products copy single coordinates, so plain
-                # fancy assignment suffices (no accumulation happens)
-                left[:, self._ta, self._tc] = block[:, self._tb]
-                right[:, self._tb, self._tc] = block[:, self._ta]
-            out = pair.reshape(-1, dim)
-            out = out[out.any(axis=1)]
-            del pair, left, right
-            if out.shape[0]:
-                yield out
+            chunk = rows[start : start + step]
+            gathered = np.zeros((chunk.shape[0], width, width), dtype=np.int64)
+            vectors = gathered.reshape(-1, width)
+            gathered[:, self._unit_row_pos, self._unit_col_pos] = chunk
+            row_span = reduce_rowspace(vectors[vectors.any(axis=1)], p, *row_span)
+            gathered[:, self._unit_col_pos, self._unit_row_pos] = chunk
+            col_span = reduce_rowspace(vectors[vectors.any(axis=1)], p, *col_span)
+        return row_span, col_span
+
+    def _place(self, basis: np.ndarray, pivots: tuple[int, ...], along_rows: bool) -> np.ndarray:
+        """Each basis vector at every row (or column) position of its block.
+
+        A vector of a block of size n gives n rows; its block is that of its
+        pivot position.  The output is written by one scatter over the
+        units of each vector's block, vector after vector.
+        """
+        piv = np.fromiter(pivots, dtype=np.int64, count=len(pivots))
+        sizes = self._pos_size[piv]
+        units = sizes * sizes
+        vec = np.repeat(np.arange(piv.size), units)
+        skip = self._pos_first_unit[piv] - (np.cumsum(units) - units)
+        unit = np.arange(units.sum()) + np.repeat(skip, units)
+        if along_rows:
+            at, src = self._unit_i[unit], self._unit_col_pos[unit]
+        else:
+            at, src = self._unit_j[unit], self._unit_row_pos[unit]
+        out = np.zeros((sizes.sum(), self.dimension), dtype=np.int64)
+        out[np.repeat(np.cumsum(sizes) - sizes, units) + at, unit] = basis[vec, src]
+        return out
 
     # -- construction internals ------------------------------------------------
 
@@ -348,15 +414,19 @@ class IdealSubspace(Subspace):
 
     def __init__(self, algebra: OracleAlgebra, vectors):
         super().__init__(algebra, vectors)
+        self._audit()
+
+    def _audit(self) -> None:
+        """Check closure under multiplication by every matrix unit on both sides."""
         if self.is_everything:
             return  # the full space is trivially closed
-        for prods in algebra.product_rows(self.basis):
-            if residual(prods, self.basis, self.pivots, algebra.p).any():
-                raise ValueError("subspace is not closed under two-sided multiplication")
+        (prods,) = self.algebra.product_rows(self.basis)
+        if residual(prods, self.basis, self.pivots, self.algebra.p).any():
+            raise ValueError("subspace is not closed under two-sided multiplication")
 
     @classmethod
-    def _proven(cls, algebra: OracleAlgebra, basis: np.ndarray, pivots: tuple[int, ...]):
-        """An ideal from an RREF basis that is already proven closed; no audit.
+    def _from_rref(cls, algebra: OracleAlgebra, basis: np.ndarray, pivots: tuple[int, ...]):
+        """An ideal from an RREF basis, taken as it is: no reduction and no audit.
 
         The basis is copied: it may be a view of a larger work array, which
         a memo would otherwise keep alive.
@@ -371,8 +441,8 @@ class IdealSubspace(Subspace):
 def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
     """Least two-sided ideal containing the generators.
 
-    Iterated row reduction to a fixed point: each round extends the basis,
-    batch by batch, by the products of the round-start basis with every
+    Iterated row reduction to a fixed point: each round extends the basis
+    by rows spanning the products of the round-start basis with every
     matrix unit on both sides.  A round that adds no rank ends the search,
     and so does full rank, since the whole algebra is an ideal.  That last
     round is a closure audit, so the result is not audited again.
@@ -382,12 +452,9 @@ def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
     start_rank = -1
     while start_rank < len(pivots) < dim:
         start_rank = len(pivots)
-        # product_rows holds the round-start basis; rebinding basis leaves it be
-        for prods in algebra.product_rows(basis):
-            basis, pivots = reduce_rowspace(prods, p, basis, pivots)
-            if len(pivots) == dim:
-                break
-    return IdealSubspace._proven(algebra, basis, pivots)
+        (prods,) = algebra.product_rows(basis)
+        basis, pivots = reduce_rowspace(prods, p, basis, pivots)
+    return IdealSubspace._from_rref(algebra, basis, pivots)
 
 
 class IdealMemo:
@@ -428,7 +495,7 @@ class IdealMemo:
             else:
                 head, last = self._by_subset[prefix[:-1]], self.of_vertices(prefix[-1:])
                 basis, pivots = reduce_rowspace(last.basis, algebra.p, head.basis, head.pivots)
-                ideal = IdealSubspace._proven(algebra, basis, pivots)
+                ideal = IdealSubspace._from_rref(algebra, basis, pivots)
             self._by_subset[prefix] = self._intern(ideal)
         return self._by_subset[key]
 
@@ -450,17 +517,16 @@ class IdealMemo:
 def perp_subspace(algebra: OracleAlgebra, ideal: IdealSubspace) -> IdealSubspace:
     """Two-sided annihilator {a : a*x = x*a = 0 for all x in the ideal}.
 
-    Solved as the nullspace of the linear constraints coming from each
-    basis element of the ideal, whose row space grows batch by batch; the
-    result is verified to be an ideal.
+    Solved as the nullspace of the linear constraints coming from the basis
+    elements of the ideal.  The nullspace comes out in RREF, so it is not
+    reduced again; it is still audited to be an ideal.
     """
-    dim = algebra.dimension
-    basis, pivots = np.zeros((0, dim), dtype=np.int64), ()
-    for cons in algebra.annihilator_constraints(ideal.basis):
-        basis, pivots = reduce_rowspace(cons, algebra.p, basis, pivots)
-        if len(pivots) == dim:
-            break
-    return IdealSubspace(algebra, nullspace_from_rref(basis, pivots, algebra.p, dim))
+    dim, p = algebra.dimension, algebra.p
+    (cons,) = algebra.annihilator_constraints(ideal.basis)
+    kernel, pivots = nullspace_from_rref(*reduce_rowspace(cons, p), p, dim)
+    perp = IdealSubspace._from_rref(algebra, kernel, pivots)
+    perp._audit()
+    return perp
 
 
 def vertex_set_of(algebra: OracleAlgebra, subspace: Subspace) -> frozenset[str]:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,14 @@ def test_oracle_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "oracle dimension: 4 over GF(2)" in out
     assert "FAIL" not in out
+
+
+def test_oracle_check_matches_its_golden_copy(capsys):
+    # 7 vertices, sinks with 3, 6 and 14 paths: oracle dimension 241
+    golden = Path(__file__).parent / "golden"
+    assert main(["oracle-check", "--graph", str(golden / "oracle-7v.json"), "--prime", "5"]) == 0
+    want = (golden / "oracle-check-7v-prime5.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
 
 
 def test_oracle_check_rejects_cycles(graph_file, capsys):

@@ -289,3 +289,61 @@ def test_prime_bound_follows_the_dimension_cap():
         assert perp_subspace(algebra, ideal).dim == 4 - ideal.dim
     with pytest.raises(ValueError, match="int64"):
         build_oracle(path_ab(), bad, dimension_cap=4)
+
+
+def naive_unit_products(algebra, rows, transpose):
+    """Every product of every row by every matrix unit, from ``algebra.mul``.
+
+    The left rows of x hold (unit_i * x) for each unit i, the right rows
+    (x * unit_i).  Transposed, row k holds the coefficients of the
+    coordinate k of a*x (of x*a) in the coordinates of a.
+    """
+    dim = algebra.dimension
+    units = np.eye(dim, dtype=np.int64)
+    out = [np.zeros((0, dim), dtype=np.int64)]
+    for x in rows:
+        left = np.array([algebra.mul(u, x) for u in units]).reshape(dim, dim)
+        right = np.array([algebra.mul(x, u) for u in units]).reshape(dim, dim)
+        out += [left.T, right.T] if transpose else [left, right]
+    return np.vstack(out)
+
+
+def _yielded(algebra, rows, transpose):
+    method = algebra.annihilator_constraints if transpose else algebra.product_rows
+    return np.vstack([np.zeros((0, algebra.dimension), dtype=np.int64), *method(rows)])
+
+
+def _random_rows(algebra, rng, count):
+    return np.array(
+        [[rng.randrange(algebra.p) for _ in range(algebra.dimension)] for _ in range(count)],
+        dtype=np.int64,
+    ).reshape(count, algebra.dimension)
+
+
+@pytest.mark.parametrize("p, gather_entries", [(2, None), (3, None), (5, None), (3, 1)])
+def test_unit_products_span_the_naive_products(p, gather_entries, monkeypatch):
+    if gather_entries is not None:  # one input row per block-diagonal gather
+        monkeypatch.setattr("leavitt.oracle._GATHER_ENTRIES", gather_entries)
+    rng = Random(p)
+    for graph in exhaustive_acyclic_graphs(3, 4):
+        algebra = build_oracle(graph, p)
+        row_sets = [_random_rows(algebra, rng, count) for count in (0, 1, 3)]
+        row_sets.append(np.array([_random_element(algebra, rng) for _ in range(2)]))
+        for rows in row_sets:
+            for transpose in (False, True):
+                got = rref(_yielded(algebra, rows, transpose), p)
+                want = rref(naive_unit_products(algebra, rows, transpose), p)
+                assert got[1] == want[1]
+                assert got[0].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_unit_products_yield_at_most_twice_the_dimension(p):
+    rng = Random(17)
+    for graph in exhaustive_acyclic_graphs(3, 4):
+        algebra = build_oracle(graph, p)
+        dim = algebra.dimension
+        for count in (1, dim, 3 * dim):
+            rows = _random_rows(algebra, rng, count)
+            for method in (algebra.product_rows, algebra.annihilator_constraints):
+                assert sum(batch.shape[0] for batch in method(rows)) <= 2 * dim
