@@ -31,10 +31,11 @@ INT64_MAX = 2**63 - 1
 def max_exact_prime(terms: int) -> int:
     """Largest p for which a sum of ``terms`` products of residues mod p fits in int64.
 
-    The sums are: 1 term in the row update of :func:`rref`, the inner
-    dimension in the int64 fallback of :func:`matmul_mod`, and a block size
-    in ``OracleAlgebra.mul``.  For an algebra of dimension at most ``terms``
-    the last two are at most ``terms``.
+    The sums are: 1 term in the row update of :func:`rref`, and the inner
+    dimension in the int64 fallback of :func:`matmul_mod`.  The block
+    products of ``OracleAlgebra.mul`` are ``matmul_mod`` calls whose inner
+    dimension is one block size, at most the algebra dimension; so for an
+    algebra of dimension at most ``terms`` every sum has at most ``terms``.
     """
     return math.isqrt(INT64_MAX // max(terms, 1)) + 1
 

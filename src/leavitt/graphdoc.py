@@ -58,6 +58,8 @@ def load_graph(path: str) -> Graph:
             text = fh.read()
     except OSError as exc:
         raise GraphDocumentError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphDocumentError(f"{path} is not UTF-8: {exc}") from exc
     return parse_graph_json(text)
 
 

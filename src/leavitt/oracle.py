@@ -19,11 +19,15 @@ exponential-ish in graph size; intended inputs are desk-scale graphs,
 capped at ``DEFAULT_DIMENSION_CAP``.  All arithmetic is exact int64, which
 bounds the prime by the cap (see :func:`leavitt.gfp.max_exact_prime`).
 
-Products by matrix units drive everything: ideal generation, the closure
-audit and the annihilator constraints.  A unit product copies one row or
-one column of a block, so the products of any number of elements by every
-unit are spanned by at most 2 * dim rows, built from bases of the spans of
-their block rows and block columns (``OracleAlgebra._unit_products``).
+An element is read through one view, its blocks: the n x n matrix of
+each sink, for one element or a stack of rows (``OracleAlgebra._blocks``).
+A product is one block product per sink.  Products by matrix units drive
+everything: ideal generation, the closure audit and the annihilator
+constraints.  A unit product copies one row or one column of a block, so
+the products of any number of elements by every unit on block b are
+spanned by the rows of kron(I, R_b) and kron(C_b, I), where R_b and C_b
+are bases of the spans of their block rows and block columns: at most
+2 * dim rows (``OracleAlgebra._unit_products``).
 
 Every RREF basis here grows by :func:`leavitt.gfp.reduce_rowspace`, which
 extends a basis by new rows.  Ideals of vertex subsets are built once each
@@ -44,12 +48,15 @@ again: the nullspace comes out in RREF.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import InvalidArgumentError, OracleDimensionError, OracleUnsupportedError
 from .gfp import (
     as_matrix,
     is_prime,
+    matmul_mod,
     max_exact_prime,
     nullspace_from_rref,
     reduce_rowspace,
@@ -63,10 +70,6 @@ DEFAULT_DIMENSION_CAP = 2000
 # cap on the entries of the degree components stacked per membership call
 # of is_graded_subspace (memory guard)
 _BATCH_ENTRIES = 1 << 20
-
-# cap on the entries of one block-diagonal gather of block rows or columns
-# (memory guard: an algebra of many small blocks has width * width >> dim)
-_GATHER_ENTRIES = 1 << 20
 
 
 class OracleAlgebra:
@@ -82,61 +85,16 @@ class OracleAlgebra:
         self.p = p
         self.sinks = tuple(sorted(paths))
         self._paths = paths
-        self._block_sizes = [len(self._paths[v]) for v in self.sinks]
-        self.dimension = sum(n * n for n in self._block_sizes)
-
-        offsets = []
-        off = 0
-        for n in self._block_sizes:
-            offsets.append(off)
-            off += n * n
-        self._offsets = offsets
+        self._block_sizes = [len(paths[v]) for v in self.sinks]
+        squares = [n * n for n in self._block_sizes]
+        self.dimension = sum(squares)
+        self._offsets = [end - sq for end, sq in zip(itertools.accumulate(squares), squares)]
         self._path_index = {
-            v: {names: i for i, (names, _src) in enumerate(self._paths[v])} for v in self.sinks
+            v: {names: i for i, (names, _src) in enumerate(paths[v])} for v in self.sinks
         }
 
-        self.labels: list[tuple[str, tuple[str, ...], tuple[str, ...]]] = []
-        degrees = np.zeros(self.dimension, dtype=np.int64)
-        for b, v in enumerate(self.sinks):
-            paths = self._paths[v]
-            n = self._block_sizes[b]
-            for i, (gi, _si) in enumerate(paths):
-                for j, (lj, _sj) in enumerate(paths):
-                    k = self._offsets[b] + i * n + j
-                    self.labels.append((v, gi, lj))
-                    degrees[k] = len(gi) - len(lj)
-        self.degrees = degrees
-
-        # structure triples: unit[ta] * unit[tb] = unit[tc]
-        tas, tbs, tcs = [], [], []
-        for b, n in enumerate(self._block_sizes):
-            if n == 0:
-                continue
-            off = self._offsets[b]
-            i, j, k = np.indices((n, n, n)).reshape(3, -1)
-            tas.append(off + i * n + j)
-            tbs.append(off + j * n + k)
-            tcs.append(off + i * n + k)
-        if tas:
-            self._ta = np.concatenate(tas)
-            self._tb = np.concatenate(tbs)
-            self._tc = np.concatenate(tcs)
-        else:
-            self._ta = self._tb = self._tc = np.zeros(0, dtype=np.int64)
-
-        # positions: the rows (equally, columns) of all blocks, numbered in
-        # block order; unit k of block b sits at row position
-        # starts[b] + _unit_i[k] and column position starts[b] + _unit_j[k]
-        sizes = np.array(self._block_sizes, dtype=np.int64)
-        firsts = np.array(offsets, dtype=np.int64)
-        starts = np.cumsum(sizes) - sizes
-        self._pos_size = np.repeat(sizes, sizes)
-        self._pos_first_unit = np.repeat(firsts, sizes)
-        unit_block = np.repeat(np.arange(sizes.size), sizes * sizes)
-        local = np.arange(self.dimension) - firsts[unit_block]
-        self._unit_i, self._unit_j = np.divmod(local, sizes[unit_block])
-        self._unit_row_pos = starts[unit_block] + self._unit_i
-        self._unit_col_pos = starts[unit_block] + self._unit_j
+        self.labels = [(v, g, l) for v in self.sinks for g, _ in paths[v] for l, _ in paths[v]]
+        self.degrees = np.array([len(g) - len(l) for _v, g, l in self.labels], dtype=np.int64)
 
         self._vertex_images = {v: self._build_vertex_image(v) for v in graph.vertices}
         self._edge_images: dict[str, np.ndarray] = {}
@@ -152,10 +110,8 @@ class OracleAlgebra:
 
     def identity(self) -> np.ndarray:
         out = self.zero()
-        for b, n in enumerate(self._block_sizes):
-            off = self._offsets[b]
-            for i in range(n):
-                out[off + i * n + i] = 1
+        for block in self._blocks(out):
+            np.fill_diagonal(block, 1)
         return out
 
     def vertex_image(self, vertex: str) -> np.ndarray:
@@ -169,10 +125,22 @@ class OracleAlgebra:
         return self._ghost_images[name].copy()
 
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = self.zero()
-        if self._ta.size:
-            np.add.at(out, self._tc, x[self._ta] * y[self._tb])
-        return out % self.p
+        """The product x*y, block by block; y may be a stack of rows, each multiplied by x.
+
+        Blocks where x is zero are left zero without a product.
+        """
+        out = np.zeros(y.shape, dtype=np.int64)
+        for xb, yb, ob in zip(self._blocks(x), self._blocks(y), self._blocks(out)):
+            if xb.any():
+                ob[...] = matmul_mod(xb, yb, self.p)
+        return out
+
+    def _blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        """The n_b x n_b view of each sink's block of x, for one element or a stack of rows."""
+        return [
+            x[..., off : off + n * n].reshape(*x.shape[:-1], n, n)
+            for off, n in zip(self._offsets, self._block_sizes)
+        ]
 
     def product_rows(self, rows: np.ndarray):
         """Yield one matrix whose rows span every product unit * row and row * unit.
@@ -203,99 +171,70 @@ class OracleAlgebra:
         (x*a)_k = 0 reads a row of x[b] along a column, so when transposed
         the two spans trade places: rows in C_b and columns in R_b.
 
-        Each basis vector of R_b (C_b) is placed at every row (column)
-        position of its block, row-placed vectors first: at most
-        sum(n_b * n_b) = dim rows per side.
+        With R_b and C_b as RREF bases, those spans are the rows of
+        kron(I, R_b) and kron(C_b, I) on block b, left products first: at
+        most sum(n_b * n_b) = dim rows per side.
         """
-        dim = self.dimension
-        if dim == 0 or rows.shape[0] == 0:
-            return np.zeros((0, dim), dtype=np.int64)
-        row_span, col_span = self._row_and_column_spans(rows)
-        if transpose:
-            row_span, col_span = col_span, row_span
-        return np.vstack(
-            [self._place(*row_span, along_rows=True), self._place(*col_span, along_rows=False)]
-        )
-
-    def _row_and_column_spans(self, rows: np.ndarray):
-        """RREF bases of the spans of the block rows and of the block columns.
-
-        The row (column) vectors of every block, each at its block's
-        positions, form one block-diagonal matrix per side, whose RREF rows
-        each lie in one block.  Both sides share one buffer, as the units
-        of a block fill the same (row position, column position) pairs
-        either way round.  The buffer holds a slice of the rows at a time,
-        of at most ``_GATHER_ENTRIES`` entries, for algebras of many blocks.
-        """
-        width, p = self._pos_size.size, self.p
-        row_span = col_span = np.zeros((0, width), dtype=np.int64), ()
-        step = max(1, _GATHER_ENTRIES // (width * width))
-        for start in range(0, rows.shape[0], step):
-            chunk = rows[start : start + step]
-            gathered = np.zeros((chunk.shape[0], width, width), dtype=np.int64)
-            vectors = gathered.reshape(-1, width)
-            gathered[:, self._unit_row_pos, self._unit_col_pos] = chunk
-            row_span = reduce_rowspace(vectors[vectors.any(axis=1)], p, *row_span)
-            gathered[:, self._unit_col_pos, self._unit_row_pos] = chunk
-            col_span = reduce_rowspace(vectors[vectors.any(axis=1)], p, *col_span)
-        return row_span, col_span
-
-    def _place(self, basis: np.ndarray, pivots: tuple[int, ...], along_rows: bool) -> np.ndarray:
-        """Each basis vector at every row (or column) position of its block.
-
-        A vector of a block of size n gives n rows; its block is that of its
-        pivot position.  The output is written by one scatter over the
-        units of each vector's block, vector after vector.
-        """
-        piv = np.fromiter(pivots, dtype=np.int64, count=len(pivots))
-        sizes = self._pos_size[piv]
-        units = sizes * sizes
-        vec = np.repeat(np.arange(piv.size), units)
-        skip = self._pos_first_unit[piv] - (np.cumsum(units) - units)
-        unit = np.arange(units.sum()) + np.repeat(skip, units)
-        if along_rows:
-            at, src = self._unit_i[unit], self._unit_col_pos[unit]
-        else:
-            at, src = self._unit_j[unit], self._unit_row_pos[unit]
-        out = np.zeros((sizes.sum(), self.dimension), dtype=np.int64)
-        out[np.repeat(np.cumsum(sizes) - sizes, units) + at, unit] = basis[vec, src]
-        return out
+        dim, p = self.dimension, self.p
+        left, right = [np.zeros((0, dim), dtype=np.int64)], []
+        for off, x in zip(self._offsets, self._blocks(rows)):
+            if not x.any():
+                continue
+            n = x.shape[-1]
+            row_basis = reduce_rowspace(x.reshape(-1, n), p)[0]
+            col_basis = reduce_rowspace(x.transpose(0, 2, 1).reshape(-1, n), p)[0]
+            if transpose:
+                row_basis, col_basis = col_basis, row_basis
+            eye = np.eye(n, dtype=np.int64)
+            krons = (
+                eye[:, None, :, None] * row_basis[None, :, None, :],
+                col_basis[:, None, :, None] * eye[None, :, None, :],
+            )
+            for side, kron in zip((left, right), krons):
+                placed = np.zeros((kron.shape[0] * kron.shape[1], dim), dtype=np.int64)
+                placed[:, off : off + n * n] = kron.reshape(placed.shape[0], n * n)
+                side.append(placed)
+        return np.vstack(left + right)
 
     # -- construction internals ------------------------------------------------
 
-    def _unit(self, block: int, i: int, j: int) -> int:
-        n = self._block_sizes[block]
-        return self._offsets[block] + i * n + j
-
     def _build_vertex_image(self, vertex: str) -> np.ndarray:
         out = self.zero()
-        for b, v in enumerate(self.sinks):
+        for block, v in zip(self._blocks(out), self.sinks):
             for i, (_names, src) in enumerate(self._paths[v]):
                 if src == vertex:
-                    out[self._unit(b, i, i)] = 1
+                    block[i, i] = 1
         return out
 
     def _build_edge_images(self, edge) -> tuple[np.ndarray, np.ndarray]:
         """Images of the edge and of its ghost; the ghost's units are the edge's, transposed."""
         image, ghost = self.zero(), self.zero()
-        for b, v in enumerate(self.sinks):
+        for image_b, ghost_b, v in zip(self._blocks(image), self._blocks(ghost), self.sinks):
             index = self._path_index[v]
             for j, (names, src) in enumerate(self._paths[v]):
                 if src == edge.dst:
                     i = index[(edge.name,) + names]
-                    image[self._unit(b, i, j)] = 1
-                    ghost[self._unit(b, j, i)] = 1
+                    image_b[i, j] = 1
+                    ghost_b[j, i] = 1
         return image, ghost
 
     def _audit_relations(self) -> None:
         """Check the defining relations on every generator image; bugs abort."""
         g = self.graph
         vi = self._vertex_images
-        for u in g.vertices:
-            for w in g.vertices:
-                expect = vi[u] if u == w else self.zero()
-                if not np.array_equal(self.mul(vi[u], vi[w]), expect):
-                    raise RuntimeError(f"vertex idempotents not orthogonal at ({u}, {w})")
+
+        def first_bad(x, stack, k, expect):
+            """Index of the first row s with x*s unlike (expect at row k, else zero), or -1."""
+            want = np.zeros_like(stack)
+            want[k] = expect
+            bad = (self.mul(x, stack) != want).any(axis=1)
+            return int(bad.argmax()) if bad.any() else -1
+
+        vertex_stack = as_matrix([vi[v] for v in g.vertices], self.dimension)
+        for k, u in enumerate(g.vertices):
+            w = first_bad(vi[u], vertex_stack, k, vi[u])
+            if w >= 0:
+                raise RuntimeError(f"vertex idempotents not orthogonal at ({u}, {g.vertices[w]})")
         for e in g.edges:
             img = self._edge_images[e.name]
             ghost = self._ghost_images[e.name]
@@ -307,12 +246,11 @@ class OracleAlgebra:
                 self.mul(ghost, vi[e.src]), ghost
             ):
                 raise RuntimeError(f"ghost source/range relation fails for edge {e.name}")
-        for e in g.edges:
-            for f in g.edges:
-                expect = vi[e.dst] if e.name == f.name else self.zero()
-                got = self.mul(self._ghost_images[e.name], self._edge_images[f.name])
-                if not np.array_equal(got, expect):
-                    raise RuntimeError(f"ghost-edge relation fails at ({e.name}, {f.name})")
+        edge_stack = as_matrix([self._edge_images[f.name] for f in g.edges], self.dimension)
+        for k, e in enumerate(g.edges):
+            f = first_bad(self._ghost_images[e.name], edge_stack, k, vi[e.dst])
+            if f >= 0:
+                raise RuntimeError(f"ghost-edge relation fails at ({e.name}, {g.edges[f].name})")
         for v in sorted(g.regular_vertices()):
             acc = self.zero()
             for e in g.out_edges(v):

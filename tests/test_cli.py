@@ -73,6 +73,14 @@ def test_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_graph_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"vertices": ["\xff"], "edges": []}')
+    assert main(["analyze", "--graph", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "UTF-8" in err[0]
+
+
 def test_missing_file(tmp_path):
     assert main(["analyze", "--graph", str(tmp_path / "none.json")]) == 2
 
@@ -273,11 +281,13 @@ def test_oracle_check(tmp_path, capsys):
 
 
 def test_oracle_check_matches_its_golden_copy(capsys):
-    # 7 vertices, sinks with 3, 6 and 14 paths: oracle dimension 241
+    # 7 vertices, sinks with 3, 6 and 14 paths: oracle dimension 241; GF(2)
+    # takes the packed row-reduction kernel, GF(5) the pivot loop
     golden = Path(__file__).parent / "golden"
-    assert main(["oracle-check", "--graph", str(golden / "oracle-7v.json"), "--prime", "5"]) == 0
-    want = (golden / "oracle-check-7v-prime5.txt").read_text(encoding="utf-8")
-    assert capsys.readouterr().out == want
+    for prime in ("5", "2"):
+        assert main(["oracle-check", "--graph", str(golden / "oracle-7v.json"), "--prime", prime]) == 0
+        want = (golden / f"oracle-check-7v-prime{prime}.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == want
 
 
 def test_oracle_check_rejects_cycles(graph_file, capsys):

@@ -291,6 +291,32 @@ def test_prime_bound_follows_the_dimension_cap():
         build_oracle(path_ab(), bad, dimension_cap=4)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_mul_follows_the_matrix_unit_rule(p):
+    # e[v; g, l] * e[w; m, n] = (v == w and l == m) * e[v; g, n], read off the labels
+    for graph in exhaustive_acyclic_graphs(3, 4):
+        algebra = build_oracle(graph, p)
+        index = {label: k for k, label in enumerate(algebra.labels)}
+        units = np.eye(algebra.dimension, dtype=np.int64)
+        for (v, g, l), a in zip(algebra.labels, units):
+            for (w, m, n), b in zip(algebra.labels, units):
+                want = algebra.zero()
+                if v == w and l == m:
+                    want[index[(v, g, n)]] = 1
+                assert np.array_equal(algebra.mul(a, b), want)
+
+
+def test_ideal_and_perp_over_many_blocks():
+    # 300 isolated vertices: 300 blocks of size 1
+    names = tuple(f"v{i:03d}" for i in range(300))
+    algebra = build_oracle(Graph(names, ()), 2)
+    ideal = ideal_generated_by(algebra, [algebra.vertex_image(v) for v in names[:150]])
+    perp = perp_subspace(algebra, ideal)
+    assert (ideal.dim, perp.dim) == (150, 150)
+    assert vertex_set_of(algebra, ideal) == frozenset(names[:150])
+    assert vertex_set_of(algebra, perp) == frozenset(names[150:])
+
+
 def naive_unit_products(algebra, rows, transpose):
     """Every product of every row by every matrix unit, from ``algebra.mul``.
 
@@ -320,10 +346,8 @@ def _random_rows(algebra, rng, count):
     ).reshape(count, algebra.dimension)
 
 
-@pytest.mark.parametrize("p, gather_entries", [(2, None), (3, None), (5, None), (3, 1)])
-def test_unit_products_span_the_naive_products(p, gather_entries, monkeypatch):
-    if gather_entries is not None:  # one input row per block-diagonal gather
-        monkeypatch.setattr("leavitt.oracle._GATHER_ENTRIES", gather_entries)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_unit_products_span_the_naive_products(p):
     rng = Random(p)
     for graph in exhaustive_acyclic_graphs(3, 4):
         algebra = build_oracle(graph, p)
