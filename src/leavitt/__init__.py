@@ -29,12 +29,10 @@ from .ideals import (
     CLASS_BOTH,
     CLASS_PERP_ZERO,
     CLASS_REGULAR,
-    GradedIdeal,
     RegularityReport,
     analyze,
     bar_closure,
     double_perp,
-    ideal_from_generators,
     is_regular,
     maximal_graded_ideals,
     pc_bijection_check,
@@ -72,7 +70,6 @@ __all__ = [
     "DEFAULT_DIMENSION_CAP",
     "ENUMERATION_CUTOFF",
     "Edge",
-    "GradedIdeal",
     "Graph",
     "GraphDocumentError",
     "GraphMismatchError",
@@ -99,7 +96,6 @@ __all__ = [
     "enumerate_hs_sets",
     "graph_from_document",
     "hs_closure",
-    "ideal_from_generators",
     "ideal_generated_by",
     "is_graded_subspace",
     "is_hereditary",

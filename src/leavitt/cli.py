@@ -23,7 +23,7 @@ from .errors import (
 )
 from .graphdoc import dump_graph_json, load_graph
 from .hereditary import hs_closure, lattice_with_regularity
-from .ideals import analyze, bar_closure, ideal_from_generators, perp, quotient_graph
+from .ideals import analyze, bar_closure, perp, quotient_graph
 from .oracle import build_oracle
 from .verify import VerifyConfig, oracle_checks_for_graph, run_verification
 
@@ -109,8 +109,7 @@ def _lattice_dot(graph, flagged) -> str:
 def cmd_quotient(args) -> int:
     graph = load_graph(args.graph)
     generators = graph.vertex_subset(_split_generators(args.generators))
-    ideal = ideal_from_generators(graph, generators)
-    quotient = quotient_graph(graph, ideal.h)
+    quotient = quotient_graph(graph, hs_closure(graph, generators))
     print(dump_graph_json(quotient), end="")
     return 0
 
@@ -118,11 +117,11 @@ def cmd_quotient(args) -> int:
 def cmd_perp(args) -> int:
     graph = load_graph(args.graph)
     generators = graph.vertex_subset(_split_generators(args.generators))
-    ideal = ideal_from_generators(graph, generators)
+    h = hs_closure(graph, generators)
     payload = {
-        "ideal": sorted(ideal.vertices),
-        "bar_closure": sorted(bar_closure(ideal)),
-        "perp": sorted(perp(ideal).vertices),
+        "ideal": sorted(h.vertices),
+        "bar_closure": sorted(bar_closure(h)),
+        "perp": sorted(perp(h).vertices),
     }
     if args.json:
         print(json.dumps(payload, indent=2))

@@ -118,9 +118,6 @@ class Graph:
 
     # -- basic accessors ------------------------------------------------------
 
-    def __contains__(self, vertex: str) -> bool:
-        return vertex in self._vset
-
     def require_vertex(self, vertex: str) -> None:
         if vertex not in self._vset:
             raise UnknownVertexError(f"unknown vertex: {vertex!r}")

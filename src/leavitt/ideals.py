@@ -1,10 +1,13 @@
 """Graded-ideal calculus on vertex sets.
 
 For a finite graph the graded two-sided ideals of the path algebra
-correspond one-to-one with the hereditary saturated vertex sets, so the
-whole calculus — annihilators, double annihilators, regularity, quotients —
-runs on vertex sets alone.  The matrix oracle in :mod:`leavitt.oracle`
-checks these shortcuts against genuine linear algebra.
+correspond one-to-one with the hereditary saturated vertex sets, and every
+regular ideal is graded.  So a graded ideal is passed around as its
+:class:`~leavitt.hereditary.HereditarySaturatedSet` (build one with
+``hs_closure`` from generators, or list them all with ``enumerate_hs_sets``),
+and the whole calculus — annihilators, double annihilators, regularity,
+quotients — runs on vertex sets alone.  The matrix oracle in
+:mod:`leavitt.oracle` checks these shortcuts against genuine linear algebra.
 """
 
 from __future__ import annotations
@@ -22,53 +25,29 @@ CLASS_PERP_ZERO = "perp_zero"
 CLASS_BOTH = "both"
 
 
-@dataclass(frozen=True)
-class GradedIdeal:
-    """A graded ideal, carried by its hereditary saturated vertex set."""
-
-    h: HereditarySaturatedSet
-
-    @property
-    def graph(self) -> Graph:
-        return self.h.graph
-
-    @property
-    def vertices(self) -> frozenset[str]:
-        return self.h.vertices
-
-    def sorted_vertices(self) -> tuple[str, ...]:
-        return self.h.sorted_vertices()
+def bar_closure(h: HereditarySaturatedSet) -> frozenset[str]:
+    """Sources of finite paths into the set; always a superset of it."""
+    return h.graph.backward_reach(h.vertices)
 
 
-def ideal_from_generators(graph: Graph, generators: Iterable[str]) -> GradedIdeal:
-    """The graded ideal generated by a set of vertices (closed to hereditary saturated)."""
-    return GradedIdeal(hs_closure(graph, generators))
-
-
-def bar_closure(ideal: GradedIdeal) -> frozenset[str]:
-    """Sources of finite paths into the ideal's vertex set; always a superset of it."""
-    return ideal.graph.backward_reach(ideal.vertices)
-
-
-def perp(ideal: GradedIdeal) -> GradedIdeal:
+def perp(h: HereditarySaturatedSet) -> HereditarySaturatedSet:
     """The annihilator ideal: complement of the backward closure.
 
     That complement is provably hereditary and saturated; the constructor
     re-checks it, so a violation aborts loudly instead of propagating a bug.
     """
-    g = ideal.graph
-    complement = g._vset - bar_closure(ideal)
-    return GradedIdeal(HereditarySaturatedSet(g, complement))
+    g = h.graph
+    return HereditarySaturatedSet(g, g._vset - bar_closure(h))
 
 
-def double_perp(ideal: GradedIdeal) -> GradedIdeal:
+def double_perp(h: HereditarySaturatedSet) -> HereditarySaturatedSet:
     """The double annihilator: vertices whose whole tree sits in the backward closure."""
-    return perp(perp(ideal))
+    return perp(perp(h))
 
 
-def is_regular(ideal: GradedIdeal) -> bool:
-    """True iff the ideal equals its double annihilator."""
-    return ideal.vertices == double_perp(ideal).vertices
+def is_regular(h: HereditarySaturatedSet) -> bool:
+    """True iff the ideal of the set equals its double annihilator."""
+    return h.vertices == double_perp(h).vertices
 
 
 def quotient_graph(graph: Graph, h: HereditarySaturatedSet) -> Graph:
@@ -100,7 +79,7 @@ def _pc_bijection(graph: Graph, h: HereditarySaturatedSet, quotient_pc: frozense
 class RegularityReport:
     """Everything the calculus can say about one graded ideal."""
 
-    ideal: GradedIdeal
+    ideal: HereditarySaturatedSet
     bar_closure: frozenset[str]
     perp_set: frozenset[str]
     double_perp_set: frozenset[str]
@@ -124,27 +103,26 @@ class RegularityReport:
 
 def analyze(graph: Graph, generators: Iterable[str]) -> RegularityReport:
     """Full report for the ideal generated by ``generators``; deterministic."""
-    ideal = ideal_from_generators(graph, generators)
-    bar = bar_closure(ideal)
-    perp_ideal = perp(ideal)
-    dp_ideal = perp(perp_ideal)
-    quotient = quotient_graph(graph, ideal.h)
+    h = hs_closure(graph, generators)
+    perp_h = perp(h)
+    dp_h = perp(perp_h)
+    quotient = quotient_graph(graph, h)
     quotient_pc = quotient.exit_free_cycle_vertices()
     return RegularityReport(
-        ideal=ideal,
-        bar_closure=bar,
-        perp_set=perp_ideal.vertices,
-        double_perp_set=dp_ideal.vertices,
-        is_regular=ideal.vertices == dp_ideal.vertices,
+        ideal=h,
+        bar_closure=bar_closure(h),
+        perp_set=perp_h.vertices,
+        double_perp_set=dp_h.vertices,
+        is_regular=h.vertices == dp_h.vertices,
         quotient=quotient,
         quotient_condition_l=not quotient_pc,
-        pc_bijection_holds=_pc_bijection(graph, ideal.h, quotient_pc),
+        pc_bijection_holds=_pc_bijection(graph, h, quotient_pc),
     )
 
 
 def maximal_graded_ideals(
     hs_sets: list[HereditarySaturatedSet],
-) -> list[tuple[GradedIdeal, str]]:
+) -> list[tuple[HereditarySaturatedSet, str]]:
     """Maximal proper hereditary saturated sets with their dichotomy label.
 
     ``hs_sets`` is the sorted listing of :func:`enumerate_hs_sets`, whose
@@ -159,10 +137,9 @@ def maximal_graded_ideals(
     for h in proper:
         if any(h.vertices < other.vertices for other in proper):
             continue
-        ideal = GradedIdeal(h)
-        perp_ideal = perp(ideal)
-        regular = h.vertices == perp(perp_ideal).vertices
-        perp_zero = not perp_ideal.vertices
+        perp_h = perp(h)
+        regular = h.vertices == perp(perp_h).vertices
+        perp_zero = not perp_h.vertices
         if regular and perp_zero:
             label = CLASS_BOTH
         elif regular:
@@ -173,5 +150,5 @@ def maximal_graded_ideals(
             raise AssertionError(
                 f"maximal set {h.sorted_vertices()} is neither regular nor annihilator-zero"
             )
-        out.append((ideal, label))
+        out.append((h, label))
     return out

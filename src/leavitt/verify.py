@@ -24,7 +24,6 @@ from .errors import InvalidArgumentError, LatticeTooLargeError
 from .graphdoc import document_from_graph
 from .graphs import Graph
 from .hereditary import ENUMERATION_CUTOFF, HereditarySaturatedSet, enumerate_hs_sets, hs_closure
-from .ideals import GradedIdeal
 from .laurent import LaurentElement, laurent_perp_is_zero
 from .oracle import (
     IdealMemo,
@@ -244,11 +243,10 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
             ideal = memo.of_vertices(h.vertices)
             perp1 = memo.perp(ideal)
             perp2 = memo.perp(perp1)
-            j = GradedIdeal(h)
-            bar = ideals.bar_closure(j)
+            bar = ideals.bar_closure(h)
 
             got = memo.vertex_set(perp1)
-            want = graph._vset - bar
+            want = ideals.perp(h).vertices
             if got != want:
                 fail(ROW_PERP_VSET, f"oracle perp {sorted(got)} != calculus {sorted(want)}")
             got2 = memo.vertex_set(perp2)
@@ -259,7 +257,7 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
                     f"oracle double perp {sorted(got2)} != calculus {sorted(want2)}",
                 )
             oracle_regular = perp2 == ideal
-            calculus_regular = ideals.is_regular(j)
+            calculus_regular = ideals.is_regular(h)
             if oracle_regular != calculus_regular:
                 fail(
                     ROW_REGULARITY,
@@ -339,18 +337,17 @@ def calculus_checks_for_graph(graph: Graph):
             failures.append(Failure(row, graph, f"{label}: {detail}"))
 
         try:
-            j = GradedIdeal(h)
-            p1 = ideals.perp(j)
+            p1 = ideals.perp(h)
             if not ideals.is_regular(p1):
                 fail(ROW_PERP_REGULAR, "perp not regular")
-            p3 = ideals.perp(ideals.double_perp(j))
+            p3 = ideals.perp(ideals.double_perp(h))
             if p1.vertices != p3.vertices:
                 fail(
                     ROW_PERP_REGULAR,
                     f"perp {sorted(p1.vertices)} != triple perp {sorted(p3.vertices)}",
                 )
 
-            regular = ideals.is_regular(j)
+            regular = ideals.is_regular(h)
             quotient_l = ideals.quotient_graph(graph, h).condition_l()
             pc_inside = pc <= h.vertices
             if regular and not ideals.pc_bijection_check(graph, h):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from leavitt import DEFAULT_DIMENSION_CAP, GradedIdeal, Graph, dump_graph_json, enumerate_hs_sets, ideals, is_regular
+from leavitt import DEFAULT_DIMENSION_CAP, Graph, dump_graph_json, enumerate_hs_sets, ideals, is_regular
 from leavitt import cli
 from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
@@ -112,7 +112,7 @@ def test_lattice_dot(graph_file, capsys):
 def naive_lattice_dot(g):
     """Referee: the Hasse diagram with b covering a when no third set lies
     strictly between them, tested over every triple of sets."""
-    flagged = [(h, is_regular(GradedIdeal(h))) for h in enumerate_hs_sets(g)]
+    flagged = [(h, is_regular(h)) for h in enumerate_hs_sets(g)]
     lines = ["digraph hs_lattice {", "  rankdir=BT;"]
     for i, (h, reg) in enumerate(flagged):
         label = "{" + ", ".join(sorted(h.vertices)) + "}"
@@ -288,6 +288,26 @@ def test_oracle_check_matches_its_golden_copy(capsys):
         assert main(["oracle-check", "--graph", str(golden / "oracle-7v.json"), "--prime", prime]) == 0
         want = (golden / f"oracle-check-7v-prime{prime}.txt").read_text(encoding="utf-8")
         assert capsys.readouterr().out == want
+
+
+# A loop with an exit (u) next to a sink fed by two parallel edges (w -> x):
+# the ideal of {v} is not regular and its annihilator {w, x} is not zero.
+@pytest.mark.parametrize(
+    "argv, golden_name",
+    [
+        (["analyze", "--generators", "v"], "calculus-4v-analyze.txt"),
+        (["analyze", "--generators", "v", "--json"], "calculus-4v-analyze.json"),
+        (["perp", "--generators", "v", "--json"], "calculus-4v-perp.json"),
+        (["quotient", "--generators", "v"], "calculus-4v-quotient.json"),
+        (["lattice", "--json"], "calculus-4v-lattice.json"),
+        (["lattice", "--dot"], "calculus-4v-lattice.dot"),
+    ],
+)
+def test_calculus_command_matches_its_golden_copy(argv, golden_name, capsys):
+    golden = Path(__file__).parent / "golden"
+    command, *flags = argv
+    assert main([command, "--graph", str(golden / "calculus-4v.json"), *flags]) == 0
+    assert capsys.readouterr().out == (golden / golden_name).read_text(encoding="utf-8")
 
 
 def test_oracle_check_rejects_cycles(graph_file, capsys):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from leavitt import (
     ENUMERATION_CUTOFF,
     Graph,
-    GradedIdeal,
     HereditarySaturatedSet,
     LatticeTooLargeError,
     enumerate_hs_sets,
@@ -74,6 +73,9 @@ def test_hs_closure(path_abc, loop_with_exit):
     assert hs_closure(path_abc, {"b"}).vertices == {"a", "b", "c"}
     assert hs_closure(path_abc, ()).vertices == frozenset()
     assert hs_closure(loop_with_exit, {"v"}).vertices == {"v"}
+    assert hs_closure(loop_with_exit, ()).vertices == frozenset()
+    # saturation pulls b (only out-neighbour c) and then a into the closure of {c}
+    assert hs_closure(path_abc, {"c"}).vertices == {"a", "b", "c"}
 
 
 def test_constructor_rejects_bad_sets(loop_with_exit, path_abc):
@@ -119,7 +121,7 @@ def test_enumeration_matches_subset_scan_and_regularity(g):
     flagged = lattice_with_regularity(g)
     assert [h.vertices for h in enumerate_hs_sets(g)] == naive_enumerate_hs_sets(g)
     assert [h.vertices for h, _ in flagged] == naive_enumerate_hs_sets(g)
-    assert [reg for _, reg in flagged] == [is_regular(GradedIdeal(h)) for h, _ in flagged]
+    assert [reg for _, reg in flagged] == [is_regular(h) for h, _ in flagged]
 
 
 def test_lattice_of_a_long_chain():

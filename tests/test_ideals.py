@@ -4,13 +4,12 @@ from leavitt import (
     CLASS_BOTH,
     CLASS_PERP_ZERO,
     CLASS_REGULAR,
-    GradedIdeal,
     Graph,
     analyze,
     bar_closure,
     double_perp,
     enumerate_hs_sets,
-    ideal_from_generators,
+    hs_closure,
     is_regular,
     maximal_graded_ideals,
     pc_bijection_check,
@@ -25,63 +24,56 @@ def isolated_pair():
     return Graph(("a", "b"), ())
 
 
-def test_ideal_from_generators(loop_with_exit, path_abc):
-    assert ideal_from_generators(loop_with_exit, {"v"}).vertices == {"v"}
-    assert ideal_from_generators(loop_with_exit, ()).vertices == frozenset()
-    # saturation pulls b (only out-neighbour c) and then a into the ideal of {c}
-    assert ideal_from_generators(path_abc, {"c"}).vertices == {"a", "b", "c"}
-
-
 def test_bar_closure(loop_with_exit):
-    j = ideal_from_generators(loop_with_exit, {"v"})
+    j = hs_closure(loop_with_exit, {"v"})
     assert bar_closure(j) == {"u", "v"}
-    assert bar_closure(ideal_from_generators(loop_with_exit, ())) == frozenset()
-    j2 = ideal_from_generators(isolated_pair(), {"a"})
+    assert bar_closure(hs_closure(loop_with_exit, ())) == frozenset()
+    j2 = hs_closure(isolated_pair(), {"a"})
     assert bar_closure(j2) == {"a"}
 
 
 def test_perp(loop_with_exit):
-    j = ideal_from_generators(loop_with_exit, {"v"})
+    j = hs_closure(loop_with_exit, {"v"})
     assert perp(j).vertices == frozenset()
-    zero = ideal_from_generators(loop_with_exit, ())
+    zero = hs_closure(loop_with_exit, ())
     assert perp(zero).vertices == {"u", "v"}
-    j2 = ideal_from_generators(isolated_pair(), {"a"})
+    j2 = hs_closure(isolated_pair(), {"a"})
     assert perp(j2).vertices == {"b"}
 
 
 def test_double_perp(loop_with_exit):
-    j = ideal_from_generators(loop_with_exit, {"v"})
+    j = hs_closure(loop_with_exit, {"v"})
     assert double_perp(j).vertices == {"u", "v"}
-    everything = ideal_from_generators(loop_with_exit, {"u", "v"})
+    everything = hs_closure(loop_with_exit, {"u", "v"})
     assert double_perp(everything).vertices == {"u", "v"}
-    j2 = ideal_from_generators(isolated_pair(), {"a"})
+    j2 = hs_closure(isolated_pair(), {"a"})
     assert double_perp(j2).vertices == {"a"}
 
 
 def test_is_regular(loop_with_exit):
-    assert not is_regular(ideal_from_generators(loop_with_exit, {"v"}))
-    assert is_regular(ideal_from_generators(loop_with_exit, ()))
-    assert is_regular(ideal_from_generators(isolated_pair(), {"a"}))
+    assert not is_regular(hs_closure(loop_with_exit, {"v"}))
+    assert is_regular(hs_closure(loop_with_exit, ()))
+    assert is_regular(hs_closure(isolated_pair(), {"a"}))
 
 
 def test_quotient_graph(loop_with_exit, path_abc):
-    j = ideal_from_generators(loop_with_exit, {"v"})
-    q = quotient_graph(loop_with_exit, j.h)
+    j = hs_closure(loop_with_exit, {"v"})
+    q = quotient_graph(loop_with_exit, j)
     assert q.vertices == ("u",)
     assert [e.name for e in q.edges] == ["f"]
     assert not q.condition_l()
 
-    zero = ideal_from_generators(loop_with_exit, ())
-    assert quotient_graph(loop_with_exit, zero.h) == loop_with_exit
+    zero = hs_closure(loop_with_exit, ())
+    assert quotient_graph(loop_with_exit, zero) == loop_with_exit
 
-    full = ideal_from_generators(path_abc, {"a", "b", "c"})
-    q2 = quotient_graph(path_abc, full.h)
+    full = hs_closure(path_abc, {"a", "b", "c"})
+    q2 = quotient_graph(path_abc, full)
     assert q2.vertices == () and q2.edges == ()
 
 
 def test_pc_bijection_check(loop_with_exit, path_abc):
-    j = ideal_from_generators(loop_with_exit, {"v"})
-    assert not pc_bijection_check(loop_with_exit, j.h)
+    j = hs_closure(loop_with_exit, {"v"})
+    assert not pc_bijection_check(loop_with_exit, j)
     for h in enumerate_hs_sets(path_abc):
         assert pc_bijection_check(path_abc, h)
 
@@ -146,14 +138,13 @@ def test_maximal_graded_ideals(loop_with_exit, edgeless_ab, single_loop):
 def test_galois_properties(g):
     everything = frozenset(g.vertices)
     for h in enumerate_hs_sets(g):
-        j = GradedIdeal(h)
-        bar = bar_closure(j)
-        p1 = perp(j)
-        dp = double_perp(j)
+        bar = bar_closure(h)
+        p1 = perp(h)
+        dp = double_perp(h)
         # complement identity for the annihilator
         assert p1.vertices == everything - bar
         # sandwich: H inside double perp inside the backward closure
-        assert j.vertices <= dp.vertices <= bar
+        assert h.vertices <= dp.vertices <= bar
         # the double perp is the set of vertices whose whole tree lies in bar
         assert dp.vertices == {w for w in g.vertices if g.tree(w) <= bar}
         # the annihilator is always regular, and triple perp equals perp
@@ -167,7 +158,7 @@ def test_perp_reverses_order(g):
     for a in sets:
         for b in sets:
             if a.vertices <= b.vertices:
-                assert perp(GradedIdeal(b)).vertices <= perp(GradedIdeal(a)).vertices
+                assert perp(b).vertices <= perp(a).vertices
 
 
 @given(graphs())
@@ -183,8 +174,7 @@ def test_regular_ideals_respect_quotient_laws(g):
     cond_l = g.condition_l()
     pc = g.exit_free_cycle_vertices()
     for h in enumerate_hs_sets(g):
-        j = GradedIdeal(h)
-        if not is_regular(j):
+        if not is_regular(h):
             continue
         quotient_l = quotient_graph(g, h).condition_l()
         assert pc_bijection_check(g, h)
@@ -197,12 +187,12 @@ def test_regular_ideals_respect_quotient_laws(g):
 def test_analyze_matches_the_separate_calls(case):
     g, generators = case
     report = analyze(g, generators)
-    j = ideal_from_generators(g, generators)
+    j = hs_closure(g, generators)
     assert report.perp_set == perp(j).vertices
     assert report.double_perp_set == double_perp(j).vertices
     assert report.is_regular == is_regular(j)
-    assert report.quotient_condition_l == quotient_graph(g, j.h).condition_l()
-    assert report.pc_bijection_holds == pc_bijection_check(g, j.h)
+    assert report.quotient_condition_l == quotient_graph(g, j).condition_l()
+    assert report.pc_bijection_holds == pc_bijection_check(g, j)
 
 
 @given(graphs())
