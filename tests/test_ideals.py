@@ -24,6 +24,13 @@ def isolated_pair():
     return Graph(("a", "b"), ())
 
 
+def test_ideal_from_generators(loop_with_exit, path_abc):
+    assert hs_closure(loop_with_exit, {"v"}).vertices == {"v"}
+    assert hs_closure(loop_with_exit, ()).vertices == frozenset()
+    # saturation pulls b (only out-neighbour c) and then a into the ideal of {c}
+    assert hs_closure(path_abc, {"c"}).vertices == {"a", "b", "c"}
+
+
 def test_bar_closure(loop_with_exit):
     j = hs_closure(loop_with_exit, {"v"})
     assert bar_closure(j) == {"u", "v"}
