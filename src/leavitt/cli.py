@@ -66,17 +66,36 @@ def cmd_lattice(args) -> int:
         print(_lattice_dot(graph, flagged), end="")
         return 0
     if args.json:
-        json.dump(
-            [{"vertices": list(h.sorted_vertices()), "is_regular": reg} for h, reg in flagged],
-            sys.stdout,
-            indent=2,
-        )
-        sys.stdout.write("\n")
+        _write_lattice_json(graph, flagged, sys.stdout)
         return 0
     print(f"{len(flagged)} hereditary saturated sets")
     for h, reg in flagged:
         print(f"{_format_set(h.vertices)} regular={'yes' if reg else 'no'}")
     return 0
+
+
+def _write_lattice_json(graph, flagged, out) -> None:
+    """Write ``json.dump(entries, out, indent=2)`` and a newline, one set at a time.
+
+    ``entries`` is ``[{"vertices": [...sorted names], "is_regular": flag}]``.
+    Each vertex name is encoded once, and each entry is written as soon as it
+    is formatted, so the whole document is never held in memory.
+    """
+    if not flagged:
+        out.write("[]\n")
+        return
+    quoted = {v: json.dumps(v) for v in graph.vertices}
+    opening = "[\n"
+    for h, reg in flagged:
+        names = h.sorted_vertices()
+        if names:
+            vertices = "[\n      " + ",\n      ".join([quoted[v] for v in names]) + "\n    ]"
+        else:
+            vertices = "[]"
+        flag = "true" if reg else "false"
+        out.write(f'{opening}  {{\n    "vertices": {vertices},\n    "is_regular": {flag}\n  }}')
+        opening = ",\n"
+    out.write("\n]\n")
 
 
 def _lattice_dot(graph, flagged) -> str:

@@ -10,7 +10,9 @@ lattice of graded ideals of the path algebra.
 The predicates and the closure are linear in the size of the graph.  Only
 the lattice pass works on bitmasks: it branches over strongly connected
 components, so its work grows with the number of sets it lists, and it reads
-each set's regularity off the same masks.
+each set's regularity off the same masks.  Per listed set it then does a
+fixed number of lookups, one per 8-bit chunk of its masks, and one checked
+construction of :class:`HereditarySaturatedSet`, which is O(V + E).
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .graphs import Graph
 # The lattice pass costs O(#components) per listed set, but a graph with n
 # vertices can have 2^n sets (no edges); past this many vertices it refuses.
 ENUMERATION_CUTOFF = 20
+# The tail of the lattice pass reads masks through lookup tables of this many
+# bits: at most three lookups per table and set below the cutoff.
+CHUNK_BITS = 8
 
 
 def is_hereditary(graph: Graph, subset: Iterable[str]) -> bool:
@@ -108,8 +113,11 @@ def lattice_with_regularity(graph: Graph) -> list[tuple[HereditarySaturatedSet, 
     The flag is the formula of :func:`leavitt.ideals.perp` on bitmasks:
     bar(H) is the OR of the backward reach masks of H's vertices, perp(H) is
     everything outside bar(H), and H is regular iff H == perp(perp(H)).
-    bar(H) grows with H during the branching; bar(perp(H)) costs
-    O(|perp(H)|) per set.
+    bar(H) grows with H during the branching.  bar(perp(H)) and H's member
+    names are read through two tables per 8-bit chunk of a mask (the OR of
+    the backward reach masks of the chunk's bits, and the chunk's names in
+    sorted order), so each costs at most three lookups below the cutoff.
+    Each listed set is still built through the checking constructor, O(V + E).
 
     Bit ``n - 1 - i`` stands for the i-th vertex in sorted order, so among
     sets of one size, larger masks come first in membership order.
@@ -148,14 +156,39 @@ def lattice_with_regularity(graph: Graph) -> list[tuple[HereditarySaturatedSet, 
         partial = grown
     everything = (1 << n) - 1
     partial.sort(key=lambda pair: (pair[0].bit_count(), -pair[0]))
+    # bit j stands for names[n - 1 - j]; a higher bit comes earlier in sorted order
+    chunks = list(zip(
+        range(0, n, CHUNK_BITS),
+        _chunk_tables([back[1 << j] for j in range(n)], int.__or__, 0),
+        _chunk_tables(names[::-1], lambda tail, name: (name, *tail), ()),
+    ))
+    chunk_mask = (1 << CHUNK_BITS) - 1
     out = []
     for h, h_bar in partial:
+        perp_h = everything & ~h_bar
         perp_bar = 0
-        for b in _bits(everything & ~h_bar):
-            perp_bar |= back[b]
-        members = frozenset(v for v in names if h & bit[v])
+        members = ()
+        for shift, bar_of, names_of in chunks:
+            perp_bar |= bar_of[perp_h >> shift & chunk_mask]
+            members = names_of[h >> shift & chunk_mask] + members
         out.append((HereditarySaturatedSet(graph, members), h == everything & ~perp_bar))
     return out
+
+
+def _chunk_tables(per_bit: list, join, empty) -> list[list]:
+    """Lookup tables over the chunks of a mask, lowest chunk first (Four Russians).
+
+    ``per_bit[j]`` is the value of bit j.  Entry c of the table of the chunk
+    that starts at bit s is the join of the values of the bits of ``c << s``:
+    each table doubles once per bit, so it has 2^min(bits, CHUNK_BITS) entries.
+    """
+    tables = []
+    for start in range(0, len(per_bit), CHUNK_BITS):
+        table = [empty]
+        for value in per_bit[start:start + CHUNK_BITS]:
+            table += [join(entry, value) for entry in table]
+        tables.append(table)
+    return tables
 
 
 def _bits(mask: int):
@@ -163,4 +196,3 @@ def _bits(mask: int):
         low = mask & -mask
         yield low
         mask ^= low
-

@@ -243,14 +243,13 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
             ideal = memo.of_vertices(h.vertices)
             perp1 = memo.perp(ideal)
             perp2 = memo.perp(perp1)
-            bar = ideals.bar_closure(h)
 
             got = memo.vertex_set(perp1)
             want = ideals.perp(h).vertices
             if got != want:
                 fail(ROW_PERP_VSET, f"oracle perp {sorted(got)} != calculus {sorted(want)}")
             got2 = memo.vertex_set(perp2)
-            want2 = frozenset(w for w in graph.vertices if graph.tree(w) <= bar)
+            want2 = ideals.double_perp(h).vertices
             if got2 != want2:
                 fail(
                     ROW_DPERP_VSET,

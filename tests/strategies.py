@@ -7,8 +7,8 @@ from leavitt.gfp import is_prime
 
 
 @st.composite
-def graphs(draw, max_vertices=5, max_edges=8, acyclic=False):
-    n = draw(st.integers(min_value=0, max_value=max_vertices))
+def graphs(draw, max_vertices=5, max_edges=8, acyclic=False, min_vertices=0):
+    n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
     vertices = tuple(f"v{i}" for i in range(n))
     if n == 0:
         return Graph((), ())

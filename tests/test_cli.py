@@ -4,9 +4,18 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from leavitt import DEFAULT_DIMENSION_CAP, Graph, dump_graph_json, enumerate_hs_sets, ideals, is_regular
+from leavitt import (
+    DEFAULT_DIMENSION_CAP,
+    Graph,
+    dump_graph_json,
+    enumerate_hs_sets,
+    ideals,
+    is_regular,
+    lattice_with_regularity,
+)
 from leavitt import cli
 from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
@@ -160,6 +169,46 @@ def test_lattice_dot_closure_count_is_bounded(tmp_path, monkeypatch):
     assert out.count("->") == 10 * 2**9
 
 
+# Names with a quote, a backslash, control characters and non-ASCII letters
+# (escaped as \uXXXX, a surrogate pair beyond the BMP), and the empty name.
+vertex_names = st.text(alphabet='ab"\\\t\x01é日\U0001d11e\u2028', max_size=3)
+
+
+@st.composite
+def graphs_with_named_vertices(draw):
+    g = draw(graphs(max_vertices=6, max_edges=8))
+    labels = draw(st.lists(vertex_names, min_size=len(g.vertices), max_size=len(g.vertices), unique=True))
+    rename = dict(zip(g.vertices, labels))
+    return Graph(tuple(labels), tuple((e.name, rename[e.src], rename[e.dst]) for e in g.edges))
+
+
+def lattice_json_by_json_dumps(g):
+    entries = [
+        {"vertices": list(h.sorted_vertices()), "is_regular": reg}
+        for h, reg in lattice_with_regularity(g)
+    ]
+    return json.dumps(entries, indent=2) + "\n"
+
+
+@settings(max_examples=50)
+@given(graphs_with_named_vertices())
+@example(Graph((), ()))
+@example(Graph(('"',), ()))
+@example(Graph(("\\",), (("l", "\\", "\\"),)))
+def test_lattice_json_is_byte_identical_to_json_dumps(tmp_path_factory, g):
+    path = write_graph(tmp_path_factory.getbasetemp(), g, "json_writer.json")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["lattice", "--graph", path, "--json"]) == 0
+    assert out.getvalue() == lattice_json_by_json_dumps(g)
+
+
+def test_lattice_json_writer_on_an_empty_listing():
+    out = io.StringIO()
+    cli._write_lattice_json(Graph((), ()), [], out)
+    assert out.getvalue() == json.dumps([], indent=2) + "\n"
+
+
 def test_lattice_empty_graph(tmp_path, capsys):
     path = write_graph(tmp_path, Graph((), ()))
     assert main(["lattice", "--graph", path]) == 0
@@ -290,8 +339,12 @@ def test_oracle_check_matches_its_golden_copy(capsys):
         assert capsys.readouterr().out == want
 
 
-# A loop with an exit (u) next to a sink fed by two parallel edges (w -> x):
-# the ideal of {v} is not regular and its annihilator {w, x} is not zero.
+# calculus-4v: a loop with an exit (u) next to a sink fed by two parallel
+# edges (w -> x): the ideal of {v} is not regular and its annihilator {w, x}
+# is not zero.  calculus-10v: four components, among them a loop with an exit
+# and a 2-cycle with an exit, and vertex names that JSON must escape (a quote,
+# a backslash, a tab, non-ASCII letters): 54 sets, 38 of them not regular.
+# Each golden copy is read against the graph its name starts with.
 @pytest.mark.parametrize(
     "argv, golden_name",
     [
@@ -301,12 +354,14 @@ def test_oracle_check_matches_its_golden_copy(capsys):
         (["quotient", "--generators", "v"], "calculus-4v-quotient.json"),
         (["lattice", "--json"], "calculus-4v-lattice.json"),
         (["lattice", "--dot"], "calculus-4v-lattice.dot"),
+        (["lattice", "--json"], "calculus-10v-lattice.json"),
     ],
 )
 def test_calculus_command_matches_its_golden_copy(argv, golden_name, capsys):
     golden = Path(__file__).parent / "golden"
+    graph_name = "-".join(golden_name.split("-")[:2]) + ".json"
     command, *flags = argv
-    assert main([command, "--graph", str(golden / "calculus-4v.json"), *flags]) == 0
+    assert main([command, "--graph", str(golden / graph_name), *flags]) == 0
     assert capsys.readouterr().out == (golden / golden_name).read_text(encoding="utf-8")
 
 

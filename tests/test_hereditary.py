@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -119,6 +121,28 @@ def test_enumeration_matches_subset_scan_and_regularity(g):
     assert [h.vertices for h in enumerate_hs_sets(g)] == naive_enumerate_hs_sets(g)
     assert [h.vertices for h, _ in flagged] == naive_enumerate_hs_sets(g)
     assert [reg for _, reg in flagged] == [is_regular(h) for h, _ in flagged]
+
+
+# 9 to 12 vertices: the lattice pass reads its masks in 8-bit chunks, so
+# these graphs cross a chunk boundary, which the case above never does.
+@settings(max_examples=40)
+@given(graphs(min_vertices=9, max_vertices=12, max_edges=16))
+def test_enumeration_across_a_chunk_boundary(g):
+    flagged = lattice_with_regularity(g)
+    assert [h.vertices for h, _ in flagged] == naive_enumerate_hs_sets(g)
+    assert [reg for _, reg in flagged] == [is_regular(h) for h, _ in flagged]
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_lattice_of_a_wide_edgeless_graph(n):
+    # every subset is hereditary saturated and regular (its own double
+    # annihilator); sorted by size, then by names, two and three chunks deep
+    names = tuple(f"v{i:02d}" for i in range(n))
+    flagged = lattice_with_regularity(Graph(names, ()))
+    expected = [s for k in range(n + 1) for s in itertools.combinations(names, k)]
+    assert len(expected) == 2**n
+    assert [h.sorted_vertices() for h, _ in flagged] == expected
+    assert all(reg for _, reg in flagged)
 
 
 def test_lattice_of_a_long_chain():
