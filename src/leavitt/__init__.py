@@ -21,8 +21,6 @@ from .hereditary import (
     HereditarySaturatedSet,
     enumerate_hs_sets,
     hs_closure,
-    is_hereditary,
-    is_saturated,
     lattice_with_regularity,
 )
 from .ideals import (
@@ -98,9 +96,7 @@ __all__ = [
     "hs_closure",
     "ideal_generated_by",
     "is_graded_subspace",
-    "is_hereditary",
     "is_regular",
-    "is_saturated",
     "lattice_with_regularity",
     "laurent_perp_is_zero",
     "load_graph",

@@ -1,4 +1,4 @@
-"""Hereditary and saturated vertex sets: predicates, closure, lattice enumeration.
+"""Hereditary saturated vertex sets: the checked set, closure, lattice enumeration.
 
 A vertex set is *hereditary* when every edge leaving one of its vertices
 lands back inside it, and *saturated* when every emitter outside it has an
@@ -7,12 +7,14 @@ sinks are never forced).  The sets that satisfy both form a lattice
 (meet = intersection, join = closure of the union) which is exactly the
 lattice of graded ideals of the path algebra.
 
-The predicates and the closure are linear in the size of the graph.  Only
-the lattice pass works on bitmasks: it branches over strongly connected
-components, so its work grows with the number of sets it lists, and it reads
-each set's regularity off the same masks.  Per listed set it then does a
-fixed number of lookups, one per 8-bit chunk of its masks, and one checked
-construction of :class:`HereditarySaturatedSet`, which is O(V + E).
+Both halves are one rule about emitters: an emitter is in the set exactly
+when all of its edges land inside.  :class:`HereditarySaturatedSet` checks
+that rule in one pass over the emitters, and the closure is linear in the
+size of the graph too.  Only the lattice pass works on bitmasks: it branches
+over strongly connected components, so its work grows with the number of
+sets it lists, and it reads each set's regularity off the same masks.  Per
+listed set it then does a fixed number of lookups, one per 8-bit chunk of
+its masks, and one checked construction, which is O(V + E).
 """
 
 from __future__ import annotations
@@ -31,35 +33,29 @@ ENUMERATION_CUTOFF = 20
 CHUNK_BITS = 8
 
 
-def is_hereditary(graph: Graph, subset: Iterable[str]) -> bool:
-    """True iff every edge leaving a member of the set lands back inside it."""
-    members = graph.vertex_subset(subset)
-    return all(e.dst in members for v in members for e in graph._out[v])
-
-
-def is_saturated(graph: Graph, subset: Iterable[str]) -> bool:
-    """True iff every emitter outside the set has an edge that leaves the set."""
-    members = graph.vertex_subset(subset)
-    return all(
-        any(e.dst not in members for e in es)
-        for v, es in graph._out.items()
-        if es and v not in members
-    )
-
-
 @dataclass(frozen=True)
 class HereditarySaturatedSet:
-    """A vertex set that passes both predicates; checked at construction."""
+    """A hereditary saturated vertex set, checked at construction in one pass.
+
+    H qualifies iff each emitter is in H exactly when all of its edges land
+    in H ("only if" is hereditary, "if" is saturated; sinks are free).  A
+    rejection names the first vertex in graph order that breaks this rule,
+    and the half that it breaks.
+    """
 
     graph: Graph
     vertices: frozenset[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        if not is_hereditary(self.graph, self.vertices):
-            raise ValueError(f"{sorted(self.vertices)} is not hereditary")
-        if not is_saturated(self.graph, self.vertices):
-            raise ValueError(f"{sorted(self.vertices)} is not saturated")
+        members = self.graph.vertex_subset(self.vertices)
+        object.__setattr__(self, "vertices", members)
+        for v, es in self.graph._out.items():
+            if es and (v in members) != all(e.dst in members for e in es):
+                if v in members:
+                    why = f"not hereditary: an edge of {v!r} leaves it"
+                else:
+                    why = f"not saturated: every edge of {v!r} lands in it"
+                raise ValueError(f"{sorted(members)} is {why}")
 
     def sorted_vertices(self) -> tuple[str, ...]:
         return tuple(sorted(self.vertices))
@@ -103,7 +99,7 @@ def lattice_with_regularity(graph: Graph) -> list[tuple[HereditarySaturatedSet, 
 
     The pass branches over strongly connected components, successors first.
     A hereditary set holds each component wholly or not at all, and both
-    predicates only look along out-edges.  So once every component that a
+    halves only look along out-edges.  So once every component that a
     component C reaches is decided, C's choice is local: out if an edge of C
     leaves to a vertex outside the set (hereditary), in if C is one vertex
     without a loop whose edges all land inside (saturated), and either way

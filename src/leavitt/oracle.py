@@ -11,8 +11,9 @@ with the integer grading ``deg e[v; g, l] = len(g) - len(l)``.  Vertices,
 edges and ghost edges of the graph all have explicit images on this basis,
 and the defining relations of the algebra are audited at construction.
 That makes the module a brute-force referee for the vertex-set calculus:
-ideals, annihilators and gradedness are computed by genuine row reduction
-over GF(p) with no graph-theoretic shortcuts.
+ideals and annihilators are computed by genuine row reduction over GF(p)
+with no graph-theoretic shortcuts, and gradedness is read off the RREF basis
+(a subspace is graded iff every basis row is homogeneous).
 
 Costs are polynomial in the algebra dimension but the dimension itself is
 exponential-ish in graph size; intended inputs are desk-scale graphs,
@@ -66,10 +67,6 @@ from .gfp import (
 from .graphs import Graph
 
 DEFAULT_DIMENSION_CAP = 2000
-
-# cap on the entries of the degree components stacked per membership call
-# of is_graded_subspace (memory guard)
-_BATCH_ENTRIES = 1 << 20
 
 
 class OracleAlgebra:
@@ -330,10 +327,6 @@ class Subspace:
     def is_everything(self) -> bool:
         return self.dim == self.algebra.dimension
 
-    def contains(self, vectors) -> bool:
-        vectors = as_matrix([vectors] if np.ndim(vectors) == 1 else vectors, self.algebra.dimension)
-        return not residual(vectors, self.basis, self.pivots, self.algebra.p).any()
-
     def signature(self) -> bytes:
         return self.basis.shape[0].to_bytes(4, "big") + self.basis.tobytes()
 
@@ -480,20 +473,15 @@ def vertex_set_of(algebra: OracleAlgebra, subspace: Subspace) -> frozenset[str]:
 
 
 def is_graded_subspace(algebra: OracleAlgebra, subspace: Subspace) -> bool:
-    """True iff each homogeneous component of each basis element stays inside.
+    """True iff every row of the RREF basis is homogeneous: no solve needed.
 
-    The components of the basis rows in every degree of the algebra are
-    stacked and tested with one membership call per batch of at most
-    ``_BATCH_ENTRIES`` entries; the algebras of `verify` take one batch.
+    A row is homogeneous iff its nonzero entries all have the degree of its
+    pivot column.  If S is the sum of its components S_d, these sit on
+    disjoint columns, so the union of their RREF bases is in RREF and, by
+    uniqueness, is the RREF basis of S; and homogeneous rows always span a
+    graded space.  Rows that pass span a graded space whether or not they
+    are reduced, so a basis that is not fully reduced can only give a false
+    "not graded", never a false "graded".
     """
-    degrees = algebra.degrees
-    levels = np.unique(degrees)
-    step = max(1, _BATCH_ENTRIES // max(1, levels.size * algebra.dimension))
-    for start in range(0, subspace.dim, step):
-        block = subspace.basis[start : start + step]
-        components = np.where(degrees == levels[:, None, None], block, 0).reshape(
-            -1, algebra.dimension
-        )
-        if not subspace.contains(components[components.any(axis=1)]):
-            return False
-    return True
+    pivot_degrees = algebra.degrees[list(subspace.pivots)]
+    return not ((subspace.basis != 0) & (algebra.degrees != pivot_degrees[:, None])).any()

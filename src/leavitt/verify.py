@@ -27,6 +27,7 @@ from .hereditary import ENUMERATION_CUTOFF, HereditarySaturatedSet, enumerate_hs
 from .laurent import LaurentElement, laurent_perp_is_zero
 from .oracle import (
     IdealMemo,
+    Subspace,
     build_oracle,
     ideal_generated_by,
     is_graded_subspace,
@@ -294,17 +295,28 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
 
 
 def random_ideal_check(algebra, rng: Random):
-    """One gradedness trial for the annihilator of a randomly generated ideal."""
+    """One gradedness trial for the annihilator of a randomly generated ideal.
+
+    A negative control rides along and draws nothing from ``rng``: the sum
+    of a lowest- and a highest-degree unit must span a line that is not
+    graded (skipped when the algebra has one degree only).
+    """
     gens = [_random_element(algebra, rng) for _ in range(rng.randint(1, 2))]
     ideal = ideal_generated_by(algebra, gens)
     perp1 = perp_subspace(algebra, ideal)
     if not is_graded_subspace(algebra, perp1):
         return "annihilator of a random ideal is not graded"
+    degrees = algebra.degrees
+    if degrees.size and degrees.min() < degrees.max():
+        mixed = algebra.zero()
+        mixed[[degrees.argmin(), degrees.argmax()]] = 1
+        if is_graded_subspace(algebra, Subspace(algebra, [mixed])):
+            return "a sum of units of two degrees spans a graded line"
     hset = vertex_set_of(algebra, ideal)
     try:
         HereditarySaturatedSet(algebra.graph, hset)
-    except ValueError:
-        return f"vertex set {sorted(hset)} of a random ideal is not hereditary saturated"
+    except ValueError as exc:
+        return f"vertex set {sorted(hset)} of a random ideal is not hereditary saturated: {exc}"
     return None
 
 

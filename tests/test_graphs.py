@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from leavitt import Cycle, Edge, Graph, UnknownVertexError, is_hereditary
+from leavitt import Cycle, Edge, Graph, UnknownVertexError
 
 from .strategies import graphs, ring
 
@@ -160,7 +160,8 @@ def test_backward_reach_superset_and_idempotent(g):
 def test_backward_reach_complement_is_hereditary(g):
     for v in g.vertices:
         complement = frozenset(g.vertices) - g.backward_reach({v})
-        assert is_hereditary(g, complement)
+        # hereditary by definition: every edge from a member lands inside
+        assert all(e.dst in complement for e in g.edges if e.src in complement)
 
 
 @given(graphs())

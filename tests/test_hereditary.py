@@ -10,9 +10,7 @@ from leavitt import (
     LatticeTooLargeError,
     enumerate_hs_sets,
     hs_closure,
-    is_hereditary,
     is_regular,
-    is_saturated,
     lattice_with_regularity,
 )
 
@@ -50,25 +48,93 @@ def naive_enumerate_hs_sets(g):
     return sorted(hits, key=lambda h: (len(h), sorted(h)))
 
 
+def hereditary_by_definition(g, subset):
+    """Referee: every edge from a member lands inside."""
+    return all(e.dst in subset for e in g.edges if e.src in subset)
+
+
+def saturated_by_definition(g, subset):
+    """Referee: every emitter whose edges all land inside is a member."""
+    return all(
+        v in subset
+        for v in g.vertices
+        if g.out_edges(v) and all(e.dst in subset for e in g.out_edges(v))
+    )
+
+
+def rejection(g, subset):
+    """The constructor's error message for the set, or None if it accepts it."""
+    try:
+        HereditarySaturatedSet(g, frozenset(subset))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_is_hereditary(loop_with_exit):
-    assert is_hereditary(loop_with_exit, {"v"})
-    assert not is_hereditary(loop_with_exit, {"u"})
-    assert is_hereditary(loop_with_exit, ())
-    assert is_hereditary(loop_with_exit, {"u", "v"})
+    assert hereditary_by_definition(loop_with_exit, {"v"})
+    assert not hereditary_by_definition(loop_with_exit, {"u"})
+    assert hereditary_by_definition(loop_with_exit, set())
+    assert hereditary_by_definition(loop_with_exit, {"u", "v"})
+    # {u} is saturated, so the constructor refuses it for its hereditary half
+    assert rejection(loop_with_exit, {"u"}) == "['u'] is not hereditary: an edge of 'u' leaves it"
+    for accepted in ({"v"}, set(), {"u", "v"}):
+        assert rejection(loop_with_exit, accepted) is None
 
 
 def test_is_saturated(loop_with_exit, path_abc):
-    assert is_saturated(loop_with_exit, {"v"})
+    assert saturated_by_definition(loop_with_exit, {"v"})
     # b is forced in by c, and then a by b
-    assert not is_saturated(path_abc, {"b", "c"})
-    assert is_saturated(path_abc, {"a", "b", "c"})
-    assert is_saturated(path_abc, ())
+    assert not saturated_by_definition(path_abc, {"b", "c"})
+    assert saturated_by_definition(path_abc, {"a", "b", "c"})
+    assert saturated_by_definition(path_abc, set())
+    # {b, c} is hereditary, so the constructor refuses it for its saturated half
+    assert rejection(path_abc, {"b", "c"}) == (
+        "['b', 'c'] is not saturated: every edge of 'a' lands in it"
+    )
+    assert rejection(loop_with_exit, {"v"}) is None
+    assert rejection(path_abc, {"a", "b", "c"}) is None
+    assert rejection(path_abc, set()) is None
 
 
 def test_sinks_are_never_forced():
     g = Graph(("a", "b"), (("e", "a", "b"),))
     # b is a sink, so {} stays saturated even though b has no out-neighbours
-    assert is_saturated(g, ())
+    assert saturated_by_definition(g, set())
+    assert rejection(g, set()) is None
+
+
+def test_constructor_names_the_first_vertex_that_breaks_the_rule():
+    # {a, d} fails both halves: a's edge leaves it, and c's only edge lands in it
+    g = Graph(("a", "b", "c", "d"), (("e", "a", "b"), ("f", "c", "d")))
+    assert not hereditary_by_definition(g, {"a", "d"})
+    assert not saturated_by_definition(g, {"a", "d"})
+    assert rejection(g, {"a", "d"}) == "['a', 'd'] is not hereditary: an edge of 'a' leaves it"
+    # with c listed first, the saturated half is the one met first
+    reordered = Graph(("c", "d", "a", "b"), g.edges)
+    assert rejection(reordered, {"a", "d"}) == (
+        "['a', 'd'] is not saturated: every edge of 'c' lands in it"
+    )
+
+
+# Loops and parallel edges included; every subset of every graph is tried.
+@settings(max_examples=200)
+@given(graphs(max_vertices=6, max_edges=10))
+def test_constructor_accepts_exactly_the_sets_both_definitions_accept(g):
+    order = sorted(g.vertices)
+    for mask in range(1 << len(order)):
+        subset = frozenset(v for i, v in enumerate(order) if mask >> i & 1)
+        failing = set()
+        if not hereditary_by_definition(g, subset):
+            failing.add("hereditary")
+        if not saturated_by_definition(g, subset):
+            failing.add("saturated")
+        message = rejection(g, subset)
+        if not failing:
+            assert message is None
+        else:
+            named = {half for half in ("hereditary", "saturated") if f"not {half}:" in message}
+            assert len(named) == 1 and named <= failing, (message, failing)
 
 
 def test_hs_closure(path_abc, loop_with_exit):
@@ -253,8 +319,9 @@ def test_intersections_stay_hereditary_saturated(g):
     for a in sets:
         for b in sets:
             meet = a.vertices & b.vertices
-            assert is_hereditary(g, meet)
-            assert is_saturated(g, meet)
+            assert hereditary_by_definition(g, meet)
+            assert saturated_by_definition(g, meet)
+            assert HereditarySaturatedSet(g, meet).vertices == meet
 
 
 # Loops and parallel edges included: a closure that counted distinct

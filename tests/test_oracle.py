@@ -47,6 +47,7 @@ def test_empty_graph_oracle():
     zero = ideal_generated_by(algebra, [])
     assert zero.dim == 0
     assert perp_subspace(algebra, zero).dim == 0
+    assert is_graded_subspace(algebra, zero)
 
 
 def test_build_rejects_cycles(single_loop):
@@ -181,7 +182,7 @@ def test_summed_subset_ideals_match_generation(p):
 
 
 def _spans(subspace, vector):
-    """Membership by rank, one vector at a time: the batched calls' referee."""
+    """Membership by rank, one vector at a time: the referee of the one-call tests."""
     stacked = np.vstack([subspace.basis, vector])
     return len(rref(stacked, subspace.algebra.p)[1]) == subspace.dim
 
@@ -198,12 +199,23 @@ def _referee_is_graded(algebra, subspace):
     return True
 
 
-@pytest.mark.parametrize("batch_entries", [None, 40])
+def _random_spans(algebra, rng, count):
+    """Spans of 1-3 vectors, each 1-3 matrix units with random nonzero coefficients."""
+    for _ in range(count):
+        vectors = []
+        for _ in range(rng.randint(1, 3)):
+            vec = algebra.zero()
+            units = rng.sample(range(algebra.dimension), min(algebra.dimension, rng.randint(1, 3)))
+            for i in units:
+                vec[i] = rng.randrange(1, algebra.p)
+            vectors.append(vec)
+        yield Subspace(algebra, vectors)
+
+
 @pytest.mark.parametrize("p", [2, 3])
-def test_batched_membership_matches_the_per_vector_referee(p, batch_entries, monkeypatch):
-    if batch_entries is not None:  # many small batches instead of one
-        monkeypatch.setattr("leavitt.oracle._BATCH_ENTRIES", batch_entries)
-    ungraded = 0
+def test_rref_gradedness_and_vertex_sets_match_the_per_vector_referee(p):
+    rng = Random(p)
+    graded = ungraded = 0
     for graph in exhaustive_acyclic_graphs(3, 4):
         algebra = build_oracle(graph, p)
         memo = IdealMemo(algebra)
@@ -221,14 +233,16 @@ def test_batched_membership_matches_the_per_vector_referee(p, batch_entries, mon
             subspaces += [Subspace(algebra, [mixed]), Subspace(algebra, [first_unit, mixed])]
         for sign in (-1, 1):
             subspaces.append(Subspace(algebra, [np.sign(algebra.degrees) == sign]))
+        subspaces += _random_spans(algebra, rng, 8)
         for subspace in subspaces:
             assert vertex_set_of(algebra, subspace) == _referee_vertex_set(algebra, subspace)
-            graded = is_graded_subspace(algebra, subspace)
-            assert graded == _referee_is_graded(algebra, subspace)
-            ungraded += not graded
+            verdict = is_graded_subspace(algebra, subspace)
+            assert verdict == _referee_is_graded(algebra, subspace)
+            graded += verdict
+            ungraded += not verdict
             if isinstance(subspace, IdealSubspace):
                 assert memo.vertex_set(subspace) == vertex_set_of(algebra, subspace)
-    assert ungraded > 0
+    assert graded > 0 and ungraded > 0
 
 
 def test_memo_interns_equal_ideals():

@@ -8,6 +8,7 @@ from leavitt.gfp import max_exact_prime
 from leavitt.verify import (
     ALL_ROWS,
     ROW_MAXIMAL,
+    ROW_PERP_GRADED,
     ROW_PERP_VSET,
     VerifyConfig,
     calculus_checks_for_graph,
@@ -195,6 +196,18 @@ def test_injected_mutant_fails_perp_row(monkeypatch):
     assert len(row.counterexample["vertices"]) == 3
     assert len(row.counterexample["edges"]) == 2
     assert not matrix.passed
+
+
+def test_always_graded_mutant_fails_the_perp_graded_row(monkeypatch):
+    # every annihilator is graded, so only the negative control of each
+    # random-ideal trial can see a gradedness test that always says yes
+    monkeypatch.setattr("leavitt.verify.is_graded_subspace", lambda algebra, subspace: True)
+    cfg = VerifyConfig(max_vertices=3, max_edges=3, trials=5)
+    (row,) = run_verification(cfg, rows=[ROW_PERP_GRADED]).rows
+    assert row.failures > 0
+    assert "spans a graded line" in row.detail
+    # one edge is the smallest graph with two degrees
+    assert len(row.counterexample["edges"]) == 1
 
 
 def test_mutant_matrix_is_still_deterministic(monkeypatch):
