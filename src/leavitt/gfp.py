@@ -174,6 +174,31 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return prod % p
 
 
+def rref_pivots(matrix: np.ndarray) -> tuple[int, ...]:
+    """Pivot columns of a matrix that is already in RREF; ``ValueError`` if it is not.
+
+    RREF here means: every row has a leading entry 1, the leading columns
+    strictly increase, and each leading column is zero off its own row.
+    A matrix with no rows is in RREF, whatever its width.
+    """
+    a = np.asarray(matrix)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got {a.ndim} dimensions")
+    if a.shape[0] == 0:
+        return ()
+    nonzero = a != 0
+    if not nonzero.any(axis=1).all():
+        raise ValueError("not in RREF: a zero row")
+    lead = nonzero.argmax(axis=1)
+    if (a[np.arange(a.shape[0]), lead] != 1).any():
+        raise ValueError("not in RREF: a leading entry other than 1")
+    if (np.diff(lead) <= 0).any():
+        raise ValueError("not in RREF: leading columns do not strictly increase")
+    if (nonzero[:, lead].sum(axis=0) != 1).any():
+        raise ValueError("not in RREF: a pivot column with a second nonzero")
+    return tuple(lead.tolist())
+
+
 def residual(vectors, basis: np.ndarray, pivots: tuple[int, ...], p: int) -> np.ndarray:
     """Reduce vectors against an RREF basis; zero rows mean membership.
 

@@ -22,22 +22,27 @@ bounds the prime by the cap (see :func:`leavitt.gfp.max_exact_prime`).
 
 An element is read through one view, its blocks: the n x n matrix of
 each sink, for one element or a stack of rows (``OracleAlgebra._blocks``).
-A product is one block product per sink.  Products by matrix units drive
-everything: ideal generation, the closure audit and the annihilator
-constraints.  A unit product copies one row or one column of a block, so
-the products of any number of elements by every unit on block b are
-spanned by the rows of kron(I, R_b) and kron(C_b, I), where R_b and C_b
-are bases of the spans of their block rows and block columns: at most
-2 * dim rows (``OracleAlgebra._unit_products``).
+A product is one block product per sink where the left factor is nonzero.
+Products by matrix units drive everything: ideal generation, the closure
+audit and the annihilator constraints.  A unit product copies one row or
+one column of a block, so the products of any number of elements by every
+unit on block b are spanned by the rows of kron(I, R_b) and kron(C_b, I),
+where R_b and C_b are RREF bases of the spans of their block rows and
+block columns: at most 2 * dim rows (``OracleAlgebra._unit_products``).
+Both halves are themselves in RREF and are yielded as two batches.
 
 Every RREF basis here grows by :func:`leavitt.gfp.reduce_rowspace`, which
-extends a basis by new rows.  Ideals of vertex subsets are built once each
-by :class:`IdealMemo`: the ideal generated by a set is the sum of the
+extends a basis by new rows.  :func:`ideal_generated_by` and
+:func:`perp_subspace` start each reduction from the first half, whose
+RREF form :func:`leavitt.gfp.rref_pivots` checks rather than trusts, and
+reduce only the rest into it.  Ideals of vertex subsets are built once
+each by :class:`IdealMemo`: the ideal generated by a set is the sum of the
 ideals generated by its elements (ring theory, not the vertex calculus
 under test), so the basis of the ideal of X is that of X minus its last
-vertex, extended by the basis of that vertex's ideal.  Bases are interned
-by their RREF bytes, and annihilators and vertex sets are memoized by the
-RREF bytes of their argument.
+vertex, extended by the basis of that vertex's ideal; that sum is reduced
+once per pair of interned ideals.  Bases are interned by their RREF bytes
+(built once per object), and annihilators and vertex sets are memoized by
+the RREF bytes of their argument.
 
 The public :class:`IdealSubspace` constructor audits closure under
 multiplication by every matrix unit.  Ideals from :func:`ideal_generated_by`
@@ -63,6 +68,7 @@ from .gfp import (
     reduce_rowspace,
     residual,
     rref,
+    rref_pivots,
 )
 from .graphs import Graph
 
@@ -93,7 +99,7 @@ class OracleAlgebra:
         self.labels = [(v, g, l) for v in self.sinks for g, _ in paths[v] for l, _ in paths[v]]
         self.degrees = np.array([len(g) - len(l) for _v, g, l in self.labels], dtype=np.int64)
 
-        self._vertex_images = {v: self._build_vertex_image(v) for v in graph.vertices}
+        self._vertex_images = self._build_vertex_images()
         self._edge_images: dict[str, np.ndarray] = {}
         self._ghost_images: dict[str, np.ndarray] = {}
         for e in graph.edges:
@@ -124,38 +130,41 @@ class OracleAlgebra:
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The product x*y, block by block; y may be a stack of rows, each multiplied by x.
 
-        Blocks where x is zero are left zero without a product.
+        Only the blocks where x is nonzero are read: the rest stay zero.
         """
         out = np.zeros(y.shape, dtype=np.int64)
-        for xb, yb, ob in zip(self._blocks(x), self._blocks(y), self._blocks(out)):
-            if xb.any():
-                ob[...] = matmul_mod(xb, yb, self.p)
+        support = np.searchsorted(self._offsets, np.flatnonzero(x), side="right") - 1
+        for b in sorted(set(support.tolist())):
+            self._block(out, b)[...] = matmul_mod(self._block(x, b), self._block(y, b), self.p)
         return out
 
+    def _block(self, x: np.ndarray, b: int) -> np.ndarray:
+        """The n_b x n_b view of block b of x, for one element or a stack of rows."""
+        off, n = self._offsets[b], self._block_sizes[b]
+        return x[..., off : off + n * n].reshape(*x.shape[:-1], n, n)
+
     def _blocks(self, x: np.ndarray) -> list[np.ndarray]:
-        """The n_b x n_b view of each sink's block of x, for one element or a stack of rows."""
-        return [
-            x[..., off : off + n * n].reshape(*x.shape[:-1], n, n)
-            for off, n in zip(self._offsets, self._block_sizes)
-        ]
+        """The view of every sink's block of x, in sink order."""
+        return [self._block(x, b) for b in range(len(self.sinks))]
 
     def product_rows(self, rows: np.ndarray):
-        """Yield one matrix whose rows span every product unit * row and row * unit.
+        """Yield two RREF matrices whose rows together span every unit * row and row * unit.
 
-        It has at most 2 * dim rows, whatever the number of input rows.
+        The left products' span comes first, then the right products'; each
+        has at most dim rows, whatever the number of input rows.
         """
-        yield self._unit_products(rows, transpose=False)
+        yield from self._unit_products(rows, transpose=False)
 
     def annihilator_constraints(self, rows: np.ndarray):
-        """Yield one matrix of constraint rows for {a : a*x = x*a = 0 for x in rows}.
+        """Yield two RREF matrices of constraint rows for {a : a*x = x*a = 0 for x in rows}.
 
         For each x the equations (a*x)_k = 0 and (x*a)_k = 0 are linear in
-        the coordinates of a; the rows of the yielded matrix span them, and
-        there are at most 2 * dim of them.
+        the coordinates of a; the rows of the two yielded matrices together
+        span them, and each has at most dim rows.
         """
-        yield self._unit_products(rows, transpose=True)
+        yield from self._unit_products(rows, transpose=True)
 
-    def _unit_products(self, rows: np.ndarray, transpose: bool) -> np.ndarray:
+    def _unit_products(self, rows: np.ndarray, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
         """Rows spanning the products of the rows by every matrix unit.
 
         Read each row x as its blocks x[b].  A left product unit * x copies
@@ -169,11 +178,17 @@ class OracleAlgebra:
         the two spans trade places: rows in C_b and columns in R_b.
 
         With R_b and C_b as RREF bases, those spans are the rows of
-        kron(I, R_b) and kron(C_b, I) on block b, left products first: at
-        most sum(n_b * n_b) = dim rows per side.
+        kron(I, R_b) and kron(C_b, I) on block b: at most
+        sum(n_b * n_b) = dim rows per side.  Each side is returned in RREF:
+        row (i, j) of kron(I, R_b) has its leading 1 at column i * n + (pivot
+        j of R_b), and row (k, i) of kron(C_b, I) at (pivot k of C_b) * n + i,
+        both increasing in row order; no other row of the side is nonzero
+        there, because R_b and C_b are RREF; and the blocks come in column
+        order.
         """
         dim, p = self.dimension, self.p
-        left, right = [np.zeros((0, dim), dtype=np.int64)], []
+        empty = np.zeros((0, dim), dtype=np.int64)
+        left, right = [empty], [empty]
         for off, x in zip(self._offsets, self._blocks(rows)):
             if not x.any():
                 continue
@@ -191,17 +206,17 @@ class OracleAlgebra:
                 placed = np.zeros((kron.shape[0] * kron.shape[1], dim), dtype=np.int64)
                 placed[:, off : off + n * n] = kron.reshape(placed.shape[0], n * n)
                 side.append(placed)
-        return np.vstack(left + right)
+        return np.vstack(left), np.vstack(right)
 
     # -- construction internals ------------------------------------------------
 
-    def _build_vertex_image(self, vertex: str) -> np.ndarray:
-        out = self.zero()
-        for block, v in zip(self._blocks(out), self.sinks):
+    def _build_vertex_images(self) -> dict[str, np.ndarray]:
+        """The image of each vertex: the diagonal unit of every path that starts there."""
+        images = {v: self.zero() for v in self.graph.vertices}
+        for b, v in enumerate(self.sinks):
             for i, (_names, src) in enumerate(self._paths[v]):
-                if src == vertex:
-                    block[i, i] = 1
-        return out
+                self._block(images[src], b)[i, i] = 1
+        return images
 
     def _build_edge_images(self, edge) -> tuple[np.ndarray, np.ndarray]:
         """Images of the edge and of its ghost; the ghost's units are the edge's, transposed."""
@@ -312,7 +327,13 @@ def build_oracle(graph: Graph, p: int, dimension_cap: int = DEFAULT_DIMENSION_CA
 
 
 class Subspace:
-    """Row space over GF(p), stored in canonical reduced echelon form."""
+    """Row space over GF(p), stored in canonical reduced echelon form.
+
+    The basis is not changed after construction, so the signature is built
+    once, on first use.
+    """
+
+    _signature: bytes | None = None
 
     def __init__(self, algebra: OracleAlgebra, vectors):
         self.algebra = algebra
@@ -328,7 +349,9 @@ class Subspace:
         return self.dim == self.algebra.dimension
 
     def signature(self) -> bytes:
-        return self.basis.shape[0].to_bytes(4, "big") + self.basis.tobytes()
+        if self._signature is None:
+            self._signature = self.basis.shape[0].to_bytes(4, "big") + self.basis.tobytes()
+        return self._signature
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -351,9 +374,9 @@ class IdealSubspace(Subspace):
         """Check closure under multiplication by every matrix unit on both sides."""
         if self.is_everything:
             return  # the full space is trivially closed
-        (prods,) = self.algebra.product_rows(self.basis)
-        if residual(prods, self.basis, self.pivots, self.algebra.p).any():
-            raise ValueError("subspace is not closed under two-sided multiplication")
+        for prods in self.algebra.product_rows(self.basis):
+            if residual(prods, self.basis, self.pivots, self.algebra.p).any():
+                raise ValueError("subspace is not closed under two-sided multiplication")
 
     @classmethod
     def _from_rref(cls, algebra: OracleAlgebra, basis: np.ndarray, pivots: tuple[int, ...]):
@@ -372,19 +395,22 @@ class IdealSubspace(Subspace):
 def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
     """Least two-sided ideal containing the generators.
 
-    Iterated row reduction to a fixed point: each round extends the basis
-    by rows spanning the products of the round-start basis with every
-    matrix unit on both sides.  A round that adds no rank ends the search,
-    and so does full rank, since the whole algebra is an ideal.  That last
-    round is a closure audit, so the result is not audited again.
+    Iterated row reduction to a fixed point: each round takes the span of
+    the round-start basis and of its products with every matrix unit on
+    both sides.  The left products come in RREF, so a round starts from
+    them as its basis (checked, not trusted) and reduces only the
+    round-start basis and the right products into it.  A round that adds
+    no rank ends the search, and so does full rank, since the whole algebra
+    is an ideal.  That last round is a closure audit, so the result is not
+    audited again.
     """
     dim, p = algebra.dimension, algebra.p
     basis, pivots = reduce_rowspace(as_matrix(generators, dim), p)
     start_rank = -1
     while start_rank < len(pivots) < dim:
         start_rank = len(pivots)
-        (prods,) = algebra.product_rows(basis)
-        basis, pivots = reduce_rowspace(prods, p, basis, pivots)
+        left, right = algebra.product_rows(basis)
+        basis, pivots = reduce_rowspace(np.vstack([basis, right]), p, left, rref_pivots(left))
     return IdealSubspace._from_rref(algebra, basis, pivots)
 
 
@@ -393,14 +419,16 @@ class IdealMemo:
 
     Holds one object per distinct ideal (interned by its RREF bytes), the
     ideal of every subset asked for and of its prefixes in graph vertex
-    order, and the annihilator and vertex set of every ideal asked for.
-    Create one per pass over an algebra and let it go with the pass.
+    order, the sum of every pair of interned ideals it has added, and the
+    annihilator and vertex set of every ideal asked for.  Create one per
+    pass over an algebra and let it go with the pass.
     """
 
     def __init__(self, algebra: OracleAlgebra):
         self.algebra = algebra
         self._interned: dict[bytes, IdealSubspace] = {}
         self._by_subset: dict[tuple[str, ...], IdealSubspace] = {}
+        self._sums: dict[tuple[bytes, bytes], IdealSubspace] = {}
         self._perps: dict[bytes, IdealSubspace] = {}
         self._vertex_sets: dict[bytes, frozenset[str]] = {}
 
@@ -412,7 +440,8 @@ class IdealMemo:
 
         A single vertex's ideal comes from :func:`ideal_generated_by`; the
         basis of a larger subset's ideal is that of the subset minus its last
-        vertex, extended by the basis of that vertex's ideal.
+        vertex, extended by the basis of that vertex's ideal.  That sum is
+        built once per pair of interned ideals, however many subsets share it.
         """
         algebra = self.algebra
         members = algebra.graph.vertex_subset(vertices)
@@ -423,11 +452,15 @@ class IdealMemo:
                 continue
             if end <= 1:
                 ideal = ideal_generated_by(algebra, [algebra.vertex_image(v) for v in prefix])
-            else:
-                head, last = self._by_subset[prefix[:-1]], self.of_vertices(prefix[-1:])
+                self._by_subset[prefix] = self._intern(ideal)
+                continue
+            head, last = self._by_subset[prefix[:-1]], self.of_vertices(prefix[-1:])
+            pair = (head.signature(), last.signature())
+            if pair not in self._sums:
                 basis, pivots = reduce_rowspace(last.basis, algebra.p, head.basis, head.pivots)
                 ideal = IdealSubspace._from_rref(algebra, basis, pivots)
-            self._by_subset[prefix] = self._intern(ideal)
+                self._sums[pair] = self._intern(ideal)
+            self._by_subset[prefix] = self._sums[pair]
         return self._by_subset[key]
 
     def perp(self, ideal: IdealSubspace) -> IdealSubspace:
@@ -449,12 +482,14 @@ def perp_subspace(algebra: OracleAlgebra, ideal: IdealSubspace) -> IdealSubspace
     """Two-sided annihilator {a : a*x = x*a = 0 for all x in the ideal}.
 
     Solved as the nullspace of the linear constraints coming from the basis
-    elements of the ideal.  The nullspace comes out in RREF, so it is not
+    elements of the ideal.  The constraints come in two RREF halves, so the
+    reduction starts from the first (checked, not trusted) and reduces only
+    the second into it.  The nullspace comes out in RREF, so it is not
     reduced again; it is still audited to be an ideal.
     """
     dim, p = algebra.dimension, algebra.p
-    (cons,) = algebra.annihilator_constraints(ideal.basis)
-    kernel, pivots = nullspace_from_rref(*reduce_rowspace(cons, p), p, dim)
+    left, right = algebra.annihilator_constraints(ideal.basis)
+    kernel, pivots = nullspace_from_rref(*reduce_rowspace(right, p, left, rref_pivots(left)), p, dim)
     perp = IdealSubspace._from_rref(algebra, kernel, pivots)
     perp._audit()
     return perp

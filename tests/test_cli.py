@@ -331,9 +331,9 @@ def test_oracle_check(tmp_path, capsys):
 
 def test_oracle_check_matches_its_golden_copy(capsys):
     # 7 vertices, sinks with 3, 6 and 14 paths: oracle dimension 241; GF(2)
-    # takes the packed row-reduction kernel, GF(5) the pivot loop
+    # takes the packed row-reduction kernel, GF(3) and GF(5) the pivot loop
     golden = Path(__file__).parent / "golden"
-    for prime in ("5", "2"):
+    for prime in ("5", "3", "2"):
         assert main(["oracle-check", "--graph", str(golden / "oracle-7v.json"), "--prime", prime]) == 0
         want = (golden / f"oracle-check-7v-prime{prime}.txt").read_text(encoding="utf-8")
         assert capsys.readouterr().out == want

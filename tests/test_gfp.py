@@ -15,6 +15,7 @@ from leavitt.gfp import (
     reduce_rowspace,
     residual,
     rref,
+    rref_pivots,
 )
 
 from .strategies import primes_around
@@ -59,6 +60,28 @@ def test_rref_empty_shapes():
     assert r.shape == (0, 0) and piv == ()
 
 
+def test_rref_pivots_reads_an_rref_matrix_at_the_edges():
+    assert rref_pivots(np.zeros((0, 4), dtype=np.int64)) == ()
+    assert rref_pivots(np.zeros((0, 0), dtype=np.int64)) == ()
+    assert rref_pivots(np.array([[0, 1, 2]])) == (1,)
+    assert rref_pivots(np.eye(3, dtype=np.int64)) == (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 0], [0, 1]],  # a leading 2, as over GF(3)
+        [[1, 1], [0, 1]],  # pivot column 1 has a second nonzero
+        [[0, 1], [1, 0]],  # pivots out of order
+        [[1, 0], [1, 0]],  # a pivot repeated
+        [[1, 0], [0, 0]],  # a zero row
+    ],
+)
+def test_rref_pivots_refuses_a_matrix_just_past_rref(rows):
+    with pytest.raises(ValueError, match="not in RREF"):
+        rref_pivots(np.array(rows, dtype=np.int64))
+
+
 def test_residual_and_membership():
     basis, piv = rref(np.array([[1, 0, 1], [0, 1, 1]]), 2)
     assert not residual(np.array([1, 1, 0]), basis, piv, 2).any()
@@ -99,7 +122,7 @@ def test_reduce_rowspace_matches_rref(pair, p):
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr("leavitt.gfp._CHUNK", 3)
         got, pivots = reduce_rowspace(b, p, *rref(a, p))
-    assert pivots == want_pivots
+    assert pivots == want_pivots == rref_pivots(want)
     assert got.tobytes() == want.tobytes()
 
 

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -17,10 +18,11 @@ from leavitt import (
     hs_closure,
     ideal_generated_by,
     is_graded_subspace,
+    load_graph,
     perp_subspace,
     vertex_set_of,
 )
-from leavitt.gfp import max_exact_prime, rref
+from leavitt.gfp import max_exact_prime, reduce_rowspace, rref
 from leavitt.oracle import IdealMemo
 from leavitt.verify import exhaustive_acyclic_graphs
 
@@ -254,6 +256,32 @@ def test_memo_interns_equal_ideals():
     assert memo.perp(memo.perp(whole)) is whole
 
 
+def test_memo_reduces_each_distinct_sum_once(monkeypatch):
+    # 7 vertices and 3 sinks: 2^7 subsets, at most 2^3 distinct ideals
+    graph = load_graph(str(Path(__file__).parent / "golden" / "oracle-7v.json"))
+    algebra = build_oracle(graph, 2)
+    memo = IdealMemo(algebra)
+    singles = {v: memo.of_vertices([v]) for v in graph.vertices}
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reduce_rowspace(*args, **kwargs)
+
+    monkeypatch.setattr("leavitt.oracle.reduce_rowspace", counted)
+    subsets = [s for size in range(8) for s in itertools.combinations(graph.vertices, size)]
+    got = {subset: memo.of_vertices(subset) for subset in subsets}
+    monkeypatch.undo()
+    pairs = {(id(memo.of_vertices(s[:-1])), id(singles[s[-1]])) for s in subsets if len(s) > 1}
+    assert len(calls) <= len(pairs) < len(subsets) - 1 - len(graph.vertices)
+    # unchanged: each subset's ideal is still its head's extended by its last vertex's
+    want = {(): (got[()].basis, got[()].pivots)}
+    for subset in subsets[1:]:
+        want[subset] = reduce_rowspace(singles[subset[-1]].basis, 2, *want[subset[:-1]])
+        assert got[subset].pivots == want[subset][1]
+        assert got[subset].basis.tobytes() == want[subset][0].tobytes()
+
+
 def test_memo_rejects_unknown_vertices():
     memo = IdealMemo(build_oracle(path_ab(), 2))
     with pytest.raises(UnknownVertexError):
@@ -369,6 +397,9 @@ def test_unit_products_span_the_naive_products(p):
         row_sets.append(np.array([_random_element(algebra, rng) for _ in range(2)]))
         for rows in row_sets:
             for transpose in (False, True):
+                method = algebra.annihilator_constraints if transpose else algebra.product_rows
+                for batch in method(rows):
+                    assert batch.tobytes() == rref(batch, p)[0].tobytes()
                 got = rref(_yielded(algebra, rows, transpose), p)
                 want = rref(naive_unit_products(algebra, rows, transpose), p)
                 assert got[1] == want[1]
