@@ -398,11 +398,13 @@ def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
     Iterated row reduction to a fixed point: each round takes the span of
     the round-start basis and of its products with every matrix unit on
     both sides.  The left products come in RREF, so a round starts from
-    them as its basis (checked, not trusted) and reduces only the
-    round-start basis and the right products into it.  A round that adds
-    no rank ends the search, and so does full rank, since the whole algebra
-    is an ideal.  That last round is a closure audit, so the result is not
-    audited again.
+    them as its basis (checked, not trusted) and reduces only the right
+    products into it.  The round-start basis needs no reduction: each
+    element x is the sum of the products e_ii * x by the diagonal units, so
+    it lies in the span of the left products already (a ring identity, not
+    the vertex calculus).  A round that adds no rank ends the search, and
+    so does full rank, since the whole algebra is an ideal.  That last
+    round is a closure audit, so the result is not audited again.
     """
     dim, p = algebra.dimension, algebra.p
     basis, pivots = reduce_rowspace(as_matrix(generators, dim), p)
@@ -410,7 +412,7 @@ def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
     while start_rank < len(pivots) < dim:
         start_rank = len(pivots)
         left, right = algebra.product_rows(basis)
-        basis, pivots = reduce_rowspace(np.vstack([basis, right]), p, left, rref_pivots(left))
+        basis, pivots = reduce_rowspace(right, p, left, rref_pivots(left))
     return IdealSubspace._from_rref(algebra, basis, pivots)
 
 

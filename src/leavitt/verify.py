@@ -8,16 +8,30 @@ topological labelling, which every acyclic graph has).  The purely
 graph-level laws run over seeded random graph samples (cycles allowed); the
 Laurent row covers the single exit-free cycle family.  A failing row is
 reported together with a greedily minimized witness graph.
+
+Every per-graph check is a pure function of its graph, so the runner
+deals them out to a pool of worker processes, one per usable CPU, forked
+at the start of the run and joined before it returns.  The runner itself
+draws every random input, in the serial order, and merges the results in
+that order, so the matrix, the failure details, the witnesses and their
+minimization (which stays serial) are the same on any number of workers.
+With one usable CPU, without the ``fork`` start method, or in a daemonic
+process, the same tasks run in process.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
+import pickle
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from random import Random
+
+import numpy as np
 
 from . import ideals
 from .errors import InvalidArgumentError, LatticeTooLargeError
@@ -295,14 +309,37 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
 
 
 def random_ideal_check(algebra, rng: Random):
-    """One gradedness trial for the annihilator of a randomly generated ideal.
+    """One gradedness trial for the annihilator of a randomly generated ideal."""
+    return generated_ideal_check(algebra, draw_generators(rng, algebra.dimension, algebra.p))
 
-    A negative control rides along and draws nothing from ``rng``: the sum
-    of a lowest- and a highest-degree unit must span a line that is not
+
+def draw_generators(rng: Random, dimension: int, p: int) -> list[np.ndarray]:
+    """The random generators of one trial: one or two elements of an algebra
+    of this dimension over GF(p), each with one to four nonzero coordinates.
+
+    Needs no algebra, so a runner can draw every trial before any check runs.
+    """
+    return [_random_element(rng, dimension, p) for _ in range(rng.randint(1, 2))]
+
+
+def _random_element(rng: Random, dimension: int, p: int) -> np.ndarray:
+    vec = np.zeros(dimension, dtype=np.int64)
+    if dimension == 0:
+        return vec
+    support = rng.sample(range(dimension), rng.randint(1, min(4, dimension)))
+    for i in support:
+        vec[i] = rng.randrange(1, p) if p > 2 else 1
+    return vec
+
+
+def generated_ideal_check(algebra, generators):
+    """Is the annihilator of the ideal generated by ``generators`` graded?
+
+    Returns None or what went wrong.  A negative control rides along: the
+    sum of a lowest- and a highest-degree unit must span a line that is not
     graded (skipped when the algebra has one degree only).
     """
-    gens = [_random_element(algebra, rng) for _ in range(rng.randint(1, 2))]
-    ideal = ideal_generated_by(algebra, gens)
+    ideal = ideal_generated_by(algebra, generators)
     perp1 = perp_subspace(algebra, ideal)
     if not is_graded_subspace(algebra, perp1):
         return "annihilator of a random ideal is not graded"
@@ -318,16 +355,6 @@ def random_ideal_check(algebra, rng: Random):
     except ValueError as exc:
         return f"vertex set {sorted(hset)} of a random ideal is not hereditary saturated: {exc}"
     return None
-
-
-def _random_element(algebra, rng: Random):
-    vec = algebra.zero()
-    if algebra.dimension == 0:
-        return vec
-    support = rng.sample(range(algebra.dimension), rng.randint(1, min(4, algebra.dimension)))
-    for i in support:
-        vec[i] = rng.randrange(1, algebra.p) if algebra.p > 2 else 1
-    return vec
 
 
 def calculus_checks_for_graph(graph: Graph):
@@ -468,9 +495,21 @@ def _still_fails(row: str, cfg: VerifyConfig, g: Graph) -> bool:
 
 # -- the runner -------------------------------------------------------------------
 
+# chunks of each kind of task per worker: enough that no worker idles long
+# at the end of a phase, few enough that the pickling is cheap
+_CHUNKS_PER_WORKER = 4
+
 
 def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
-    """Run the requested rows (all by default); trials=0 yields an empty matrix."""
+    """Run the requested rows (all by default); trials=0 yields an empty matrix.
+
+    The per-graph checks are independent, so they run on a pool of the
+    usable CPUs (see :func:`_task_map`) in two phases: the oracle family,
+    the calculus rows and the Laurent row first; then, once the built
+    algebras are known, the random-ideal trials of ``perp-graded``, drawn
+    here in the serial order.  Results are merged here in that order too,
+    so the output does not depend on the number of workers.
+    """
     if rows is None:
         requested = ALL_ROWS
     else:
@@ -485,42 +524,60 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
     failures: list[Failure] = []
     seeds = dict.fromkeys(ALL_ROWS, cfg.seed)
 
+    family: tuple[Graph, ...] = ()
     if any(r in requested for r in ORACLE_ROWS):
         family = exhaustive_acyclic_graphs(
             min(cfg.max_vertices, ORACLE_FAMILY_MAX_VERTICES),
             min(cfg.max_edges, ORACLE_FAMILY_MAX_EDGES),
         )
-        pool = []
-        for g in family:
-            c, fs, algebra = oracle_checks_for_graph(g, cfg.prime)
+    randoms: list[Graph] = []
+    if any(r in requested for r in CALCULUS_ROWS):
+        rng = Random(cfg.seed)
+        randoms = [random_graph(rng, cfg.max_vertices, cfg.max_edges) for _ in range(cfg.trials)]
+    laurent = []
+    if ROW_LAURENT in requested:
+        seeds[ROW_LAURENT] = cfg.seed + 2
+        laurent = [(cfg.seed + 2, cfg.prime, cfg.trials)]
+
+    with _task_map(len(family) + len(randoms) + len(laurent)) as (run, chunks):
+        # phase 1: every task is queued now, the oracle chunks first
+        oracle_results = run(partial(_oracle_chunk, cfg.prime), _deal(family, chunks))
+        calculus_results = run(_calculus_chunk, _deal(randoms, chunks))
+        laurent_results = run(_laurent_task, laurent)
+
+        built = []  # (graph, dimension, pickled algebra) for each algebra that built
+        for g, (c, fs, shipped) in zip(family, _undeal(oracle_results, len(family))):
             counts.update(c)
             failures += fs
-            if algebra is not None:
-                pool.append((g, algebra))
-        if ROW_PERP_GRADED in requested and pool:
+            if shipped is not None:
+                built.append((g, *shipped))
+
+        # phase 2, queued behind the rest of phase 1: the trials are drawn
+        # here in the serial order and checked in groups, one per algebra
+        if ROW_PERP_GRADED in requested and built:
             seeds[ROW_PERP_GRADED] = cfg.seed + 1
             rng = Random(cfg.seed + 1)
             counts[ROW_PERP_GRADED] += cfg.trials
+            drawn: list[int] = []  # the algebra of each trial
+            groups: dict[int, list] = {}  # algebra -> generators of its trials
             for _ in range(cfg.trials):
-                g, algebra = pool[rng.randrange(len(pool))]
-                try:
-                    problem = random_ideal_check(algebra, rng)
-                except Exception as exc:
-                    problem = f"random ideal check raised {exc!r}"
+                k = rng.randrange(len(built))
+                drawn.append(k)
+                groups.setdefault(k, []).append(draw_generators(rng, built[k][1], cfg.prime))
+            dealt = _deal([(built[k][2], trials) for k, trials in groups.items()], chunks)
+            checked = _undeal(run(_trial_chunk, dealt), len(groups))
+            problems = {k: iter(group) for k, group in zip(groups, checked)}
+            for k in drawn:
+                problem = next(problems[k])
                 if problem:
-                    failures.append(Failure(ROW_PERP_GRADED, g, problem))
+                    failures.append(Failure(ROW_PERP_GRADED, built[k][0], problem))
 
-    if any(r in requested for r in CALCULUS_ROWS):
-        rng = Random(cfg.seed)
-        for _ in range(cfg.trials):
-            c, fs = calculus_checks_for_graph(random_graph(rng, cfg.max_vertices, cfg.max_edges))
+        for c, fs in _undeal(calculus_results, len(randoms)):
             counts.update(c)
             failures += fs
-
-    if ROW_LAURENT in requested:
-        seeds[ROW_LAURENT] = cfg.seed + 2
-        counts[ROW_LAURENT], fs = laurent_checks(Random(cfg.seed + 2), cfg.prime, cfg.trials)
-        failures += fs
+        for trials, fs in laurent_results:
+            counts[ROW_LAURENT] = trials
+            failures += fs
 
     results = []
     for name in requested:
@@ -535,3 +592,98 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
             RowResult(name, counts[name], len(fs), seeds[name], counterexample, detail)
         )
     return VerificationMatrix(cfg, tuple(results))
+
+
+@contextmanager
+def _task_map(work: int):
+    """Yield ``(run, chunks)``: ``run(fn, items)`` is ``map`` over the usable CPUs.
+
+    One worker per usable CPU, at most one per unit of ``work``, forked from
+    this process so that each inherits its module state as it is now (a
+    monkeypatched function too).  Where one worker would do, ``fork`` is
+    not a start method, or this process is daemonic, ``run`` is the builtin
+    ``map`` in this process.  ``run`` queues every item at once and yields
+    the results in item order; ``fn`` must be a module-level function that
+    nothing replaces, because it is pickled by name.  The pool is shut down and its processes joined
+    before this returns, also when the body raises.  ``chunks`` is the
+    number of chunks to deal each kind of task into.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, work)
+    if workers > 1:
+        import multiprocessing  # only on this path: it would slow every command's start
+
+        # a daemonic process, such as a multiprocessing.Pool worker, may not
+        # start processes of its own
+        if (
+            "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+        ):
+            workers = 1
+    if workers <= 1:
+        yield map, 1
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield executor.map, workers * _CHUNKS_PER_WORKER
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _deal(items, hands: int) -> list:
+    """Deal the items round-robin into at most ``hands`` non-empty lists, so
+    that the large graphs at the end of a listing spread over all of them."""
+    hands = min(hands, len(items))
+    return [items[k::hands] for k in range(hands)]
+
+
+def _undeal(dealt, count: int) -> list:
+    """The results of :func:`_deal`'s lists, back in the order of its items."""
+    dealt = list(dealt)
+    return [dealt[i % len(dealt)][i // len(dealt)] for i in range(count)]
+
+
+# The tasks below are what _task_map pickles: private module-level functions
+# that look the checks up by name when they run, so that a wrapper or a
+# monkeypatch installed on a check is what the workers call.
+
+
+def _oracle_chunk(p, graphs):
+    """The oracle rows of each graph.  A built algebra comes back as its
+    dimension and its pickle: the runner only forwards it to the trials of
+    phase 2, and as bytes it holds half the memory of the objects and costs
+    the runner no unpickling and pickling again."""
+    out = []
+    for graph in graphs:
+        counts, failures, algebra = oracle_checks_for_graph(graph, p)
+        built = None if algebra is None else (algebra.dimension, pickle.dumps(algebra))
+        out.append((counts, failures, built))
+    return out
+
+
+def _calculus_chunk(graphs):
+    return [calculus_checks_for_graph(graph) for graph in graphs]
+
+
+def _laurent_task(args):
+    seed, p, trials = args
+    return laurent_checks(Random(seed), p, trials)
+
+
+def _trial_chunk(groups):
+    """The perp-graded random-ideal trials, grouped by pickled algebra: a
+    problem (or None) per trial, in the order drawn."""
+    out = []
+    for pickled, trials in groups:
+        algebra = pickle.loads(pickled)
+        out.append([_trial(algebra, gens) for gens in trials])
+    return out
+
+
+def _trial(algebra, generators):
+    try:
+        return generated_ideal_check(algebra, generators)
+    except Exception as exc:
+        return f"random ideal check raised {exc!r}"

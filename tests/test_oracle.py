@@ -22,7 +22,7 @@ from leavitt import (
     perp_subspace,
     vertex_set_of,
 )
-from leavitt.gfp import max_exact_prime, reduce_rowspace, rref
+from leavitt.gfp import max_exact_prime, reduce_rowspace, residual, rref, rref_pivots
 from leavitt.oracle import IdealMemo
 from leavitt.verify import exhaustive_acyclic_graphs
 
@@ -416,3 +416,17 @@ def test_unit_products_yield_at_most_twice_the_dimension(p):
             rows = _random_rows(algebra, rng, count)
             for method in (algebra.product_rows, algebra.annihilator_constraints):
                 assert sum(batch.shape[0] for batch in method(rows)) <= 2 * dim
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_each_element_lies_in_the_span_of_its_left_products(p):
+    # x = sum of e_ii * x over the diagonal units, so ideal_generated_by
+    # need not reduce its round-start basis into the left half
+    rng = Random(23 + p)
+    for graph in exhaustive_acyclic_graphs(3, 4):
+        algebra = build_oracle(graph, p)
+        row_sets = [_random_rows(algebra, rng, count) for count in (1, 3)]
+        row_sets.append(np.array([_random_element(algebra, rng) for _ in range(2)]))
+        for rows in row_sets:
+            left, _right = algebra.product_rows(rows)
+            assert not residual(rows, left, rref_pivots(left), p).any()

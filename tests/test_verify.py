@@ -1,9 +1,12 @@
 import itertools
+import multiprocessing
+import os
 from random import Random
 
 import pytest
 
 from leavitt import DEFAULT_DIMENSION_CAP, ENUMERATION_CUTOFF, Graph, LatticeTooLargeError, ideals
+from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
 from leavitt.verify import (
     ALL_ROWS,
@@ -216,3 +219,81 @@ def test_mutant_matrix_is_still_deterministic(monkeypatch):
     a = run_verification(cfg, rows=[ROW_PERP_VSET])
     b = run_verification(cfg, rows=[ROW_PERP_VSET])
     assert a.to_json_dict() == b.to_json_dict()
+
+
+def usable_cpus(monkeypatch, n):
+    """Make ``verify`` see n usable CPUs, so that it runs the checks on n workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+MUTANTS = {
+    "passing": None,
+    # fails four oracle rows at the bounds below, all from phase 1
+    "bar-closure": ("leavitt.ideals.bar_closure", lambda ideal: ideal.vertices),
+    # fails the random-ideal trials of perp-graded, which run in phase 2
+    "always-graded": ("leavitt.verify.is_graded_subspace", lambda algebra, subspace: True),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_two_workers_give_the_serial_matrix(monkeypatch, mutant):
+    cfg = SMALL
+    if MUTANTS[mutant]:
+        monkeypatch.setattr(*MUTANTS[mutant])
+        cfg = VerifyConfig(max_vertices=3, max_edges=3, trials=5)
+    outputs = []
+    for n in (1, 2):
+        usable_cpus(monkeypatch, n)
+        matrix = run_verification(cfg)
+        outputs.append((matrix.to_json_dict(), matrix.render_text()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0]["passed"] is (mutant == "passing")
+
+
+def test_no_worker_outlives_the_run(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    run_verification(SMALL)
+    assert multiprocessing.active_children() == []
+
+    def broken(rng, p, trials):
+        raise RuntimeError("broken Laurent row")
+
+    monkeypatch.setattr("leavitt.verify.laurent_checks", broken)
+    with pytest.raises(RuntimeError, match="broken Laurent row"):
+        run_verification(SMALL)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork"
+)
+def test_a_dead_worker_is_an_internal_error(monkeypatch, capsys):
+    usable_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    real = calculus_checks_for_graph
+
+    def dies_in_a_worker(graph):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(graph)
+
+    monkeypatch.setattr("leavitt.verify.calculus_checks_for_graph", dies_in_a_worker)
+    code = main(["verify", "--max-vertices", "3", "--max-edges", "3", "--trials", "5"])
+    assert code == 5
+    assert "internal error: BrokenProcessPool" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def small_matrix_text():
+    return run_verification(SMALL).render_text()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork"
+)
+def test_runs_in_process_inside_a_daemonic_worker(monkeypatch):
+    # a multiprocessing.Pool worker is daemonic and may not start a pool of its own
+    usable_cpus(monkeypatch, 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        text = pool.apply(small_matrix_text)
+    assert text == small_matrix_text()
