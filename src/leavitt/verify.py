@@ -10,12 +10,13 @@ Laurent row covers the single exit-free cycle family.  A failing row is
 reported together with a greedily minimized witness graph.
 
 Every per-graph check is a pure function of its graph, so the runner
-deals them out to a pool of worker processes, one per usable CPU, forked
-at the start of the run and joined before it returns.  The runner itself
-draws every random input, in the serial order, and merges the results in
-that order, so the matrix, the failure details, the witnesses and their
-minimization (which stays serial) are the same on any number of workers.
-With one usable CPU, without the ``fork`` start method, or in a daemonic
+hands them to a pool of worker processes, one per usable CPU up to two,
+forked at the start of the run and joined before it returns.  The runner
+itself draws every random input, in the serial order, and merges the
+results in that order, so the matrix, the failure details, the witnesses
+and their minimization (which stays serial) are the same on any number of
+workers.  With one usable CPU, without the ``fork`` start method, on
+Python 3.12 and later, beside a second Python thread, or in a daemonic
 process, the same tasks run in process.
 """
 
@@ -25,6 +26,8 @@ import itertools
 import json
 import os
 import pickle
+import sys
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -495,8 +498,11 @@ def _still_fails(row: str, cfg: VerifyConfig, g: Graph) -> bool:
 
 # -- the runner -------------------------------------------------------------------
 
-# chunks of each kind of task per worker: enough that no worker idles long
-# at the end of a phase, few enough that the pickling is cheap
+# the most worker processes one run starts: the speed-up was measured on two
+# CPUs only, and each worker's BLAS library may start threads of its own
+_MAX_WORKERS = 2
+# chunks of each kind of task per worker: one task per item costs the
+# runner, which shares the CPUs with the workers, more than it saves
 _CHUNKS_PER_WORKER = 4
 
 
@@ -530,23 +536,24 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
             min(cfg.max_vertices, ORACLE_FAMILY_MAX_VERTICES),
             min(cfg.max_edges, ORACLE_FAMILY_MAX_EDGES),
         )
-    randoms: list[Graph] = []
-    if any(r in requested for r in CALCULUS_ROWS):
-        rng = Random(cfg.seed)
-        randoms = [random_graph(rng, cfg.max_vertices, cfg.max_edges) for _ in range(cfg.trials)]
+    # drawn as they are checked, so that in process each graph is dropped,
+    # with the lookup tables its checks cache on it, once it is checked
+    n_random = cfg.trials if any(r in requested for r in CALCULUS_ROWS) else 0
+    graph_rng = Random(cfg.seed)
+    randoms = (random_graph(graph_rng, cfg.max_vertices, cfg.max_edges) for _ in range(n_random))
     laurent = []
     if ROW_LAURENT in requested:
         seeds[ROW_LAURENT] = cfg.seed + 2
         laurent = [(cfg.seed + 2, cfg.prime, cfg.trials)]
 
-    with _task_map(len(family) + len(randoms) + len(laurent)) as (run, chunks):
-        # phase 1: every task is queued now, the oracle chunks first
-        oracle_results = run(partial(_oracle_chunk, cfg.prime), _deal(family, chunks))
-        calculus_results = run(_calculus_chunk, _deal(randoms, chunks))
+    with _task_map(len(family) + n_random + len(laurent)) as (run, ship):
+        # phase 1: every task is queued now, the oracle family first
+        oracle_results = run(partial(_oracle_task, cfg.prime, ship), family)
+        calculus_results = run(_calculus_task, randoms)
         laurent_results = run(_laurent_task, laurent)
 
-        built = []  # (graph, dimension, pickled algebra) for each algebra that built
-        for g, (c, fs, shipped) in zip(family, _undeal(oracle_results, len(family))):
+        built = []  # (graph, dimension, algebra as shipped) for each algebra that built
+        for g, (c, fs, shipped) in zip(family, oracle_results):
             counts.update(c)
             failures += fs
             if shipped is not None:
@@ -564,15 +571,14 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
                 k = rng.randrange(len(built))
                 drawn.append(k)
                 groups.setdefault(k, []).append(draw_generators(rng, built[k][1], cfg.prime))
-            dealt = _deal([(built[k][2], trials) for k, trials in groups.items()], chunks)
-            checked = _undeal(run(_trial_chunk, dealt), len(groups))
+            checked = run(_trials_task, [built[k][2] for k in groups], groups.values())
             problems = {k: iter(group) for k, group in zip(groups, checked)}
             for k in drawn:
                 problem = next(problems[k])
                 if problem:
                     failures.append(Failure(ROW_PERP_GRADED, built[k][0], problem))
 
-        for c, fs in _undeal(calculus_results, len(randoms)):
+        for c, fs in calculus_results:
             counts.update(c)
             failures += fs
         for trials, fs in laurent_results:
@@ -596,53 +602,52 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
 
 @contextmanager
 def _task_map(work: int):
-    """Yield ``(run, chunks)``: ``run(fn, items)`` is ``map`` over the usable CPUs.
+    """Yield ``(run, ship)``: ``run(fn, items, *more)`` is ``map`` over the usable CPUs.
 
-    One worker per usable CPU, at most one per unit of ``work``, forked from
-    this process so that each inherits its module state as it is now (a
-    monkeypatched function too).  Where one worker would do, ``fork`` is
-    not a start method, or this process is daemonic, ``run`` is the builtin
-    ``map`` in this process.  ``run`` queues every item at once and yields
-    the results in item order; ``fn`` must be a module-level function that
-    nothing replaces, because it is pickled by name.  The pool is shut down and its processes joined
-    before this returns, also when the body raises.  ``chunks`` is the
-    number of chunks to deal each kind of task into.
+    One worker per usable CPU, at most ``_MAX_WORKERS`` and one per unit of
+    ``work``, forked from this process so that each inherits its module
+    state as it is now (a monkeypatched function too).  ``run`` is the
+    builtin ``map`` in this process instead where one worker would do,
+    where ``fork`` is not a start method, on Python 3.12 and later (which
+    warns on a fork of a process with threads, and numpy's BLAS starts
+    some), in a process with a second Python thread (a lock another thread
+    holds at the fork stays held in the child), and in a daemonic process
+    (which may not start processes).  ``run`` queues every item at once, in
+    ``_CHUNKS_PER_WORKER`` chunks per worker, and yields the results in item
+    order (in process, lazily, as ``map`` does); ``fn`` must be a
+    module-level function that nothing replaces, because it is pickled by
+    name.  ``ship`` is true when the results cross a process boundary.  The
+    pool is shut down and its processes joined before this returns, also
+    when the body raises.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, work)
+    workers = min(cpus, work, _MAX_WORKERS)
+    if sys.version_info >= (3, 12) or threading.active_count() > 1:
+        workers = 1
     if workers > 1:
         import multiprocessing  # only on this path: it would slow every command's start
 
-        # a daemonic process, such as a multiprocessing.Pool worker, may not
-        # start processes of its own
         if (
             "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon
         ):
             workers = 1
     if workers <= 1:
-        yield map, 1
+        yield map, False
         return
     from concurrent.futures import ProcessPoolExecutor
 
     executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+    def run(fn, items, *more):
+        items = list(items)
+        chunk = max(1, len(items) // (workers * _CHUNKS_PER_WORKER))
+        return executor.map(fn, items, *more, chunksize=chunk)
+
     try:
-        yield executor.map, workers * _CHUNKS_PER_WORKER
+        yield run, True
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
-
-
-def _deal(items, hands: int) -> list:
-    """Deal the items round-robin into at most ``hands`` non-empty lists, so
-    that the large graphs at the end of a listing spread over all of them."""
-    hands = min(hands, len(items))
-    return [items[k::hands] for k in range(hands)]
-
-
-def _undeal(dealt, count: int) -> list:
-    """The results of :func:`_deal`'s lists, back in the order of its items."""
-    dealt = list(dealt)
-    return [dealt[i % len(dealt)][i // len(dealt)] for i in range(count)]
 
 
 # The tasks below are what _task_map pickles: private module-level functions
@@ -650,21 +655,19 @@ def _undeal(dealt, count: int) -> list:
 # monkeypatch installed on a check is what the workers call.
 
 
-def _oracle_chunk(p, graphs):
-    """The oracle rows of each graph.  A built algebra comes back as its
-    dimension and its pickle: the runner only forwards it to the trials of
-    phase 2, and as bytes it holds half the memory of the objects and costs
-    the runner no unpickling and pickling again."""
-    out = []
-    for graph in graphs:
-        counts, failures, algebra = oracle_checks_for_graph(graph, p)
-        built = None if algebra is None else (algebra.dimension, pickle.dumps(algebra))
-        out.append((counts, failures, built))
-    return out
+def _oracle_task(p, ship, graph):
+    """The oracle rows of one graph, and its algebra with the dimension if it
+    built.  Shipped from a worker, the algebra is pickled here: the runner
+    only forwards it to the trials of phase 2, and as bytes it costs the
+    runner less memory and no unpickling."""
+    counts, failures, algebra = oracle_checks_for_graph(graph, p)
+    if algebra is None:
+        return counts, failures, None
+    return counts, failures, (algebra.dimension, pickle.dumps(algebra) if ship else algebra)
 
 
-def _calculus_chunk(graphs):
-    return [calculus_checks_for_graph(graph) for graph in graphs]
+def _calculus_task(graph):
+    return calculus_checks_for_graph(graph)
 
 
 def _laurent_task(args):
@@ -672,14 +675,12 @@ def _laurent_task(args):
     return laurent_checks(Random(seed), p, trials)
 
 
-def _trial_chunk(groups):
-    """The perp-graded random-ideal trials, grouped by pickled algebra: a
-    problem (or None) per trial, in the order drawn."""
-    out = []
-    for pickled, trials in groups:
-        algebra = pickle.loads(pickled)
-        out.append([_trial(algebra, gens) for gens in trials])
-    return out
+def _trials_task(algebra, trials):
+    """The perp-graded random-ideal trials of one algebra (pickled if it was
+    shipped): a problem (or None) per trial, in the order drawn."""
+    if isinstance(algebra, bytes):
+        algebra = pickle.loads(algebra)
+    return [_trial(algebra, gens) for gens in trials]
 
 
 def _trial(algebra, generators):

@@ -1,6 +1,9 @@
+import concurrent.futures
 import itertools
 import multiprocessing
 import os
+import sys
+import threading
 from random import Random
 
 import pytest
@@ -221,6 +224,14 @@ def test_mutant_matrix_is_still_deterministic(monkeypatch):
     assert a.to_json_dict() == b.to_json_dict()
 
 
+# verify forks its workers only where fork is a start method and the
+# interpreter does not warn on a fork of a process with threads
+needs_pool = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods() or sys.version_info >= (3, 12),
+    reason="verify runs in process here",
+)
+
+
 def usable_cpus(monkeypatch, n):
     """Make ``verify`` see n usable CPUs, so that it runs the checks on n workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
@@ -264,33 +275,64 @@ def test_no_worker_outlives_the_run(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork"
-)
-def test_a_dead_worker_is_an_internal_error(monkeypatch, capsys):
-    usable_cpus(monkeypatch, 2)
+def dies_in_a_worker(monkeypatch):
+    """Make the calculus check end its process when it runs in a worker."""
     parent = os.getpid()
     real = calculus_checks_for_graph
 
-    def dies_in_a_worker(graph):
+    def check(graph):
         if os.getpid() != parent:
             os._exit(1)
         return real(graph)
 
-    monkeypatch.setattr("leavitt.verify.calculus_checks_for_graph", dies_in_a_worker)
+    monkeypatch.setattr("leavitt.verify.calculus_checks_for_graph", check)
+
+
+@needs_pool
+def test_a_dead_worker_is_an_internal_error(monkeypatch, capsys):
+    usable_cpus(monkeypatch, 2)
+    dies_in_a_worker(monkeypatch)
     code = main(["verify", "--max-vertices", "3", "--max-edges", "3", "--trials", "5"])
     assert code == 5
     assert "internal error: BrokenProcessPool" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
 
 
+@needs_pool
+def test_no_more_than_two_workers(monkeypatch):
+    usable_cpus(monkeypatch, 64)
+    started = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    assert run_verification(SMALL).passed
+    assert started == [2]
+
+
+def test_runs_in_process_beside_another_thread(monkeypatch):
+    # a lock that another thread holds at a fork stays held in the child
+    usable_cpus(monkeypatch, 2)
+    dies_in_a_worker(monkeypatch)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert run_verification(SMALL).passed
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
 def small_matrix_text():
     return run_verification(SMALL).render_text()
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork"
-)
+@needs_pool
 def test_runs_in_process_inside_a_daemonic_worker(monkeypatch):
     # a multiprocessing.Pool worker is daemonic and may not start a pool of its own
     usable_cpus(monkeypatch, 2)
