@@ -24,7 +24,7 @@ from .errors import (
 from .graphdoc import dump_graph_json, load_graph
 from .hereditary import hs_closure, lattice_with_regularity
 from .ideals import analyze, bar_closure, perp, quotient_graph
-from .oracle import build_oracle
+from .oracle import block_cache, build_oracle
 from .verify import VerifyConfig, oracle_checks_for_graph, run_verification
 
 
@@ -167,6 +167,7 @@ def cmd_verify(args) -> int:
     return 0 if matrix.passed else 1
 
 
+@block_cache()
 def cmd_oracle_check(args) -> int:
     graph = load_graph(args.graph)
     algebra = build_oracle(graph, args.prime)

@@ -257,7 +257,13 @@ def reduce_rowspace(
 def nullspace_from_rref(
     basis: np.ndarray, pivots: tuple[int, ...], p: int, cols: int
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """RREF basis of the right kernel and its pivots, given the RREF of the matrix."""
+    """RREF basis of the right kernel and its pivots, given the RREF of the matrix.
+
+    With no pivots the kernel is everything, and the identity is its RREF:
+    the annihilator of every zero block of an oracle ideal is that case.
+    """
+    if not pivots:
+        return np.eye(cols, dtype=np.int64), tuple(range(cols))
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
     if not free:

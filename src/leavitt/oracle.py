@@ -25,36 +25,51 @@ each sink, for one element or a stack of rows (``OracleAlgebra._blocks``).
 A product is one block product per sink where the left factor is nonzero.
 Products by matrix units drive everything: ideal generation, the closure
 audit and the annihilator constraints.  A unit product copies one row or
-one column of a block, so the products of any number of elements by every
-unit on block b are spanned by the rows of kron(I, R_b) and kron(C_b, I),
-where R_b and C_b are RREF bases of the spans of their block rows and
-block columns: at most 2 * dim rows (``OracleAlgebra._unit_products``).
-Both halves are themselves in RREF and are yielded as two batches.
+one column of a block, so the products of any number of n x n matrices by
+every unit are spanned by the rows of kron(I, R) and kron(C, I), where R
+and C are RREF bases of the spans of their rows and of their columns: at
+most 2 * n * n rows (:func:`_block_products`).  Both halves are in RREF.
 
-Every RREF basis here grows by :func:`leavitt.gfp.reduce_rowspace`, which
-extends a basis by new rows.  :func:`ideal_generated_by` and
-:func:`perp_subspace` start each reduction from the first half, whose
-RREF form :func:`leavitt.gfp.rref_pivots` checks rather than trusts, and
-reduce only the rest into it.  Ideals of vertex subsets are built once
-each by :class:`IdealMemo`: the ideal generated by a set is the sum of the
-ideals generated by its elements (ring theory, not the vertex calculus
-under test), so the basis of the ideal of X is that of X minus its last
-vertex, extended by the basis of that vertex's ideal; that sum is reduced
-once per pair of interned ideals.  Bases are interned by their RREF bytes
-(built once per object), and annihilators and vertex sets are memoized by
-the RREF bytes of their argument.
+Each sink block is a two-sided ideal, cut out by the central idempotent
+1_b (the sum of the block's diagonal units), so ideals, annihilators and
+sums of ideals are solved one block at a time, on the block's n * n
+columns, and the block results are stacked in column order, which is the
+RREF of the whole (a ring identity, not the vertex calculus under test):
+:func:`ideal_generated_by`, :func:`perp_subspace` and the subset sums of
+:class:`IdealMemo`.  Ideal generation iterates unit products to a fixed
+point, and its last round is a closure audit; each block annihilator is a
+nullspace, audited to be an ideal.  Both start each reduction from the
+first product half, whose RREF form :func:`leavitt.gfp.rref_pivots` checks
+rather than trusts, and reduce only the rest into it with
+:func:`leavitt.gfp.reduce_rowspace`, the one way a basis grows here.
+
+A command that solves many ideals, such as ``oracle-check`` or ``verify``,
+runs inside :func:`block_cache`: there each block solve is memoized by its
+kind, p, n and the RREF bytes of its input, its result is still audited
+once, and equal results are interned as one read-only array.  The cache
+is held in a context variable for the length of the command (and, in a
+worker process of ``verify``, for the worker's life, which is within one
+command); it is never stored on an algebra, and outside a command nothing
+is cached.  The solves are deterministic, so the cache changes costs, not
+results.  Within one pass over an algebra, :class:`IdealMemo` builds the
+ideal of each vertex subset once: the ideal generated by a set is the sum
+of the ideals generated by its elements, so the ideal of X is the sum of
+that of X minus its last vertex and that vertex's ideal, reduced once per
+pair of interned ideals.  Whole-algebra bases are interned by their RREF
+bytes (built once per object), and annihilators and vertex sets are
+memoized by the RREF bytes of their argument.
 
 The public :class:`IdealSubspace` constructor audits closure under
-multiplication by every matrix unit.  Ideals from :func:`ideal_generated_by`
-skip that audit, because its last round is that audit, and so do the
-subset ideals of :class:`IdealMemo`, because a sum of ideals is an ideal.
-The result of :func:`perp_subspace` is still audited, but not row-reduced
-again: the nullspace comes out in RREF.
+multiplication by every matrix unit of the whole algebra.  Ideals built
+here skip that audit: their blocks are audited by the block solves, and a
+sum of ideals is an ideal.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar, Token
 
 import numpy as np
 
@@ -138,10 +153,15 @@ class OracleAlgebra:
             self._block(out, b)[...] = matmul_mod(self._block(x, b), self._block(y, b), self.p)
         return out
 
+    def _columns(self, b: int) -> slice:
+        """The n_b * n_b coordinates of block b."""
+        off, n = self._offsets[b], self._block_sizes[b]
+        return slice(off, off + n * n)
+
     def _block(self, x: np.ndarray, b: int) -> np.ndarray:
         """The n_b x n_b view of block b of x, for one element or a stack of rows."""
-        off, n = self._offsets[b], self._block_sizes[b]
-        return x[..., off : off + n * n].reshape(*x.shape[:-1], n, n)
+        n = self._block_sizes[b]
+        return x[..., self._columns(b)].reshape(*x.shape[:-1], n, n)
 
     def _blocks(self, x: np.ndarray) -> list[np.ndarray]:
         """The view of every sink's block of x, in sink order."""
@@ -165,46 +185,22 @@ class OracleAlgebra:
         yield from self._unit_products(rows, transpose=True)
 
     def _unit_products(self, rows: np.ndarray, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Rows spanning the products of the rows by every matrix unit.
+        """The two halves of :func:`_block_products` of each block where a row
+        is nonzero, placed in the block's columns, blocks in column order.
 
-        Read each row x as its blocks x[b].  A left product unit * x copies
-        one row of a block to another row position, and a right product
-        x * unit copies one column.  So the left products of all rows span
-        the elements whose block-b rows all lie in R_b, the span of the rows
-        of every x[b], and the right products span those whose block-b
-        columns all lie in C_b, the span of the columns.  The constraint
-        (a*x)_k = 0 reads a column of x[b] along a row of a[b], and
-        (x*a)_k = 0 reads a row of x[b] along a column, so when transposed
-        the two spans trade places: rows in C_b and columns in R_b.
-
-        With R_b and C_b as RREF bases, those spans are the rows of
-        kron(I, R_b) and kron(C_b, I) on block b: at most
-        sum(n_b * n_b) = dim rows per side.  Each side is returned in RREF:
-        row (i, j) of kron(I, R_b) has its leading 1 at column i * n + (pivot
-        j of R_b), and row (k, i) of kron(C_b, I) at (pivot k of C_b) * n + i,
-        both increasing in row order; no other row of the side is nonzero
-        there, because R_b and C_b are RREF; and the blocks come in column
-        order.
+        Each half stays in RREF: a row of block b has its leading 1 in
+        block b's columns, and the blocks come in column order.
         """
         dim, p = self.dimension, self.p
         empty = np.zeros((0, dim), dtype=np.int64)
         left, right = [empty], [empty]
-        for off, x in zip(self._offsets, self._blocks(rows)):
+        for b, x in enumerate(self._blocks(rows)):
             if not x.any():
                 continue
-            n = x.shape[-1]
-            row_basis = reduce_rowspace(x.reshape(-1, n), p)[0]
-            col_basis = reduce_rowspace(x.transpose(0, 2, 1).reshape(-1, n), p)[0]
-            if transpose:
-                row_basis, col_basis = col_basis, row_basis
-            eye = np.eye(n, dtype=np.int64)
-            krons = (
-                eye[:, None, :, None] * row_basis[None, :, None, :],
-                col_basis[:, None, :, None] * eye[None, :, None, :],
-            )
-            for side, kron in zip((left, right), krons):
-                placed = np.zeros((kron.shape[0] * kron.shape[1], dim), dtype=np.int64)
-                placed[:, off : off + n * n] = kron.reshape(placed.shape[0], n * n)
+            halves = _block_products(x, self._block_sizes[b], p, transpose)
+            for side, half in zip((left, right), halves):
+                placed = np.zeros((half.shape[0], dim), dtype=np.int64)
+                placed[:, self._columns(b)] = half
                 side.append(placed)
         return np.vstack(left), np.vstack(right)
 
@@ -326,6 +322,38 @@ def build_oracle(graph: Graph, p: int, dimension_cap: int = DEFAULT_DIMENSION_CA
     return OracleAlgebra(graph, p, paths)
 
 
+def _block_products(x: np.ndarray, n: int, p: int, transpose: bool):
+    """Rows spanning the products of n x n matrices by every matrix unit.
+
+    ``x`` is a stack of the matrices, or of their rows of n * n entries.
+
+    A left product unit * x copies one row of x to another row position,
+    and a right product x * unit copies one column.  So the left products
+    of all of x span the matrices whose rows all lie in R, the span of the
+    rows of every x, and the right products span those whose columns all
+    lie in C, the span of the columns.  The constraint (a*x)_k = 0 reads a
+    column of x along a row of a, and (x*a)_k = 0 reads a row of x along a
+    column, so when transposed the two spans trade places: rows in C and
+    columns in R.
+
+    With R and C as RREF bases, those spans are the rows of kron(I, R) and
+    kron(C, I), flattened row-major: at most n * n rows each.  Both are
+    returned in RREF: row (i, j) of kron(I, R) has its leading 1 at column
+    i * n + (pivot j of R), and row (k, i) of kron(C, I) at (pivot k of C) *
+    n + i, both increasing in row order, and no other row is nonzero there
+    because R and C are RREF.
+    """
+    x = x.reshape(-1, n, n)
+    row_basis = reduce_rowspace(x.reshape(-1, n), p)[0]
+    col_basis = reduce_rowspace(x.transpose(0, 2, 1).reshape(-1, n), p)[0]
+    if transpose:
+        row_basis, col_basis = col_basis, row_basis
+    eye = np.eye(n, dtype=np.int64)
+    left = eye[:, None, :, None] * row_basis[None, :, None, :]
+    right = col_basis[:, None, :, None] * eye[None, :, None, :]
+    return left.reshape(-1, n * n), right.reshape(-1, n * n)
+
+
 class Subspace:
     """Row space over GF(p), stored in canonical reduced echelon form.
 
@@ -372,48 +400,186 @@ class IdealSubspace(Subspace):
 
     def _audit(self) -> None:
         """Check closure under multiplication by every matrix unit on both sides."""
-        if self.is_everything:
-            return  # the full space is trivially closed
-        for prods in self.algebra.product_rows(self.basis):
-            if residual(prods, self.basis, self.pivots, self.algebra.p).any():
-                raise ValueError("subspace is not closed under two-sided multiplication")
+        if not self.is_everything:  # the full space is trivially closed
+            products = self.algebra.product_rows(self.basis)
+            _check_closed(products, self.basis, self.pivots, self.algebra.p)
 
     @classmethod
     def _from_rref(cls, algebra: OracleAlgebra, basis: np.ndarray, pivots: tuple[int, ...]):
-        """An ideal from an RREF basis, taken as it is: no reduction and no audit.
-
-        The basis is copied: it may be a view of a larger work array, which
-        a memo would otherwise keep alive.
-        """
+        """An ideal from an RREF basis, taken as it is: no reduction and no audit."""
         ideal = cls.__new__(cls)
         ideal.algebra = algebra
-        ideal.basis = basis.copy()
+        ideal.basis = basis
         ideal.pivots = pivots
         return ideal
 
 
-def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
-    """Least two-sided ideal containing the generators.
+def _check_closed(products, basis: np.ndarray, pivots: tuple[int, ...], p: int) -> None:
+    """Raise unless every batch of unit products lies in the span of the RREF basis."""
+    for prods in products:
+        if residual(prods, basis, pivots, p).any():
+            raise ValueError("subspace is not closed under two-sided multiplication")
 
-    Iterated row reduction to a fixed point: each round takes the span of
-    the round-start basis and of its products with every matrix unit on
-    both sides.  The left products come in RREF, so a round starts from
-    them as its basis (checked, not trusted) and reduces only the right
-    products into it.  The round-start basis needs no reduction: each
-    element x is the sum of the products e_ii * x by the diagonal units, so
-    it lies in the span of the left products already (a ring identity, not
-    the vertex calculus).  A round that adds no rank ends the search, and
-    so does full rank, since the whole algebra is an ideal.  That last
-    round is a closure audit, so the result is not audited again.
+
+# -- block solves ------------------------------------------------------------------
+#
+# A span of one block is an RREF basis on the block's n * n columns and its
+# pivots.  The module docstring says why ideals, annihilators and sums of
+# ideals may be solved one block at a time.
+
+# (memoized solves, interned results) of the current command, if any
+_BLOCK_CACHE: ContextVar[tuple[dict, dict] | None] = ContextVar("block_cache", default=None)
+
+
+def start_block_cache() -> Token:
+    """Give the current context an empty block cache; return the token that restores the last one.
+
+    A process that does the work of one command until it ends, such as a
+    worker of ``verify``'s pool, calls this once and keeps the cache.
     """
-    dim, p = algebra.dimension, algebra.p
-    basis, pivots = reduce_rowspace(as_matrix(generators, dim), p)
+    return _BLOCK_CACHE.set(({}, {}))
+
+
+@contextmanager
+def block_cache():
+    """Reuse block solves for the length of the body: one command.
+
+    Within it, each block solve is memoized under its kind, p, n and the
+    RREF bytes of its input spans, and its results are interned by their
+    bytes, so equal results share one read-only array.  The solves are
+    deterministic, so the cache changes no result, only its cost.  Outside
+    any such body nothing is cached.  Also a decorator: each call of the
+    decorated function gets its own cache.
+    """
+    token = start_block_cache()
+    try:
+        yield
+    finally:
+        _BLOCK_CACHE.reset(token)
+
+
+def _solve(kind: str, solve, n: int, p: int, *spans):
+    """``solve(n, p, *spans)``, memoized in the current block cache if there is one."""
+    cache = _BLOCK_CACHE.get()
+    if cache is None:
+        return solve(n, p, *spans)
+    solves, results = cache
+    key = (kind, p, n, *(basis.tobytes() for basis, _pivots in spans))
+    if key not in solves:
+        basis, pivots = solve(n, p, *spans)
+        basis = np.array(basis)  # its own copy: the solve's may view a larger work array
+        basis.flags.writeable = False
+        solves[key] = results.setdefault((basis.shape, basis.tobytes()), (basis, pivots))
+    return solves[key]
+
+
+def _block_ideal(n: int, p: int, span):
+    """The ideal of M_n(GF(p)) generated by a span, by iterated row reduction.
+
+    Each round takes the span of the round-start basis and of its products
+    with every matrix unit on both sides.  The left products come in RREF,
+    so a round starts from them as its basis (checked, not trusted) and
+    reduces only the right products into it.  The round-start basis needs
+    no reduction: each x is the sum of the products e_ii * x by the diagonal
+    units, so it lies in the span of the left products already (a ring
+    identity, not the vertex calculus).  A round that adds no rank ends the
+    search, and so does full rank.  That last round is a closure audit.
+    """
+    basis, pivots = span
     start_rank = -1
-    while start_rank < len(pivots) < dim:
+    while start_rank < len(pivots) < n * n:
         start_rank = len(pivots)
-        left, right = algebra.product_rows(basis)
+        left, right = _block_products(basis, n, p, transpose=False)
         basis, pivots = reduce_rowspace(right, p, left, rref_pivots(left))
-    return IdealSubspace._from_rref(algebra, basis, pivots)
+    return basis, pivots
+
+
+def _block_perp(n: int, p: int, span):
+    """The annihilator in M_n(GF(p)) of a span, audited to be an ideal.
+
+    Solved as the nullspace of the constraints a*x = x*a = 0, which come in
+    two RREF halves: the reduction starts from the first (checked, not
+    trusted) and reduces only the second into it.  The nullspace comes out
+    in RREF, so it is not reduced again.
+    """
+    left, right = _block_products(span[0], n, p, transpose=True)
+    constraints = reduce_rowspace(right, p, left, rref_pivots(left))
+    kernel, pivots = nullspace_from_rref(*constraints, p, n * n)
+    if len(pivots) < n * n:  # the full space is trivially closed
+        _check_closed(_block_products(kernel, n, p, transpose=False), kernel, pivots, p)
+    return kernel, pivots
+
+
+def _block_sum(n: int, p: int, head, last):
+    """The span of two spans: ``head`` extended by the rows of ``last``."""
+    return reduce_rowspace(last[0], p, *head)
+
+
+def _block_span(subspace: Subspace, b: int):
+    """The span of the projection of a subspace onto block b.
+
+    For a direct sum of block subspaces, such as an ideal, that is the rows
+    whose pivot lies in the block, and no other row has a part there;
+    otherwise the projected rows are reduced.
+    """
+    algebra = subspace.algebra
+    cols = algebra._columns(b)
+    x = subspace.basis[:, cols]
+    lo, hi = np.searchsorted(subspace.pivots, (cols.start, cols.stop))
+    if np.count_nonzero(x.any(axis=1)) == hi - lo:
+        return x[lo:hi], tuple(c - cols.start for c in subspace.pivots[lo:hi])
+    return reduce_rowspace(x, algebra.p)
+
+
+def _stitch(algebra: OracleAlgebra, spans) -> IdealSubspace:
+    """The ideal whose block b is ``spans[b]``, one span per block.
+
+    A span's rows sit on its block's columns and the blocks come in column
+    order, so the stacked rows are already the RREF of the whole.
+    """
+    rank = sum(len(pivots) for _basis, pivots in spans)
+    basis = np.zeros((rank, algebra.dimension), dtype=np.int64)
+    pivots: list[int] = []
+    for b, (block_basis, block_pivots) in enumerate(spans):
+        cols = algebra._columns(b)
+        basis[len(pivots) : len(pivots) + len(block_pivots), cols] = block_basis
+        pivots += [cols.start + c for c in block_pivots]
+    return IdealSubspace._from_rref(algebra, basis, tuple(pivots))
+
+
+def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
+    """Least two-sided ideal containing the generators, solved block by block.
+
+    Block b of the ideal is the ideal of M_n generated by block b of the
+    generators (:func:`_block_ideal`): 1_b is central, so 1_b * (A S A) is
+    A (1_b S) A.  Each block solve ends in a closure audit, so the result
+    is not audited again.
+    """
+    gens = as_matrix(generators, algebra.dimension)
+    spans = []
+    for b, n in enumerate(algebra._block_sizes):
+        span = reduce_rowspace(gens[:, algebra._columns(b)], algebra.p)
+        spans.append(_solve("ideal", _block_ideal, n, algebra.p, span) if span[1] else span)
+    return _stitch(algebra, spans)
+
+
+def _sum_of_ideals(a: IdealSubspace, b: IdealSubspace) -> IdealSubspace:
+    """The sum of two ideals of one algebra, block by block; a sum of ideals is an ideal.
+
+    A block where one side is zero, or spans the whole block, is the other
+    side's or that side's, with no solve.
+    """
+    algebra = a.algebra
+    spans = []
+    for k, n in enumerate(algebra._block_sizes):
+        head, last = _block_span(a, k), _block_span(b, k)
+        if not last[1] or len(head[1]) == n * n:
+            spans.append(head)
+        elif not head[1] or len(last[1]) == n * n:
+            spans.append(last)
+        else:
+            spans.append(_solve("sum", _block_sum, n, algebra.p, head, last))
+    return _stitch(algebra, spans)
 
 
 class IdealMemo:
@@ -423,7 +589,9 @@ class IdealMemo:
     ideal of every subset asked for and of its prefixes in graph vertex
     order, the sum of every pair of interned ideals it has added, and the
     annihilator and vertex set of every ideal asked for.  Create one per
-    pass over an algebra and let it go with the pass.
+    pass over an algebra and let it go with the pass.  The block solves
+    under these whole-algebra results are shared more widely, by every
+    algebra of one command, through :func:`block_cache`.
     """
 
     def __init__(self, algebra: OracleAlgebra):
@@ -441,8 +609,8 @@ class IdealMemo:
         """Ideal generated by the images of the given vertices.
 
         A single vertex's ideal comes from :func:`ideal_generated_by`; the
-        basis of a larger subset's ideal is that of the subset minus its last
-        vertex, extended by the basis of that vertex's ideal.  That sum is
+        ideal of a larger subset is the :func:`_sum_of_ideals` of the ideal of the
+        subset minus its last vertex and of that vertex's ideal.  That sum is
         built once per pair of interned ideals, however many subsets share it.
         """
         algebra = self.algebra
@@ -459,9 +627,7 @@ class IdealMemo:
             head, last = self._by_subset[prefix[:-1]], self.of_vertices(prefix[-1:])
             pair = (head.signature(), last.signature())
             if pair not in self._sums:
-                basis, pivots = reduce_rowspace(last.basis, algebra.p, head.basis, head.pivots)
-                ideal = IdealSubspace._from_rref(algebra, basis, pivots)
-                self._sums[pair] = self._intern(ideal)
+                self._sums[pair] = self._intern(_sum_of_ideals(head, last))
             self._by_subset[prefix] = self._sums[pair]
         return self._by_subset[key]
 
@@ -480,21 +646,19 @@ class IdealMemo:
         return self._vertex_sets[key]
 
 
-def perp_subspace(algebra: OracleAlgebra, ideal: IdealSubspace) -> IdealSubspace:
-    """Two-sided annihilator {a : a*x = x*a = 0 for all x in the ideal}.
+def perp_subspace(algebra: OracleAlgebra, ideal: Subspace) -> IdealSubspace:
+    """Two-sided annihilator {a : a*x = x*a = 0 for all x in the subspace}, block by block.
 
-    Solved as the nullspace of the linear constraints coming from the basis
-    elements of the ideal.  The constraints come in two RREF halves, so the
-    reduction starts from the first (checked, not trusted) and reduces only
-    the second into it.  The nullspace comes out in RREF, so it is not
-    reduced again; it is still audited to be an ideal.
+    a * x is the sum of the block products a_b * x_b, which lie in distinct
+    blocks, so a annihilates x iff each a_b annihilates x_b: block b of the
+    annihilator is the annihilator in M_n of the projection onto block b
+    (:func:`_block_perp`, audited there to be an ideal).
     """
-    dim, p = algebra.dimension, algebra.p
-    left, right = algebra.annihilator_constraints(ideal.basis)
-    kernel, pivots = nullspace_from_rref(*reduce_rowspace(right, p, left, rref_pivots(left)), p, dim)
-    perp = IdealSubspace._from_rref(algebra, kernel, pivots)
-    perp._audit()
-    return perp
+    spans = [
+        _solve("perp", _block_perp, n, algebra.p, _block_span(ideal, b))
+        for b, n in enumerate(algebra._block_sizes)
+    ]
+    return _stitch(algebra, spans)
 
 
 def vertex_set_of(algebra: OracleAlgebra, subspace: Subspace) -> frozenset[str]:

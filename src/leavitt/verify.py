@@ -17,7 +17,9 @@ results in that order, so the matrix, the failure details, the witnesses
 and their minimization (which stays serial) are the same on any number of
 workers.  With one usable CPU, without the ``fork`` start method, on
 Python 3.12 and later, beside a second Python thread, or in a daemonic
-process, the same tasks run in process.
+process, the same tasks run in process.  A run reuses the oracle's block
+solves across its algebras through one :func:`leavitt.oracle.block_cache`
+for the run, and each worker through one of its own.
 """
 
 from __future__ import annotations
@@ -45,11 +47,13 @@ from .laurent import LaurentElement, laurent_perp_is_zero
 from .oracle import (
     IdealMemo,
     Subspace,
+    block_cache,
     build_oracle,
     ideal_generated_by,
     is_graded_subspace,
     perp_subspace,
     require_exact_prime,
+    start_block_cache,
     vertex_set_of,
 )
 
@@ -506,6 +510,7 @@ _MAX_WORKERS = 2
 _CHUNKS_PER_WORKER = 4
 
 
+@block_cache()
 def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
     """Run the requested rows (all by default); trials=0 yields an empty matrix.
 
@@ -514,7 +519,9 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
     the calculus rows and the Laurent row first; then, once the built
     algebras are known, the random-ideal trials of ``perp-graded``, drawn
     here in the serial order.  Results are merged here in that order too,
-    so the output does not depend on the number of workers.
+    so the output does not depend on the number of workers.  The run,
+    shrinking included, has one block cache of its own, and so does each
+    worker, for both phases; none outlives the call.
     """
     if rows is None:
         requested = ALL_ROWS
@@ -616,9 +623,10 @@ def _task_map(work: int):
     ``_CHUNKS_PER_WORKER`` chunks per worker, and yields the results in item
     order (in process, lazily, as ``map`` does); ``fn`` must be a
     module-level function that nothing replaces, because it is pickled by
-    name.  ``ship`` is true when the results cross a process boundary.  The
-    pool is shut down and its processes joined before this returns, also
-    when the body raises.
+    name.  ``ship`` is true when the results cross a process boundary.  Each
+    worker starts an empty block cache and keeps it until the pool is shut
+    down.  The pool is shut down and its processes joined before this
+    returns, also when the body raises.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, work, _MAX_WORKERS)
@@ -637,7 +645,9 @@ def _task_map(work: int):
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    executor = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=start_block_cache
+    )
 
     def run(fn, items, *more):
         items = list(items)

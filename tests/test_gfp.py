@@ -97,6 +97,11 @@ def test_nullspace_annihilates():
         rank = len(rref(m, p)[1])
         assert ns.shape[0] == 4 - rank
         assert not (m @ ns.T % p).any()
+    # no constraint at all: the kernel is everything, in RREF
+    for cols in (0, 3):
+        kernel, pivots = nullspace_from_rref(np.zeros((0, cols), dtype=np.int64), (), 3, cols)
+        assert kernel.tobytes() == np.eye(cols, dtype=np.int64).tobytes()
+        assert pivots == tuple(range(cols))
 
 
 def test_as_matrix():

@@ -1,4 +1,5 @@
 import itertools
+from contextlib import nullcontext
 from pathlib import Path
 from random import Random
 
@@ -22,9 +23,17 @@ from leavitt import (
     perp_subspace,
     vertex_set_of,
 )
-from leavitt.gfp import max_exact_prime, reduce_rowspace, residual, rref, rref_pivots
-from leavitt.oracle import IdealMemo
-from leavitt.verify import exhaustive_acyclic_graphs
+from leavitt.gfp import (
+    as_matrix,
+    max_exact_prime,
+    nullspace_from_rref,
+    reduce_rowspace,
+    residual,
+    rref,
+    rref_pivots,
+)
+from leavitt.oracle import _BLOCK_CACHE, IdealMemo, _sum_of_ideals, block_cache
+from leavitt.verify import draw_generators, exhaustive_acyclic_graphs
 
 from .strategies import primes_around
 
@@ -430,3 +439,153 @@ def test_each_element_lies_in_the_span_of_its_left_products(p):
         for rows in row_sets:
             left, _right = algebra.product_rows(rows)
             assert not residual(rows, left, rref_pivots(left), p).any()
+
+
+# -- the whole-algebra referee of the block solves ------------------------------------
+
+
+def whole_ideal_generated_by(algebra, generators):
+    """The ideal generated by the generators, by iterated row reduction on all columns.
+
+    Each round reduces the products of the round-start basis by every
+    matrix unit on both sides, starting from the left half, until a round
+    adds no rank or the rank is full.
+    """
+    dim, p = algebra.dimension, algebra.p
+    basis, pivots = reduce_rowspace(as_matrix(generators, dim), p)
+    start_rank = -1
+    while start_rank < len(pivots) < dim:
+        start_rank = len(pivots)
+        left, right = algebra.product_rows(basis)
+        basis, pivots = reduce_rowspace(right, p, left, rref_pivots(left))
+    return basis, pivots
+
+
+def whole_perp_subspace(algebra, basis):
+    """The annihilator of the span of ``basis``, as the nullspace of all its constraints."""
+    p = algebra.p
+    left, right = algebra.annihilator_constraints(basis)
+    reduced = reduce_rowspace(right, p, left, rref_pivots(left))
+    kernel, pivots = nullspace_from_rref(*reduced, p, algebra.dimension)
+    IdealSubspace._from_rref(algebra, kernel, pivots)._audit()
+    return kernel, pivots
+
+
+def _referee_cases(algebras, rng):
+    """(algebra, kind, generators) cases: each vertex's ideal and each hereditary
+    saturated set's ideal on every algebra, and 20 seeded random generator
+    sets, each on an algebra drawn as ``verify`` draws its random-ideal trials.
+    """
+    cases = []
+    for algebra in algebras:
+        graph = algebra.graph
+        cases += [(algebra, "vertex", (v,)) for v in graph.vertices]
+        cases += [(algebra, "hs", h.sorted_vertices()) for h in enumerate_hs_sets(graph)]
+    for _ in range(20):
+        algebra = algebras[rng.randrange(len(algebras))]
+        cases.append((algebra, "random", draw_generators(rng, algebra.dimension, algebra.p)))
+    return cases
+
+
+def _generators(algebra, kind, case):
+    return case if kind == "random" else [algebra.vertex_image(v) for v in case]
+
+
+def _sig(basis, pivots):
+    return basis.tobytes(), pivots
+
+
+def _referee_results(cases):
+    """The whole-algebra ideal of each case, and the annihilator of all but vertex ideals."""
+    out = []
+    for algebra, kind, case in cases:
+        ideal = whole_ideal_generated_by(algebra, _generators(algebra, kind, case))
+        perps = [] if kind == "vertex" else [whole_perp_subspace(algebra, ideal[0])]
+        out.append([_sig(*ideal)] + [_sig(*perp) for perp in perps])
+    return out
+
+
+def _block_results(cases):
+    """The same from the block solves; a hereditary saturated set's ideal also as memo sums."""
+    memos = {}
+    out = []
+    for algebra, kind, case in cases:
+        ideal = ideal_generated_by(algebra, _generators(algebra, kind, case))
+        if kind == "hs":
+            memo = memos.setdefault(id(algebra), IdealMemo(algebra))
+            summed = memo.of_vertices(case)
+            assert _sig(summed.basis, summed.pivots) == _sig(ideal.basis, ideal.pivots)
+        subspaces = [ideal] if kind == "vertex" else [ideal, perp_subspace(algebra, ideal)]
+        out.append([_sig(s.basis, s.pivots) for s in subspaces])
+    return out
+
+
+def _referee_algebras(family):
+    if family == "7v":
+        graph = load_graph(str(Path(__file__).parent / "golden" / "oracle-7v.json"))
+        return [build_oracle(graph, 5)]
+    return [build_oracle(graph, int(family[-1])) for graph in exhaustive_acyclic_graphs()]
+
+
+@pytest.mark.parametrize("family", ["exhaustive-p2", "exhaustive-p3", "7v"])
+def test_block_solves_match_the_whole_algebra_referee(family):
+    cases = _referee_cases(_referee_algebras(family), Random(family))
+    want = _referee_results(cases)
+    # without a cache, and with one cache for every algebra, as in one command
+    for scope in (nullcontext(), block_cache()):
+        with scope:
+            assert _block_results(cases) == want
+            cache = _BLOCK_CACHE.get()
+    assert _BLOCK_CACHE.get() is None
+    # equal results are one read-only array
+    solves, results = cache
+    assert len(results) < len(solves)
+    interned = {id(basis) for basis, _pivots in results.values()}
+    assert {id(basis) for basis, _pivots in solves.values()} == interned
+    assert not any(basis.flags.writeable for basis, _pivots in results.values())
+
+
+def test_perp_of_a_span_across_blocks():
+    # a sum of block identities is central, so its annihilator is an ideal: the
+    # other blocks; its span is not a direct sum of block subspaces
+    fork = Graph(("a", "b", "c"), (("e1", "a", "b"), ("e2", "a", "c")))
+    for graph in (Graph(("a", "b", "c"), ()), fork):
+        for p in (2, 3):
+            algebra = build_oracle(graph, p)
+            for size in range(len(algebra.sinks) + 1):
+                for chosen in itertools.combinations(range(len(algebra.sinks)), size):
+                    element = algebra.zero()
+                    for b in chosen:
+                        np.fill_diagonal(algebra._block(element, b), 1)
+                    want = whole_perp_subspace(algebra, element.reshape(1, -1))
+                    got = perp_subspace(algebra, Subspace(algebra, [element]))
+                    assert _sig(got.basis, got.pivots) == _sig(*want)
+                    sizes = algebra._block_sizes
+                    assert got.dim == sum(n * n for b, n in enumerate(sizes) if b not in chosen)
+
+
+def test_block_sums_of_partial_spans():
+    # an ideal's block is zero or everything; spans inside the blocks also
+    # exercise the sum that is solved, with and without the cache
+    rng = Random(31)
+    fork = Graph(("a", "b", "c"), (("e1", "a", "b"), ("e2", "a", "c")))
+    for p in (2, 3):
+        algebra = build_oracle(fork, p)
+        for _ in range(10):
+            head, last = (Subspace(algebra, _random_block_rows(algebra, rng)) for _ in range(2))
+            want = rref(np.vstack([head.basis, last.basis]), p)
+            for scope in (nullcontext(), block_cache()):
+                with scope:
+                    got = _sum_of_ideals(head, last)
+                assert _sig(got.basis, got.pivots) == _sig(*want)
+
+
+def _random_block_rows(algebra, rng):
+    """One or two random rows, each inside one block."""
+    rows = []
+    for _ in range(rng.randint(1, 2)):
+        row = algebra.zero()
+        block = algebra._block(row, rng.randrange(len(algebra.sinks)))
+        block[...] = np.array([rng.randrange(algebra.p) for _ in range(block.size)]).reshape(block.shape)
+        rows.append(row)
+    return rows

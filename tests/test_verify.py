@@ -2,8 +2,11 @@ import concurrent.futures
 import itertools
 import multiprocessing
 import os
+import pickle
 import sys
 import threading
+from functools import partial
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -11,8 +14,10 @@ import pytest
 from leavitt import DEFAULT_DIMENSION_CAP, ENUMERATION_CUTOFF, Graph, LatticeTooLargeError, ideals
 from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
+from leavitt.oracle import _BLOCK_CACHE, block_cache, build_oracle
 from leavitt.verify import (
     ALL_ROWS,
+    ROW_LATTICE_COUNT,
     ROW_MAXIMAL,
     ROW_PERP_GRADED,
     ROW_PERP_VSET,
@@ -22,6 +27,8 @@ from leavitt.verify import (
     laurent_checks,
     minimize_counterexample,
     oracle_checks_for_graph,
+    _oracle_task,
+    _task_map,
     random_graph,
     run_verification,
 )
@@ -339,3 +346,51 @@ def test_runs_in_process_inside_a_daemonic_worker(monkeypatch):
     with multiprocessing.get_context("fork").Pool(1) as pool:
         text = pool.apply(small_matrix_text)
     assert text == small_matrix_text()
+
+
+# -- the block cache lives for one command ------------------------------------------------
+
+
+def forgets_the_generators(n, p, span):
+    """A broken block solve: every generated ideal is zero."""
+    return span[0][:0], ()
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
+def test_no_block_solve_outlives_its_run(monkeypatch, cpus):
+    # a cache kept from the first run would answer the broken run's solves
+    usable_cpus(monkeypatch, cpus)
+    cfg = VerifyConfig(max_vertices=3, max_edges=3, trials=5)
+    assert run_verification(cfg).passed
+    with monkeypatch.context() as patch:
+        patch.setattr("leavitt.oracle._block_ideal", forgets_the_generators)
+        broken = run_verification(cfg)
+    assert not broken.passed
+    assert {r.name for r in broken.rows if r.failures} >= {ROW_PERP_VSET, ROW_LATTICE_COUNT}
+    assert run_verification(cfg).passed
+    assert _BLOCK_CACHE.get() is None
+
+
+def test_no_block_solve_outlives_an_oracle_check(monkeypatch, capsys):
+    argv = ["oracle-check", "--graph", str(Path(__file__).parent / "golden" / "oracle-7v.json")]
+    assert main(argv) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr("leavitt.oracle._block_ideal", forgets_the_generators)
+        assert main(argv) == 1
+    assert main(argv) == 0
+    assert _BLOCK_CACHE.get() is None
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
+def test_a_shipped_algebra_pickles_without_the_cache(monkeypatch, cpus):
+    # the same checks outside any block cache, on copies of the graphs, which
+    # keep the same lookup tables on them
+    want = [_oracle_task(2, True, graph)[2] for graph in exhaustive_acyclic_graphs(3, 3)]
+    assert _BLOCK_CACHE.get() is None
+    usable_cpus(monkeypatch, cpus)
+    graphs = exhaustive_acyclic_graphs(3, 3)
+    with block_cache(), _task_map(len(graphs)) as (run, pool):
+        got = [result[2] for result in run(partial(_oracle_task, 2, True), graphs)]
+        assert pool or _BLOCK_CACHE.get()[0]  # in process, the checks filled this cache
+    assert got == want
