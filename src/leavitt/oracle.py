@@ -308,6 +308,17 @@ def require_exact_prime(p: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> N
 def build_oracle(graph: Graph, p: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> OracleAlgebra:
     """Validated construction of the matrix oracle for an acyclic graph."""
     require_exact_prime(p, dimension_cap)
+    return OracleAlgebra(graph, p, _sink_paths(graph, dimension_cap))
+
+
+def oracle_dimension(graph: Graph, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> int:
+    """The dimension of the oracle of an acyclic graph, over any prime, without building it."""
+    return sum(len(paths) ** 2 for paths in _sink_paths(graph, dimension_cap).values())
+
+
+def _sink_paths(graph: Graph, dimension_cap: int) -> dict[str, list[tuple[tuple[str, ...], str]]]:
+    """The paths into each sink, which index the oracle's blocks; refused for
+    a cyclic graph, which has infinitely many, and past the dimension cap."""
     if not graph.is_acyclic():
         raise OracleUnsupportedError("the matrix oracle covers acyclic graphs only")
     paths = {}
@@ -319,7 +330,7 @@ def build_oracle(graph: Graph, p: int, dimension_cap: int = DEFAULT_DIMENSION_CA
             raise OracleDimensionError(
                 f"oracle dimension exceeds the cap of {dimension_cap}"
             )
-    return OracleAlgebra(graph, p, paths)
+    return paths
 
 
 def _block_products(x: np.ndarray, n: int, p: int, transpose: bool):

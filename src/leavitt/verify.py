@@ -12,14 +12,16 @@ reported together with a greedily minimized witness graph.
 Every per-graph check is a pure function of its graph, so the runner
 hands them to a pool of worker processes, one per usable CPU up to two,
 forked at the start of the run and joined before it returns.  The runner
-itself draws every random input, in the serial order, and merges the
-results in that order, so the matrix, the failure details, the witnesses
-and their minimization (which stays serial) are the same on any number of
-workers.  With one usable CPU, without the ``fork`` start method, on
-Python 3.12 and later, beside a second Python thread, or in a daemonic
-process, the same tasks run in process.  A run reuses the oracle's block
-solves across its algebras through one :func:`leavitt.oracle.block_cache`
-for the run, and each worker through one of its own.
+itself draws every random input first, in the serial order (each oracle
+graph's task also runs the random-ideal trials drawn on its algebra), and
+merges the results in that order, so the matrix, the failure details, the
+witnesses and their minimization (which stays serial) are the same on any
+number of workers.  With one usable CPU, without the ``fork`` start
+method, on Python 3.12 and later, beside a second Python thread, or in a
+daemonic process, the same tasks run in process.  A run reuses the
+oracle's block solves across its algebras through one
+:func:`leavitt.oracle.block_cache` for the run, and each worker through
+one of its own.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import pickle
 import sys
 import threading
 from collections import Counter
@@ -51,6 +52,7 @@ from .oracle import (
     build_oracle,
     ideal_generated_by,
     is_graded_subspace,
+    oracle_dimension,
     perp_subspace,
     require_exact_prime,
     start_block_cache,
@@ -315,11 +317,6 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
     return counts, failures, algebra
 
 
-def random_ideal_check(algebra, rng: Random):
-    """One gradedness trial for the annihilator of a randomly generated ideal."""
-    return generated_ideal_check(algebra, draw_generators(rng, algebra.dimension, algebra.p))
-
-
 def draw_generators(rng: Random, dimension: int, p: int) -> list[np.ndarray]:
     """The random generators of one trial: one or two elements of an algebra
     of this dimension over GF(p), each with one to four nonzero coordinates.
@@ -486,18 +483,17 @@ def _still_fails(row: str, cfg: VerifyConfig, g: Graph) -> bool:
     """True iff the graph-carrying ``row`` still fails on ``g``.
 
     ``perp-graded`` also fails when one of 32 random-ideal trials, seeded as
-    in the runner, finds a problem.
+    in the runner and run by the runner's task, finds a problem.
     """
     if row in CALCULUS_ROWS:
         _counts, failures = calculus_checks_for_graph(g)
         return any(f.row == row for f in failures)
-    _counts, failures, algebra = oracle_checks_for_graph(g, cfg.prime)
-    if any(f.row == row for f in failures):
-        return True
-    if row != ROW_PERP_GRADED or algebra is None:
-        return False
-    rng = Random(cfg.seed + 1)
-    return any(random_ideal_check(algebra, rng) for _ in range(32))
+    trials = []
+    if row == ROW_PERP_GRADED:
+        rng, dimension = Random(cfg.seed + 1), oracle_dimension(g)
+        trials = [draw_generators(rng, dimension, cfg.prime) for _ in range(32)]
+    _counts, failures, problems = _oracle_task(cfg.prime, g, trials)
+    return any(f.row == row for f in failures) or any(problems)
 
 
 # -- the runner -------------------------------------------------------------------
@@ -515,13 +511,13 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
     """Run the requested rows (all by default); trials=0 yields an empty matrix.
 
     The per-graph checks are independent, so they run on a pool of the
-    usable CPUs (see :func:`_task_map`) in two phases: the oracle family,
-    the calculus rows and the Laurent row first; then, once the built
-    algebras are known, the random-ideal trials of ``perp-graded``, drawn
-    here in the serial order.  Results are merged here in that order too,
-    so the output does not depend on the number of workers.  The run,
-    shrinking included, has one block cache of its own, and so does each
-    worker, for both phases; none outlives the call.
+    usable CPUs (see :func:`_task_map`): one task per oracle graph, which
+    also runs the random-ideal trials of ``perp-graded`` drawn on that graph
+    (drawn here, in the serial order, before any task runs), one per random
+    graph and one for the Laurent row.  Results are merged here in the
+    serial order too, so the output does not depend on the number of
+    workers.  The run, shrinking included, has one block cache of its own,
+    and so does each worker; none outlives the call.
     """
     if rows is None:
         requested = ALL_ROWS
@@ -553,37 +549,34 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
         seeds[ROW_LAURENT] = cfg.seed + 2
         laurent = [(cfg.seed + 2, cfg.prime, cfg.trials)]
 
-    with _task_map(len(family) + n_random + len(laurent)) as (run, ship):
-        # phase 1: every task is queued now, the oracle family first
-        oracle_results = run(partial(_oracle_task, cfg.prime, ship), family)
+    # the perp-graded trials: each picks a graph of the family and draws
+    # generators for an algebra of its dimension
+    drawn: list[int] = []  # the graph of each trial
+    generators: list[list] = [[] for _ in family]  # per graph, those of its trials
+    if ROW_PERP_GRADED in requested:
+        seeds[ROW_PERP_GRADED] = cfg.seed + 1
+        counts[ROW_PERP_GRADED] += cfg.trials
+        rng = Random(cfg.seed + 1)
+        dimensions = [oracle_dimension(g) for g in family]
+        for _ in range(cfg.trials):
+            k = rng.randrange(len(family))
+            drawn.append(k)
+            generators[k].append(draw_generators(rng, dimensions[k], cfg.prime))
+
+    with _task_map(len(family) + n_random + len(laurent)) as run:
+        oracle_results = run(partial(_oracle_task, cfg.prime), family, generators)
         calculus_results = run(_calculus_task, randoms)
         laurent_results = run(_laurent_task, laurent)
 
-        built = []  # (graph, dimension, algebra as shipped) for each algebra that built
-        for g, (c, fs, shipped) in zip(family, oracle_results):
+        problems = []  # each graph's problems, one per trial, in the order drawn
+        for c, fs, ps in oracle_results:
             counts.update(c)
             failures += fs
-            if shipped is not None:
-                built.append((g, *shipped))
-
-        # phase 2, queued behind the rest of phase 1: the trials are drawn
-        # here in the serial order and checked in groups, one per algebra
-        if ROW_PERP_GRADED in requested and built:
-            seeds[ROW_PERP_GRADED] = cfg.seed + 1
-            rng = Random(cfg.seed + 1)
-            counts[ROW_PERP_GRADED] += cfg.trials
-            drawn: list[int] = []  # the algebra of each trial
-            groups: dict[int, list] = {}  # algebra -> generators of its trials
-            for _ in range(cfg.trials):
-                k = rng.randrange(len(built))
-                drawn.append(k)
-                groups.setdefault(k, []).append(draw_generators(rng, built[k][1], cfg.prime))
-            checked = run(_trials_task, [built[k][2] for k in groups], groups.values())
-            problems = {k: iter(group) for k, group in zip(groups, checked)}
-            for k in drawn:
-                problem = next(problems[k])
-                if problem:
-                    failures.append(Failure(ROW_PERP_GRADED, built[k][0], problem))
+            problems.append(iter(ps))
+        for k in drawn:  # after every oracle row, as each trial was drawn
+            problem = next(problems[k])
+            if problem:
+                failures.append(Failure(ROW_PERP_GRADED, family[k], problem))
 
         for c, fs in calculus_results:
             counts.update(c)
@@ -609,7 +602,7 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
 
 @contextmanager
 def _task_map(work: int):
-    """Yield ``(run, ship)``: ``run(fn, items, *more)`` is ``map`` over the usable CPUs.
+    """Yield ``run``: ``run(fn, items, *more)`` is ``map`` over the usable CPUs.
 
     One worker per usable CPU, at most ``_MAX_WORKERS`` and one per unit of
     ``work``, forked from this process so that each inherits its module
@@ -623,10 +616,9 @@ def _task_map(work: int):
     ``_CHUNKS_PER_WORKER`` chunks per worker, and yields the results in item
     order (in process, lazily, as ``map`` does); ``fn`` must be a
     module-level function that nothing replaces, because it is pickled by
-    name.  ``ship`` is true when the results cross a process boundary.  Each
-    worker starts an empty block cache and keeps it until the pool is shut
-    down.  The pool is shut down and its processes joined before this
-    returns, also when the body raises.
+    name.  Each worker starts an empty block cache and keeps it until the
+    pool is shut down.  The pool is shut down and its processes joined
+    before this returns, also when the body raises.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, work, _MAX_WORKERS)
@@ -641,7 +633,7 @@ def _task_map(work: int):
         ):
             workers = 1
     if workers <= 1:
-        yield map, False
+        yield map
         return
     from concurrent.futures import ProcessPoolExecutor
 
@@ -655,7 +647,7 @@ def _task_map(work: int):
         return executor.map(fn, items, *more, chunksize=chunk)
 
     try:
-        yield run, True
+        yield run
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
 
@@ -665,15 +657,14 @@ def _task_map(work: int):
 # monkeypatch installed on a check is what the workers call.
 
 
-def _oracle_task(p, ship, graph):
-    """The oracle rows of one graph, and its algebra with the dimension if it
-    built.  Shipped from a worker, the algebra is pickled here: the runner
-    only forwards it to the trials of phase 2, and as bytes it costs the
-    runner less memory and no unpickling."""
+def _oracle_task(p, graph, trials):
+    """The oracle rows of one graph, then the perp-graded random-ideal trials
+    drawn on it: a problem (or None) per trial, in the order drawn.  Where
+    the algebra does not build, each trial fails as the rows do."""
     counts, failures, algebra = oracle_checks_for_graph(graph, p)
     if algebra is None:
-        return counts, failures, None
-    return counts, failures, (algebra.dimension, pickle.dumps(algebra) if ship else algebra)
+        return counts, failures, [failures[0].detail] * len(trials)
+    return counts, failures, [_trial(algebra, generators) for generators in trials]
 
 
 def _calculus_task(graph):
@@ -683,14 +674,6 @@ def _calculus_task(graph):
 def _laurent_task(args):
     seed, p, trials = args
     return laurent_checks(Random(seed), p, trials)
-
-
-def _trials_task(algebra, trials):
-    """The perp-graded random-ideal trials of one algebra (pickled if it was
-    shipped): a problem (or None) per trial, in the order drawn."""
-    if isinstance(algebra, bytes):
-        algebra = pickle.loads(algebra)
-    return [_trial(algebra, gens) for gens in trials]
 
 
 def _trial(algebra, generators):

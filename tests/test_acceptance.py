@@ -26,11 +26,12 @@ from leavitt.verify import (
     ROW_REGULAR_L_IFF_PC,
     ROW_REGULARITY,
     calculus_checks_for_graph,
+    draw_generators,
     exhaustive_acyclic_graphs,
+    generated_ideal_check,
     laurent_checks,
     oracle_checks_for_graph,
     random_graph,
-    random_ideal_check,
 )
 
 ORACLE_PRIME = 2
@@ -137,7 +138,7 @@ def test_criterion_3_annihilators_are_graded(oracle_sweep):
     trials = 500
     for _ in range(trials):
         g, algebra = oracle_sweep.pool[rng.randrange(len(oracle_sweep.pool))]
-        problem = random_ideal_check(algebra, rng)
+        problem = generated_ideal_check(algebra, draw_generators(rng, algebra.dimension, algebra.p))
         if problem:
             random_failures.append((g, problem))
     ok = not vertex_part and not random_failures

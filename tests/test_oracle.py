@@ -32,7 +32,7 @@ from leavitt.gfp import (
     rref,
     rref_pivots,
 )
-from leavitt.oracle import _BLOCK_CACHE, IdealMemo, _sum_of_ideals, block_cache
+from leavitt.oracle import _BLOCK_CACHE, IdealMemo, _sum_of_ideals, block_cache, oracle_dimension
 from leavitt.verify import draw_generators, exhaustive_acyclic_graphs
 
 from .strategies import primes_around
@@ -66,6 +66,17 @@ def test_build_rejects_cycles(single_loop):
         build_oracle(single_loop, 2)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_oracle_dimension_is_the_built_dimension(p):
+    for graph in exhaustive_acyclic_graphs():
+        assert oracle_dimension(graph) == build_oracle(graph, p).dimension
+
+
+def test_oracle_dimension_rejects_cycles(single_loop):
+    with pytest.raises(OracleUnsupportedError):
+        oracle_dimension(single_loop)
+
+
 def test_build_rejects_nonprime():
     with pytest.raises(ValueError):
         build_oracle(path_ab(), 4)
@@ -74,6 +85,9 @@ def test_build_rejects_nonprime():
 def test_dimension_cap():
     with pytest.raises(OracleDimensionError):
         build_oracle(path_ab(), 2, dimension_cap=3)
+    assert oracle_dimension(path_ab(), dimension_cap=4) == 4
+    with pytest.raises(OracleDimensionError):
+        oracle_dimension(path_ab(), dimension_cap=3)
 
 
 def test_degrees_and_labels():

@@ -2,10 +2,8 @@ import concurrent.futures
 import itertools
 import multiprocessing
 import os
-import pickle
 import sys
 import threading
-from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -14,7 +12,7 @@ import pytest
 from leavitt import DEFAULT_DIMENSION_CAP, ENUMERATION_CUTOFF, Graph, LatticeTooLargeError, ideals
 from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
-from leavitt.oracle import _BLOCK_CACHE, block_cache, build_oracle
+from leavitt.oracle import _BLOCK_CACHE, build_oracle, oracle_dimension
 from leavitt.verify import (
     ALL_ROWS,
     ROW_LATTICE_COUNT,
@@ -23,12 +21,11 @@ from leavitt.verify import (
     ROW_PERP_VSET,
     VerifyConfig,
     calculus_checks_for_graph,
+    draw_generators,
     exhaustive_acyclic_graphs,
     laurent_checks,
     minimize_counterexample,
     oracle_checks_for_graph,
-    _oracle_task,
-    _task_map,
     random_graph,
     run_verification,
 )
@@ -244,12 +241,41 @@ def usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
+def one_and_two_workers(monkeypatch, cfg):
+    """The matrix of ``cfg`` on one worker and on two, each as JSON and as text."""
+    outputs = []
+    for n in (1, 2):
+        usable_cpus(monkeypatch, n)
+        matrix = run_verification(cfg)
+        outputs.append((matrix.to_json_dict(), matrix.render_text()))
+    return outputs
+
+
+def fails_on_two_edges(graph, p):
+    """An oracle build that raises on every graph with two edges."""
+    if len(graph.edges) == 2:
+        raise RuntimeError("no algebra for two edges")
+    return build_oracle(graph, p)
+
+
+def graphs_of_the_trials(cfg, family):
+    """The graph each perp-graded trial of ``cfg`` is drawn on, drawn as the runner draws."""
+    rng = Random(cfg.seed + 1)
+    graphs = []
+    for _ in range(cfg.trials):
+        graphs.append(family[rng.randrange(len(family))])
+        draw_generators(rng, oracle_dimension(graphs[-1]), cfg.prime)
+    return graphs
+
+
 MUTANTS = {
     "passing": None,
-    # fails four oracle rows at the bounds below, all from phase 1
+    # fails four oracle rows at the bounds below, in the oracle rows of each graph's task
     "bar-closure": ("leavitt.ideals.bar_closure", lambda ideal: ideal.vertices),
-    # fails the random-ideal trials of perp-graded, which run in phase 2
+    # fails the random-ideal trials of perp-graded, which each graph's task runs after its rows
     "always-graded": ("leavitt.verify.is_graded_subspace", lambda algebra, subspace: True),
+    # fails every oracle row of the two-edge graphs, and the trials drawn on them
+    "build-fails": ("leavitt.verify.build_oracle", fails_on_two_edges),
 }
 
 
@@ -259,13 +285,34 @@ def test_two_workers_give_the_serial_matrix(monkeypatch, mutant):
     if MUTANTS[mutant]:
         monkeypatch.setattr(*MUTANTS[mutant])
         cfg = VerifyConfig(max_vertices=3, max_edges=3, trials=5)
-    outputs = []
-    for n in (1, 2):
-        usable_cpus(monkeypatch, n)
-        matrix = run_verification(cfg)
-        outputs.append((matrix.to_json_dict(), matrix.render_text()))
+    outputs = one_and_two_workers(monkeypatch, cfg)
     assert outputs[0] == outputs[1]
     assert outputs[0][0]["passed"] is (mutant == "passing")
+    if mutant == "build-fails":
+        family = exhaustive_acyclic_graphs(cfg.max_vertices, cfg.max_edges)
+        unbuilt = sum(len(g.edges) == 2 for g in family)
+        drawn = sum(len(g.edges) == 2 for g in graphs_of_the_trials(cfg, family))
+        assert unbuilt and drawn  # else the case shows nothing
+        rows = {row["name"]: row for row in outputs[0][0]["rows"]}
+        assert rows[ROW_PERP_GRADED]["failures"] == unbuilt + drawn
+        assert rows[ROW_PERP_GRADED]["detail"] == "setup failed: no algebra for two edges"
+
+
+def returns_its_input(n, p, span):
+    """A broken block solve: the ideal generated by a span is the span."""
+    return span
+
+
+def test_a_trial_that_raises_while_shrinking_is_a_failure(monkeypatch):
+    # the annihilator of a span that is not an ideal fails its closure audit
+    # by raising, also in the trials that shrink the perp-graded witness
+    monkeypatch.setattr("leavitt.oracle._block_ideal", returns_its_input)
+    outputs = one_and_two_workers(monkeypatch, VerifyConfig(max_vertices=3, max_edges=3, trials=5))
+    assert outputs[0] == outputs[1]
+    rows = {row["name"]: row for row in outputs[0][0]["rows"]}
+    assert rows[ROW_PERP_GRADED]["failures"] > 0
+    # one edge is the smallest graph with a span that is not an ideal
+    assert len(rows[ROW_PERP_GRADED]["counterexample"]["edges"]) == 1
 
 
 def test_no_worker_outlives_the_run(monkeypatch):
@@ -380,17 +427,3 @@ def test_no_block_solve_outlives_an_oracle_check(monkeypatch, capsys):
     assert main(argv) == 0
     assert _BLOCK_CACHE.get() is None
     capsys.readouterr()
-
-
-@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
-def test_a_shipped_algebra_pickles_without_the_cache(monkeypatch, cpus):
-    # the same checks outside any block cache, on copies of the graphs, which
-    # keep the same lookup tables on them
-    want = [_oracle_task(2, True, graph)[2] for graph in exhaustive_acyclic_graphs(3, 3)]
-    assert _BLOCK_CACHE.get() is None
-    usable_cpus(monkeypatch, cpus)
-    graphs = exhaustive_acyclic_graphs(3, 3)
-    with block_cache(), _task_map(len(graphs)) as (run, pool):
-        got = [result[2] for result in run(partial(_oracle_task, 2, True), graphs)]
-        assert pool or _BLOCK_CACHE.get()[0]  # in process, the checks filled this cache
-    assert got == want
