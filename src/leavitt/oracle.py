@@ -311,9 +311,9 @@ def build_oracle(graph: Graph, p: int, dimension_cap: int = DEFAULT_DIMENSION_CA
     return OracleAlgebra(graph, p, _sink_paths(graph, dimension_cap))
 
 
-def oracle_dimension(graph: Graph, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> int:
+def oracle_dimension(graph: Graph) -> int:
     """The dimension of the oracle of an acyclic graph, over any prime, without building it."""
-    return sum(len(paths) ** 2 for paths in _sink_paths(graph, dimension_cap).values())
+    return sum(len(paths) ** 2 for paths in _sink_paths(graph, DEFAULT_DIMENSION_CAP).values())
 
 
 def _sink_paths(graph: Graph, dimension_cap: int) -> dict[str, list[tuple[tuple[str, ...], str]]]:

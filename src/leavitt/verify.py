@@ -12,16 +12,14 @@ reported together with a greedily minimized witness graph.
 Every per-graph check is a pure function of its graph, so the runner
 hands them to a pool of worker processes, one per usable CPU up to two,
 forked at the start of the run and joined before it returns.  The runner
-itself draws every random input first, in the serial order (each oracle
-graph's task also runs the random-ideal trials drawn on its algebra), and
-merges the results in that order, so the matrix, the failure details, the
-witnesses and their minimization (which stays serial) are the same on any
-number of workers.  With one usable CPU, without the ``fork`` start
-method, on Python 3.12 and later, beside a second Python thread, or in a
-daemonic process, the same tasks run in process.  A run reuses the
-oracle's block solves across its algebras through one
-:func:`leavitt.oracle.block_cache` for the run, and each worker through
-one of its own.
+itself draws every random input, in the serial order, and merges the
+results in that order, so the matrix, the failure details, the witnesses
+and their minimization (which stays serial) are the same on any number of
+workers.  With one usable CPU, without the ``fork`` start method, on
+Python 3.12 and later, beside a second Python thread, or in a daemonic
+process, the same tasks run in process.  A run reuses the oracle's block
+solves across its algebras through one :func:`leavitt.oracle.block_cache`
+for the run, and each worker through one of its own.
 """
 
 from __future__ import annotations
@@ -483,17 +481,19 @@ def _still_fails(row: str, cfg: VerifyConfig, g: Graph) -> bool:
     """True iff the graph-carrying ``row`` still fails on ``g``.
 
     ``perp-graded`` also fails when one of 32 random-ideal trials, seeded as
-    in the runner and run by the runner's task, finds a problem.
+    in the runner and run one at a time as in its task, finds a problem.
     """
     if row in CALCULUS_ROWS:
         _counts, failures = calculus_checks_for_graph(g)
         return any(f.row == row for f in failures)
-    trials = []
-    if row == ROW_PERP_GRADED:
-        rng, dimension = Random(cfg.seed + 1), oracle_dimension(g)
-        trials = [draw_generators(rng, dimension, cfg.prime) for _ in range(32)]
-    _counts, failures, problems = _oracle_task(cfg.prime, g, trials)
-    return any(f.row == row for f in failures) or any(problems)
+    _counts, failures, algebra = oracle_checks_for_graph(g, cfg.prime)
+    if any(f.row == row for f in failures):
+        return True
+    if row != ROW_PERP_GRADED:
+        return False
+    rng = Random(cfg.seed + 1)
+    trials = (draw_generators(rng, algebra.dimension, cfg.prime) for _ in range(32))
+    return any(_problems(algebra, failures, trials))
 
 
 # -- the runner -------------------------------------------------------------------
@@ -512,10 +512,9 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
 
     The per-graph checks are independent, so they run on a pool of the
     usable CPUs (see :func:`_task_map`): one task per oracle graph, which
-    also runs the random-ideal trials of ``perp-graded`` drawn on that graph
-    (drawn here, in the serial order, before any task runs), one per random
-    graph and one for the Laurent row.  Results are merged here in the
-    serial order too, so the output does not depend on the number of
+    also runs the ``perp-graded`` trials drawn on it, one per random graph
+    and one for the Laurent row.  Inputs are drawn, and results merged, in
+    the serial order, so the output does not depend on the number of
     workers.  The run, shrinking included, has one block cache of its own,
     and so does each worker; none outlives the call.
     """
@@ -549,15 +548,14 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
         seeds[ROW_LAURENT] = cfg.seed + 2
         laurent = [(cfg.seed + 2, cfg.prime, cfg.trials)]
 
-    # the perp-graded trials: each picks a graph of the family and draws
-    # generators for an algebra of its dimension
+    # the perp-graded trials, each drawn on a graph of the family
     drawn: list[int] = []  # the graph of each trial
     generators: list[list] = [[] for _ in family]  # per graph, those of its trials
     if ROW_PERP_GRADED in requested:
         seeds[ROW_PERP_GRADED] = cfg.seed + 1
         counts[ROW_PERP_GRADED] += cfg.trials
         rng = Random(cfg.seed + 1)
-        dimensions = [oracle_dimension(g) for g in family]
+        dimensions = [_dimension(g) for g in family]
         for _ in range(cfg.trials):
             k = rng.randrange(len(family))
             drawn.append(k)
@@ -659,12 +657,9 @@ def _task_map(work: int):
 
 def _oracle_task(p, graph, trials):
     """The oracle rows of one graph, then the perp-graded random-ideal trials
-    drawn on it: a problem (or None) per trial, in the order drawn.  Where
-    the algebra does not build, each trial fails as the rows do."""
+    drawn on it: a problem (or None) per trial, in the order drawn."""
     counts, failures, algebra = oracle_checks_for_graph(graph, p)
-    if algebra is None:
-        return counts, failures, [failures[0].detail] * len(trials)
-    return counts, failures, [_trial(algebra, generators) for generators in trials]
+    return counts, failures, list(_problems(algebra, failures, trials))
 
 
 def _calculus_task(graph):
@@ -676,8 +671,18 @@ def _laurent_task(args):
     return laurent_checks(Random(seed), p, trials)
 
 
-def _trial(algebra, generators):
+def _problems(algebra, failures, trials):
+    """A problem (or None) per trial, lazily; the set-up failure where no algebra built."""
+    for gens in trials:
+        try:
+            yield failures[0].detail if algebra is None else generated_ideal_check(algebra, gens)
+        except Exception as exc:
+            yield f"random ideal check raised {exc!r}"
+
+
+def _dimension(graph):
+    """The oracle dimension of ``graph``, or 0 where that raises: its task reports why."""
     try:
-        return generated_ideal_check(algebra, generators)
-    except Exception as exc:
-        return f"random ideal check raised {exc!r}"
+        return oracle_dimension(graph)
+    except Exception:
+        return 0

@@ -85,9 +85,10 @@ def test_build_rejects_nonprime():
 def test_dimension_cap():
     with pytest.raises(OracleDimensionError):
         build_oracle(path_ab(), 2, dimension_cap=3)
-    assert oracle_dimension(path_ab(), dimension_cap=4) == 4
+    # 45 parallel edges give 46 paths into the sink, and 46 ** 2 is past the cap
+    parallel = Graph(("a", "b"), tuple((f"e{i}", "a", "b") for i in range(45)))
     with pytest.raises(OracleDimensionError):
-        oracle_dimension(path_ab(), dimension_cap=3)
+        oracle_dimension(parallel)
 
 
 def test_degrees_and_labels():

@@ -12,7 +12,7 @@ import pytest
 from leavitt import DEFAULT_DIMENSION_CAP, ENUMERATION_CUTOFF, Graph, LatticeTooLargeError, ideals
 from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
-from leavitt.oracle import _BLOCK_CACHE, build_oracle, oracle_dimension
+from leavitt.oracle import _BLOCK_CACHE, _sink_paths, build_oracle
 from leavitt.verify import (
     ALL_ROWS,
     ROW_LATTICE_COUNT,
@@ -20,6 +20,7 @@ from leavitt.verify import (
     ROW_PERP_GRADED,
     ROW_PERP_VSET,
     VerifyConfig,
+    _dimension,
     calculus_checks_for_graph,
     draw_generators,
     exhaustive_acyclic_graphs,
@@ -251,11 +252,15 @@ def one_and_two_workers(monkeypatch, cfg):
     return outputs
 
 
-def fails_on_two_edges(graph, p):
-    """An oracle build that raises on every graph with two edges."""
-    if len(graph.edges) == 2:
-        raise RuntimeError("no algebra for two edges")
-    return build_oracle(graph, p)
+def fails_on_two_edges(real):
+    """A step of the oracle build, ``real``, that raises on every graph with two edges."""
+
+    def step(graph, *args):
+        if len(graph.edges) == 2:
+            raise RuntimeError("no algebra for two edges")
+        return real(graph, *args)
+
+    return step
 
 
 def graphs_of_the_trials(cfg, family):
@@ -264,7 +269,7 @@ def graphs_of_the_trials(cfg, family):
     graphs = []
     for _ in range(cfg.trials):
         graphs.append(family[rng.randrange(len(family))])
-        draw_generators(rng, oracle_dimension(graphs[-1]), cfg.prime)
+        draw_generators(rng, _dimension(graphs[-1]), cfg.prime)
     return graphs
 
 
@@ -275,7 +280,9 @@ MUTANTS = {
     # fails the random-ideal trials of perp-graded, which each graph's task runs after its rows
     "always-graded": ("leavitt.verify.is_graded_subspace", lambda algebra, subspace: True),
     # fails every oracle row of the two-edge graphs, and the trials drawn on them
-    "build-fails": ("leavitt.verify.build_oracle", fails_on_two_edges),
+    "build-fails": ("leavitt.verify.build_oracle", fails_on_two_edges(build_oracle)),
+    # the same, from the step that also gives the runner each graph's dimension
+    "paths-fail": ("leavitt.oracle._sink_paths", fails_on_two_edges(_sink_paths)),
 }
 
 
@@ -288,7 +295,7 @@ def test_two_workers_give_the_serial_matrix(monkeypatch, mutant):
     outputs = one_and_two_workers(monkeypatch, cfg)
     assert outputs[0] == outputs[1]
     assert outputs[0][0]["passed"] is (mutant == "passing")
-    if mutant == "build-fails":
+    if mutant in ("build-fails", "paths-fail"):
         family = exhaustive_acyclic_graphs(cfg.max_vertices, cfg.max_edges)
         unbuilt = sum(len(g.edges) == 2 for g in family)
         drawn = sum(len(g.edges) == 2 for g in graphs_of_the_trials(cfg, family))
