@@ -613,10 +613,10 @@ def _task_map(work: int):
     (which may not start processes).  ``run`` queues every item at once, in
     ``_CHUNKS_PER_WORKER`` chunks per worker, and yields the results in item
     order (in process, lazily, as ``map`` does); ``fn`` must be a
-    module-level function that nothing replaces, because it is pickled by
-    name.  Each worker starts an empty block cache and keeps it until the
-    pool is shut down.  The pool is shut down and its processes joined
-    before this returns, also when the body raises.
+    module-level function that nothing replaces, because it is sent to the
+    workers by name.  Each worker starts an empty block cache and keeps it
+    until the pool is shut down.  The pool is shut down and its processes
+    joined before this returns, also when the body raises.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, work, _MAX_WORKERS)
@@ -650,7 +650,7 @@ def _task_map(work: int):
         executor.shutdown(wait=True, cancel_futures=True)
 
 
-# The tasks below are what _task_map pickles: private module-level functions
+# The tasks below are what _task_map sends by name: private module-level functions
 # that look the checks up by name when they run, so that a wrapper or a
 # monkeypatch installed on a check is what the workers call.
 
