@@ -155,15 +155,15 @@ def _rref_gf2(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p.
+    """Exact (a @ b) % p, for matrices or stacks of them.
 
     Routes through float64 BLAS when the products provably stay inside the
     exact-integer range of float64; numpy's plain int64 matmul is a naive
     loop and far slower.
     """
-    inner = a.shape[1]
+    inner = a.shape[-1]
     if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+        return np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
     largest = inner * (p - 1) * (p - 1)
     if largest < 2**53:
         prod = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)

@@ -7,9 +7,10 @@ sink.  Concretely the basis consists of matrix units ``e[v; g, l]`` where
 
     e[v; g, l] * e[w; m, n] = (v == w and l == m) * e[v; g, n]
 
-with the integer grading ``deg e[v; g, l] = len(g) - len(l)``.  Vertices,
-edges and ghost edges of the graph all have explicit images on this basis,
-and the defining relations of the algebra are audited at construction.
+with the integer grading ``deg e[v; g, l] = len(g) - len(l)``.  The
+vertices, edges and ghost edges have explicit images on this basis, three
+read-only matrices of one row per generator, and the defining relations
+are audited at construction, one batched product per relation and block.
 That makes the module a brute-force referee for the vertex-set calculus:
 ideals and annihilators are computed by genuine row reduction over GF(p)
 with no graph-theoretic shortcuts, and gradedness is read off the RREF basis
@@ -21,7 +22,7 @@ capped at ``DEFAULT_DIMENSION_CAP``.  All arithmetic is exact int64, which
 bounds the prime by the cap (see :func:`leavitt.gfp.max_exact_prime`).
 
 An element is read through one view, its blocks: the n x n matrix of
-each sink, for one element or a stack of rows (``OracleAlgebra._blocks``).
+each sink, for one element or a stack of rows (``OracleAlgebra._block``).
 A product is one block product per sink where the left factor is nonzero.
 Products by matrix units drive everything: ideal generation, the closure
 audit and the annihilator constraints.  A unit product copies one row or
@@ -102,23 +103,20 @@ class OracleAlgebra:
         self.graph = graph
         self.p = p
         self.sinks = tuple(sorted(paths))
-        self._paths = paths
         self._block_sizes = [len(paths[v]) for v in self.sinks]
         squares = [n * n for n in self._block_sizes]
         self.dimension = sum(squares)
         self._offsets = [end - sq for end, sq in zip(itertools.accumulate(squares), squares)]
-        self._path_index = {
-            v: {names: i for i, (names, _src) in enumerate(paths[v])} for v in self.sinks
-        }
 
         self.labels = [(v, g, l) for v in self.sinks for g, _ in paths[v] for l, _ in paths[v]]
         self.degrees = np.array([len(g) - len(l) for _v, g, l in self.labels], dtype=np.int64)
 
-        self._vertex_images = self._build_vertex_images()
-        self._edge_images: dict[str, np.ndarray] = {}
-        self._ghost_images: dict[str, np.ndarray] = {}
-        for e in graph.edges:
-            self._edge_images[e.name], self._ghost_images[e.name] = self._build_edge_images(e)
+        self._vertex_row = {v: k for k, v in enumerate(graph.vertices)}
+        self._edge_row = {e.name: k for k, e in enumerate(graph.edges)}
+        images = self._build_images(paths)
+        for matrix in images:
+            matrix.flags.writeable = False
+        self._vertex_matrix, self._edge_matrix, self._ghost_matrix = images
         self._audit_relations()
 
     # -- element helpers -------------------------------------------------------
@@ -126,21 +124,15 @@ class OracleAlgebra:
     def zero(self) -> np.ndarray:
         return np.zeros(self.dimension, dtype=np.int64)
 
-    def identity(self) -> np.ndarray:
-        out = self.zero()
-        for block in self._blocks(out):
-            np.fill_diagonal(block, 1)
-        return out
-
     def vertex_image(self, vertex: str) -> np.ndarray:
         self.graph.require_vertex(vertex)
-        return self._vertex_images[vertex].copy()
+        return self._vertex_matrix[self._vertex_row[vertex]].copy()
 
     def edge_image(self, name: str) -> np.ndarray:
-        return self._edge_images[name].copy()
+        return self._edge_matrix[self._edge_row[name]].copy()
 
     def ghost_image(self, name: str) -> np.ndarray:
-        return self._ghost_images[name].copy()
+        return self._ghost_matrix[self._edge_row[name]].copy()
 
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The product x*y, block by block; y may be a stack of rows, each multiplied by x.
@@ -162,10 +154,6 @@ class OracleAlgebra:
         """The n_b x n_b view of block b of x, for one element or a stack of rows."""
         n = self._block_sizes[b]
         return x[..., self._columns(b)].reshape(*x.shape[:-1], n, n)
-
-    def _blocks(self, x: np.ndarray) -> list[np.ndarray]:
-        """The view of every sink's block of x, in sink order."""
-        return [self._block(x, b) for b in range(len(self.sinks))]
 
     def product_rows(self, rows: np.ndarray):
         """Yield two RREF matrices whose rows together span every unit * row and row * unit.
@@ -194,82 +182,99 @@ class OracleAlgebra:
         dim, p = self.dimension, self.p
         empty = np.zeros((0, dim), dtype=np.int64)
         left, right = [empty], [empty]
-        for b, x in enumerate(self._blocks(rows)):
-            if not x.any():
-                continue
-            halves = _block_products(x, self._block_sizes[b], p, transpose)
-            for side, half in zip((left, right), halves):
-                placed = np.zeros((half.shape[0], dim), dtype=np.int64)
-                placed[:, self._columns(b)] = half
-                side.append(placed)
+        for b, n in enumerate(self._block_sizes):
+            x = self._block(rows, b)
+            if x.any():
+                for side, half in zip((left, right), _block_products(x, n, p, transpose)):
+                    placed = np.zeros((half.shape[0], dim), dtype=np.int64)
+                    placed[:, self._columns(b)] = half
+                    side.append(placed)
         return np.vstack(left), np.vstack(right)
 
     # -- construction internals ------------------------------------------------
 
-    def _build_vertex_images(self) -> dict[str, np.ndarray]:
-        """The image of each vertex: the diagonal unit of every path that starts there."""
-        images = {v: self.zero() for v in self.graph.vertices}
-        for b, v in enumerate(self.sinks):
-            for i, (_names, src) in enumerate(self._paths[v]):
-                self._block(images[src], b)[i, i] = 1
-        return images
+    def _build_images(self, paths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The vertex, edge and ghost edge images, one row each in graph order.
 
-    def _build_edge_images(self, edge) -> tuple[np.ndarray, np.ndarray]:
-        """Images of the edge and of its ghost; the ghost's units are the edge's, transposed."""
-        image, ghost = self.zero(), self.zero()
-        for image_b, ghost_b, v in zip(self._blocks(image), self._blocks(ghost), self.sinks):
-            index = self._path_index[v]
-            for j, (names, src) in enumerate(self._paths[v]):
-                if src == edge.dst:
-                    i = index[(edge.name,) + names]
-                    image_b[i, j] = 1
-                    ghost_b[j, i] = 1
-        return image, ghost
+        Vertex v is the diagonal unit of every path from v.  A path of positive
+        length, its first edge e then a path g, gives e the unit at (path, g);
+        a ghost's units are its edge's, transposed.
+        """
+        vertices = np.zeros((len(self._vertex_row), self.dimension), dtype=np.int64)
+        edges = np.zeros((len(self._edge_row), self.dimension), dtype=np.int64)
+        ghosts = np.zeros_like(edges)
+        for b, v in enumerate(self.sinks):
+            index = {names: i for i, (names, _src) in enumerate(paths[v])}
+            vertex_b, edge_b = self._block(vertices, b), self._block(edges, b)
+            for i, (names, src) in enumerate(paths[v]):
+                vertex_b[self._vertex_row[src], i, i] = 1
+                if names:
+                    edge_b[self._edge_row[names[0]], i, index[names[1:]]] = 1
+            self._block(ghosts, b)[...] = edge_b.transpose(0, 2, 1)
+        return vertices, edges, ghosts
 
     def _audit_relations(self) -> None:
-        """Check the defining relations on every generator image; bugs abort."""
-        g = self.graph
-        vi = self._vertex_images
+        """Check the defining relations on the generator images; bugs abort.
 
-        def first_bad(x, stack, k, expect):
-            """Index of the first row s with x*s unlike (expect at row k, else zero), or -1."""
-            want = np.zeros_like(stack)
-            want[k] = expect
-            bad = (self.mul(x, stack) != want).any(axis=1)
-            return int(bad.argmax()) if bad.any() else -1
+        Each relation is one batched product per block.  The failures are
+        ORed over the blocks, and the first is raised in a fixed order:
+        vertex pairs; edge by edge, its source/range relation before its
+        ghost's; edge pairs; emitters in sorted order; the vertex sum.
+        """
+        g, p = self.graph, self.p
+        src = np.array([self._vertex_row[e.src] for e in g.edges], dtype=np.intp)
+        dst = np.array([self._vertex_row[e.dst] for e in g.edges], dtype=np.intp)
+        emitters = sorted(g.regular_vertices())
+        emitter_rows = np.array([self._vertex_row[v] for v in emitters], dtype=np.intp)
+        out_edges = (src == emitter_rows[:, None]).astype(np.int64)
+        nv, ne = len(g.vertices), len(g.edges)
+        vertex_bad, pair_bad = np.zeros((nv, nv), dtype=bool), np.zeros((ne, ne), dtype=bool)
+        # per edge: its source/range relation, then its ghost's
+        edge_bad, range_bad = np.zeros((ne, 2), dtype=bool), np.zeros(len(emitters), dtype=bool)
+        sum_bad = False
 
-        vertex_stack = as_matrix([vi[v] for v in g.vertices], self.dimension)
-        for k, u in enumerate(g.vertices):
-            w = first_bad(vi[u], vertex_stack, k, vi[u])
-            if w >= 0:
-                raise RuntimeError(f"vertex idempotents not orthogonal at ({u}, {g.vertices[w]})")
-        for e in g.edges:
-            img = self._edge_images[e.name]
-            ghost = self._ghost_images[e.name]
-            if not np.array_equal(self.mul(vi[e.src], img), img) or not np.array_equal(
-                self.mul(img, vi[e.dst]), img
-            ):
-                raise RuntimeError(f"source/range relation fails for edge {e.name}")
-            if not np.array_equal(self.mul(vi[e.dst], ghost), ghost) or not np.array_equal(
-                self.mul(ghost, vi[e.src]), ghost
-            ):
-                raise RuntimeError(f"ghost source/range relation fails for edge {e.name}")
-        edge_stack = as_matrix([self._edge_images[f.name] for f in g.edges], self.dimension)
-        for k, e in enumerate(g.edges):
-            f = first_bad(self._ghost_images[e.name], edge_stack, k, vi[e.dst])
-            if f >= 0:
-                raise RuntimeError(f"ghost-edge relation fails at ({e.name}, {g.edges[f].name})")
-        for v in sorted(g.regular_vertices()):
-            acc = self.zero()
-            for e in g.out_edges(v):
-                product = self.mul(self._edge_images[e.name], self._ghost_images[e.name])
-                acc = (acc + product) % self.p
-            if not np.array_equal(acc, vi[v]):
-                raise RuntimeError(f"range-decomposition relation fails at vertex {v}")
-        total = self.zero()
-        for v in g.vertices:
-            total = (total + vi[v]) % self.p
-        if not np.array_equal(total, self.identity()):
+        def differs(x, y, want):
+            """One flag per matrix of a stack: x * y, mod p, is not ``want``."""
+            return (matmul_mod(x, y, p) != want).any(axis=(1, 2))
+
+        def pairs_differ(x, y, diagonal):
+            """Flags (i, j): x[i] * y[j] is not (i == j) * diagonal[i].  One matrix
+            product over the i where one of the three is nonzero: the rest give 0 = 0."""
+            bad = np.zeros((len(x), len(x)), dtype=bool)
+            live = np.flatnonzero(x.any((1, 2)) | y.any((1, 2)) | diagonal.any((1, 2)))
+            k, n = len(live), x.shape[1]
+            rows, cols = x[live].reshape(-1, n), y[live].transpose(1, 0, 2).reshape(n, k * n)
+            prod = matmul_mod(rows, cols, p).reshape(k, n, k, n).transpose(0, 2, 1, 3)
+            prod[np.arange(k), np.arange(k)] -= diagonal[live]
+            bad[np.ix_(live, live)] = prod.any(axis=(2, 3))
+            return bad
+
+        images = (self._vertex_matrix, self._edge_matrix, self._ghost_matrix)
+        for b, n in enumerate(self._block_sizes):
+            v, e, ghost = (self._block(m, b) for m in images)
+            s, r = v[src], v[dst]
+            vertex_bad |= pairs_differ(v, v, v)
+            edge_bad[:, 0] |= differs(s, e, e) | differs(e, r, e)
+            edge_bad[:, 1] |= differs(r, ghost, ghost) | differs(ghost, s, ghost)
+            pair_bad |= pairs_differ(ghost, e, r)
+            sums = np.tensordot(out_edges, matmul_mod(e, ghost, p), axes=1) % p
+            range_bad |= (sums != v[emitter_rows]).any(axis=(1, 2))
+            sum_bad |= (v.sum(axis=0) % p != np.eye(n, dtype=np.int64)).any()
+
+        if vertex_bad.any():
+            u, w = (g.vertices[k] for k in np.argwhere(vertex_bad)[0])
+            raise RuntimeError(f"vertex idempotents not orthogonal at ({u}, {w})")
+        if edge_bad.any():
+            k, of_ghost = np.argwhere(edge_bad)[0]
+            kind = "ghost source/range" if of_ghost else "source/range"
+            raise RuntimeError(f"{kind} relation fails for edge {g.edges[k].name}")
+        if pair_bad.any():
+            e, f = (g.edges[k].name for k in np.argwhere(pair_bad)[0])
+            raise RuntimeError(f"ghost-edge relation fails at ({e}, {f})")
+        if range_bad.any():
+            v = emitters[range_bad.argmax()]
+            raise RuntimeError(f"range-decomposition relation fails at vertex {v}")
+        if sum_bad:
             raise RuntimeError("vertex idempotents do not sum to the identity")
 
 
@@ -289,34 +294,34 @@ def _paths_into(graph: Graph, sink: str) -> list[tuple[tuple[str, ...], str]]:
     return done
 
 
-def require_exact_prime(p: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> None:
-    """Refuse p unless it is a prime with exact int64 arithmetic up to ``dimension_cap``.
+def require_exact_prime(p: int) -> None:
+    """Refuse p unless it is a prime with exact int64 arithmetic up to the dimension cap.
 
     The bound is tested first: it is cheap, and it keeps the trial-division
     primality test, which is slow on huge inputs, to small p.
     """
-    bound = max_exact_prime(dimension_cap)
+    bound = max_exact_prime(DEFAULT_DIMENSION_CAP)
     if p > bound:
         raise InvalidArgumentError(
             f"prime {p} is past {bound}, the largest p with exact int64 "
-            f"arithmetic up to oracle dimension {dimension_cap}"
+            f"arithmetic up to oracle dimension {DEFAULT_DIMENSION_CAP}"
         )
     if not is_prime(p):
         raise InvalidArgumentError(f"{p} is not prime")
 
 
-def build_oracle(graph: Graph, p: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> OracleAlgebra:
+def build_oracle(graph: Graph, p: int) -> OracleAlgebra:
     """Validated construction of the matrix oracle for an acyclic graph."""
-    require_exact_prime(p, dimension_cap)
-    return OracleAlgebra(graph, p, _sink_paths(graph, dimension_cap))
+    require_exact_prime(p)
+    return OracleAlgebra(graph, p, _sink_paths(graph))
 
 
 def oracle_dimension(graph: Graph) -> int:
     """The dimension of the oracle of an acyclic graph, over any prime, without building it."""
-    return sum(len(paths) ** 2 for paths in _sink_paths(graph, DEFAULT_DIMENSION_CAP).values())
+    return sum(len(paths) ** 2 for paths in _sink_paths(graph).values())
 
 
-def _sink_paths(graph: Graph, dimension_cap: int) -> dict[str, list[tuple[tuple[str, ...], str]]]:
+def _sink_paths(graph: Graph) -> dict[str, list[tuple[tuple[str, ...], str]]]:
     """The paths into each sink, which index the oracle's blocks; refused for
     a cyclic graph, which has infinitely many, and past the dimension cap."""
     if not graph.is_acyclic():
@@ -326,9 +331,9 @@ def _sink_paths(graph: Graph, dimension_cap: int) -> dict[str, list[tuple[tuple[
     for v in sorted(graph.sinks()):
         paths[v] = _paths_into(graph, v)
         dim += len(paths[v]) ** 2
-        if dim > dimension_cap:
+        if dim > DEFAULT_DIMENSION_CAP:
             raise OracleDimensionError(
-                f"oracle dimension exceeds the cap of {dimension_cap}"
+                f"oracle dimension exceeds the cap of {DEFAULT_DIMENSION_CAP}"
             )
     return paths
 
@@ -407,10 +412,6 @@ class IdealSubspace(Subspace):
 
     def __init__(self, algebra: OracleAlgebra, vectors):
         super().__init__(algebra, vectors)
-        self._audit()
-
-    def _audit(self) -> None:
-        """Check closure under multiplication by every matrix unit on both sides."""
         if not self.is_everything:  # the full space is trivially closed
             products = self.algebra.product_rows(self.basis)
             _check_closed(products, self.basis, self.pivots, self.algebra.p)
@@ -675,13 +676,11 @@ def perp_subspace(algebra: OracleAlgebra, ideal: Subspace) -> IdealSubspace:
 def vertex_set_of(algebra: OracleAlgebra, subspace: Subspace) -> frozenset[str]:
     """Vertices whose generator image lies in the subspace.
 
-    All vertex images are reduced against the basis at once; a zero
+    The vertex image matrix is reduced against the basis at once; a zero
     residual row marks a member.
     """
-    vertices = algebra.graph.vertices
-    images = as_matrix([algebra.vertex_image(v) for v in vertices], algebra.dimension)
-    outside = residual(images, subspace.basis, subspace.pivots, algebra.p).any(axis=1)
-    return frozenset(v for v, out in zip(vertices, outside) if not out)
+    outside = residual(algebra._vertex_matrix, subspace.basis, subspace.pivots, algebra.p)
+    return frozenset(v for v, out in zip(algebra.graph.vertices, outside.any(axis=1)) if not out)
 
 
 def is_graded_subspace(algebra: OracleAlgebra, subspace: Subspace) -> bool:

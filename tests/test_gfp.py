@@ -171,6 +171,15 @@ def test_matmul_mod_exact_at_last_good_prime_and_refused_past_it():
         matmul_mod(a, b, bad)
 
 
+def test_matmul_mod_reads_the_inner_dimension_of_a_stack():
+    # 1 x 8 by 8 x 1 products: eight terms each, at a prime where eight need int64
+    good = primes_around(max_exact_prime(2000))[0]
+    rng = np.random.default_rng(1)
+    a, b = rng.integers(0, good, (20, 1, 8)), rng.integers(0, good, (20, 8, 1))
+    want = [sum(int(x) * int(y) for x, y in zip(r, c)) % good for r, c in zip(a[:, 0], b[..., 0])]
+    assert matmul_mod(a, b, good).ravel().tolist() == want
+
+
 @st.composite
 def gf2_matrices(draw):
     """Matrices over the integers with row widths around byte and word edges.

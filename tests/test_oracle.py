@@ -10,6 +10,7 @@ from leavitt import (
     DEFAULT_DIMENSION_CAP,
     Graph,
     IdealSubspace,
+    OracleAlgebra,
     OracleDimensionError,
     OracleUnsupportedError,
     Subspace,
@@ -82,13 +83,19 @@ def test_build_rejects_nonprime():
         build_oracle(path_ab(), 4)
 
 
+def parallel_edges(count):
+    """``count`` parallel edges a -> b: count + 1 paths into the one sink."""
+    return Graph(("a", "b"), tuple((f"e{i}", "a", "b") for i in range(count)))
+
+
 def test_dimension_cap():
-    with pytest.raises(OracleDimensionError):
-        build_oracle(path_ab(), 2, dimension_cap=3)
-    # 45 parallel edges give 46 paths into the sink, and 46 ** 2 is past the cap
-    parallel = Graph(("a", "b"), tuple((f"e{i}", "a", "b") for i in range(45)))
-    with pytest.raises(OracleDimensionError):
-        oracle_dimension(parallel)
+    # 44 ** 2 is within the cap; 45 ** 2 and 46 ** 2 are past it
+    assert oracle_dimension(parallel_edges(43)) == 44**2 <= DEFAULT_DIMENSION_CAP
+    for count in (44, 45):
+        with pytest.raises(OracleDimensionError):
+            oracle_dimension(parallel_edges(count))
+        with pytest.raises(OracleDimensionError):
+            build_oracle(parallel_edges(count), 2)
 
 
 def test_degrees_and_labels():
@@ -125,14 +132,15 @@ def test_perp_of_zero_and_full():
     algebra = build_oracle(path_ab(), 2)
     zero = ideal_generated_by(algebra, [])
     assert perp_subspace(algebra, zero).dim == algebra.dimension
-    full = ideal_generated_by(algebra, [algebra.identity()])
+    full = ideal_generated_by(algebra, [algebra.vertex_image("a"), algebra.vertex_image("b")])
+    assert full.is_everything
     assert perp_subspace(algebra, full).dim == 0
 
 
 def test_graded_subspaces():
     algebra = build_oracle(path_ab(), 2)
     assert is_graded_subspace(algebra, ideal_generated_by(algebra, []))
-    assert is_graded_subspace(algebra, ideal_generated_by(algebra, [algebra.identity()]))
+    assert is_graded_subspace(algebra, ideal_generated_by(algebra, [algebra.vertex_image("b")]))
     # mixed-degree span: e[b; b, b] + e[b; e, b] has components of degree 0 and 1
     index = {label: i for i, label in enumerate(algebra.labels)}
     vec = algebra.zero()
@@ -157,6 +165,112 @@ def test_edge_and_ghost_multiplication():
     # e* e = r(e) and e e* = s(e) via the range decomposition
     assert np.array_equal(algebra.mul(ghost, e), algebra.vertex_image("b"))
     assert np.array_equal(algebra.mul(e, ghost), algebra.vertex_image("a"))
+
+
+def test_images_are_read_only_and_handed_out_as_copies():
+    algebra = build_oracle(path_ab(), 3)
+    images = (algebra.vertex_image("a"), algebra.edge_image("e"), algebra.ghost_image("e"))
+    for image in images:
+        image[:] = 2  # a copy: the algebra's rows stay as they were
+    assert [image.tolist() for image in images] == [[2] * 4] * 3
+    assert algebra.vertex_image("a").tolist() == [0, 0, 0, 1]  # e[b; e, e], paths (b, e)
+    assert algebra.edge_image("e").tolist() == [0, 0, 1, 0]  # e[b; e, b]
+    assert algebra.ghost_image("e").tolist() == [0, 1, 0, 0]  # e[b; b, e]
+    assert not algebra._vertex_matrix.flags.writeable
+    assert not algebra._edge_matrix.flags.writeable
+    assert not algebra._ghost_matrix.flags.writeable
+    with pytest.raises(KeyError):
+        algebra.edge_image("f")
+
+
+def broken_images(spoil):
+    """``OracleAlgebra._build_images``, then ``spoil(algebra, vertices, edges, ghosts)`` on copies."""
+    real = OracleAlgebra._build_images
+
+    def build(self, paths):
+        images = [m.copy() for m in real(self, paths)]
+        spoil(self, *images)
+        return tuple(images)
+
+    return build
+
+
+def row(algebra, vertex):
+    return algebra.graph.vertices.index(vertex)
+
+
+def ghost_is_edge(algebra, vertices, edges, ghosts):
+    ghosts[:] = edges
+
+
+def drop_the_unit_of_b(algebra, vertices, edges, ghosts):
+    vertices[row(algebra, "b")] = 0
+
+
+def double_the_first_edge(algebra, vertices, edges, ghosts):
+    edges[0] = 2 * edges[0] % 3
+
+
+def drop_the_edge_and_its_ghost(algebra, vertices, edges, ghosts):
+    edges[0] = ghosts[0] = 0
+
+
+def move_the_unit_of_b_to_a(algebra, vertices, edges, ghosts):
+    vertices[row(algebra, "a")] += vertices[row(algebra, "b")]
+    vertices[row(algebra, "b")] = 0
+
+
+def give_c_the_unit_of_a_in_the_second_block(algebra, vertices, edges, ghosts):
+    second = algebra._columns(1)
+    vertices[row(algebra, "c"), second] += vertices[row(algebra, "a"), second]
+
+
+def spoil_the_ghost_of_e0_and_the_edge_of_e1(algebra, vertices, edges, ghosts):
+    ghosts[0] = edges[0]  # a ghost source/range failure at e0
+    edges[1] = ghosts[1]  # a source/range failure at e1, checked after e0's ghost
+
+
+@pytest.mark.parametrize(
+    "graph, spoil, message",
+    [
+        (path_ab(), ghost_is_edge, "ghost source/range relation fails for edge e"),
+        (Graph(("a", "b"), ()), drop_the_unit_of_b, "vertex idempotents do not sum to the identity"),
+        (path_ab(), drop_the_unit_of_b, "source/range relation fails for edge e"),
+        (path_ab(), double_the_first_edge, "ghost-edge relation fails at (e, e)"),
+        (path_ab(), drop_the_edge_and_its_ghost, "ghost-edge relation fails at (e, e)"),
+        (
+            Graph(("a", "b", "c"), (("e", "a", "c"),)),
+            move_the_unit_of_b_to_a,
+            "range-decomposition relation fails at vertex a",
+        ),
+        (
+            Graph(("a", "b", "c"), (("e1", "a", "b"), ("e2", "a", "c"))),
+            give_c_the_unit_of_a_in_the_second_block,
+            "vertex idempotents not orthogonal at (a, c)",
+        ),
+        (
+            Graph(("a", "b", "c"), (("e0", "a", "b"), ("e1", "b", "c"))),
+            spoil_the_ghost_of_e0_and_the_edge_of_e1,
+            "ghost source/range relation fails for edge e0",
+        ),
+    ],
+    ids=[
+        "ghost-is-edge",
+        "unit-dropped-from-the-sum",
+        "unit-dropped-at-a-range",
+        "edge-doubled",
+        "edge-and-ghost-dropped",
+        "unit-moved-to-an-emitter",
+        "second-block-only",
+        "two-breaks",
+    ],
+)
+def test_the_audit_refuses_broken_images(monkeypatch, graph, spoil, message):
+    build_oracle(graph, 3)  # the unbroken images pass
+    monkeypatch.setattr(OracleAlgebra, "_build_images", broken_images(spoil))
+    with pytest.raises(RuntimeError) as raised:
+        build_oracle(graph, 3)
+    assert str(raised.value) == message
 
 
 def test_oracle_matches_calculus_on_small_chain():
@@ -339,22 +453,16 @@ def test_build_oracle_prime_bound():
     algebra = build_oracle(Graph(("a", "b"), ()), good)
     a_block = ideal_generated_by(algebra, [algebra.vertex_image("a")])
     assert vertex_set_of(algebra, perp_subspace(algebra, a_block)) == {"b"}
-    with pytest.raises(ValueError, match="int64"):
-        build_oracle(path_ab(), bad)
-    with pytest.raises(ValueError, match="int64"):
-        build_oracle(path_ab(), 2**127 - 1)  # refused before the slow primality test
-
-
-def test_prime_bound_follows_the_dimension_cap():
-    good, bad = primes_around(max_exact_prime(4))
-    algebra = build_oracle(path_ab(), good, dimension_cap=4)
+    algebra = build_oracle(path_ab(), good)
     rng = Random(3)
     for _ in range(5):
         ideal = ideal_generated_by(algebra, [_random_element(algebra, rng)])
         assert IdealSubspace(algebra, ideal.basis).signature() == ideal.signature()
         assert perp_subspace(algebra, ideal).dim == 4 - ideal.dim
     with pytest.raises(ValueError, match="int64"):
-        build_oracle(path_ab(), bad, dimension_cap=4)
+        build_oracle(path_ab(), bad)
+    with pytest.raises(ValueError, match="int64"):
+        build_oracle(path_ab(), 2**127 - 1)  # refused before the slow primality test
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -482,7 +590,7 @@ def whole_perp_subspace(algebra, basis):
     left, right = algebra.annihilator_constraints(basis)
     reduced = reduce_rowspace(right, p, left, rref_pivots(left))
     kernel, pivots = nullspace_from_rref(*reduced, p, algebra.dimension)
-    IdealSubspace._from_rref(algebra, kernel, pivots)._audit()
+    IdealSubspace(algebra, kernel)  # audits closure
     return kernel, pivots
 
 

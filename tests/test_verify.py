@@ -12,7 +12,7 @@ import pytest
 from leavitt import DEFAULT_DIMENSION_CAP, ENUMERATION_CUTOFF, Graph, LatticeTooLargeError, ideals
 from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
-from leavitt.oracle import _BLOCK_CACHE, _sink_paths, build_oracle
+from leavitt.oracle import _BLOCK_CACHE, OracleAlgebra, _sink_paths, build_oracle
 from leavitt.verify import (
     ALL_ROWS,
     ROW_LATTICE_COUNT,
@@ -303,6 +303,29 @@ def test_two_workers_give_the_serial_matrix(monkeypatch, mutant):
         rows = {row["name"]: row for row in outputs[0][0]["rows"]}
         assert rows[ROW_PERP_GRADED]["failures"] == unbuilt + drawn
         assert rows[ROW_PERP_GRADED]["detail"] == "setup failed: no algebra for two edges"
+
+
+def ghost_is_edge_on_two_edges(real):
+    """``OracleAlgebra._build_images``, ``real``, with each ghost image set to
+    its edge's on every graph with two edges."""
+
+    def build(self, paths):
+        vertices, edges, ghosts = real(self, paths)
+        return vertices, edges, edges.copy() if len(self.graph.edges) == 2 else ghosts
+
+    return build
+
+
+def test_an_algebra_that_fails_its_audit_fails_its_rows(monkeypatch, capsys):
+    # the construction audit raises on the two-edge graphs: a failed law, exit 1, not a crash
+    real = OracleAlgebra._build_images
+    monkeypatch.setattr(OracleAlgebra, "_build_images", ghost_is_edge_on_two_edges(real))
+    assert main(["verify", "--max-vertices", "3", "--max-edges", "3", "--trials", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "result: FAIL"
+    detail = next(line for line in lines if line.startswith(f"detail[{ROW_PERP_VSET}]: "))
+    _, _, detail = detail.partition(": ")
+    assert detail.startswith("setup failed: ghost source/range relation fails for edge ")
 
 
 def returns_its_input(n, p, span):
