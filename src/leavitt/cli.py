@@ -63,27 +63,27 @@ def cmd_lattice(args) -> int:
     graph = load_graph(args.graph)
     flagged = lattice_with_regularity(graph)
     if args.dot:
-        print(_lattice_dot(graph, flagged), end="")
+        print(_lattice_dot(graph, list(flagged)), end="")
         return 0
     if args.json:
         _write_lattice_json(graph, flagged, sys.stdout)
         return 0
-    print(f"{len(flagged)} hereditary saturated sets")
-    for h, reg in flagged:
-        print(f"{_format_set(h.vertices)} regular={'yes' if reg else 'no'}")
+    lines = [f"{_format_set(h.vertices)} regular={'yes' if reg else 'no'}" for h, reg in flagged]
+    print(f"{len(lines)} hereditary saturated sets", *lines, sep="\n")
     return 0
 
 
 def _write_lattice_json(graph, flagged, out) -> None:
     """Write ``json.dump(entries, out, indent=2)`` and a newline, one set at a time.
 
-    ``entries`` is ``[{"vertices": [...sorted names], "is_regular": flag}]``.
-    Each vertex name is encoded once, and each entry is written as soon as it
-    is formatted, so the whole document is never held in memory.
+    ``entries`` is ``[{"vertices": [...sorted names], "is_regular": flag}]``
+    over the ``(set, flag)`` pairs of ``flagged``, which is read once, in
+    order, and may be an iterator.  Each vertex name is encoded once, and
+    each entry is written as soon as its pair arrives, so the writer holds
+    neither the document nor the listing.  Nothing is written
+    before the first pair arrives, so an iterator that raises at its first
+    step leaves ``out`` empty.
     """
-    if not flagged:
-        out.write("[]\n")
-        return
     quoted = {v: json.dumps(v) for v in graph.vertices}
     opening = "[\n"
     for h, reg in flagged:
@@ -95,7 +95,7 @@ def _write_lattice_json(graph, flagged, out) -> None:
         flag = "true" if reg else "false"
         out.write(f'{opening}  {{\n    "vertices": {vertices},\n    "is_regular": {flag}\n  }}')
         opening = ",\n"
-    out.write("\n]\n")
+    out.write("[]\n" if opening == "[\n" else "\n]\n")
 
 
 def _lattice_dot(graph, flagged) -> str:

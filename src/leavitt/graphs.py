@@ -113,6 +113,11 @@ class Graph:
         return {v: tuple(es) for v, es in table.items()}
 
     @cached_property
+    def _emitter_targets(self) -> tuple[tuple[str, frozenset[str]], ...]:
+        """Each emitter with the set of its edges' targets, in graph order."""
+        return tuple((v, frozenset(e.dst for e in es)) for v, es in self._out.items() if es)
+
+    @cached_property
     def _edge_by_name(self) -> dict[str, Edge]:
         return {e.name: e for e in self.edges}
 

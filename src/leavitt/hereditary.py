@@ -9,18 +9,22 @@ lattice of graded ideals of the path algebra.
 
 Both halves are one rule about emitters: an emitter is in the set exactly
 when all of its edges land inside.  :class:`HereditarySaturatedSet` checks
-that rule in one pass over the emitters, and the closure is linear in the
-size of the graph too.  Only the lattice pass works on bitmasks: it branches
-over strongly connected components, so its work grows with the number of
-sets it lists, and it reads each set's regularity off the same masks.  Per
-listed set it then does a fixed number of lookups, one per 8-bit chunk of
-its masks, and one checked construction, which is O(V + E).
+that rule in one pass over the emitters (sinks are skipped), with one subset
+test of each emitter's edge targets against the set, and the closure is
+linear in the size of the graph too.  Only the lattice pass works on
+bitmasks: it branches over strongly connected components with bare masks,
+so its work grows with the number of sets it lists, and it reads each set's
+regularity off the same masks.  Per listed set it then does a fixed number
+of lookups, one per 8-bit chunk of its masks, and one checked construction,
+which is O(V + E).  The pass is an iterator: it keeps one mask per set, but
+forms and yields the set objects one at a time, so a caller that writes
+each set out as it comes never holds them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import LatticeTooLargeError
 from .graphs import Graph
@@ -49,8 +53,8 @@ class HereditarySaturatedSet:
     def __post_init__(self):
         members = self.graph.vertex_subset(self.vertices)
         object.__setattr__(self, "vertices", members)
-        for v, es in self.graph._out.items():
-            if es and (v in members) != all(e.dst in members for e in es):
+        for v, targets in self.graph._emitter_targets:
+            if (v in members) != (targets <= members):
                 if v in members:
                     why = f"not hereditary: an edge of {v!r} leaves it"
                 else:
@@ -94,29 +98,36 @@ def enumerate_hs_sets(graph: Graph) -> list[HereditarySaturatedSet]:
     return [h for h, _ in lattice_with_regularity(graph)]
 
 
-def lattice_with_regularity(graph: Graph) -> list[tuple[HereditarySaturatedSet, bool]]:
-    """Every hereditary saturated subset with its regularity flag, in one pass.
+def lattice_with_regularity(graph: Graph) -> Iterator[tuple[HereditarySaturatedSet, bool]]:
+    """Every hereditary saturated subset with its regularity flag, one at a time.
 
-    The pass branches over strongly connected components, successors first.
-    A hereditary set holds each component wholly or not at all, and both
-    halves only look along out-edges.  So once every component that a
-    component C reaches is decided, C's choice is local: out if an edge of C
-    leaves to a vertex outside the set (hereditary), in if C is one vertex
-    without a loop whose edges all land inside (saturated), and either way
-    otherwise (a sink, or C has an internal edge).  No branch dead-ends, so
-    finding the sets costs O(#components) mask operations per listed set.
+    An iterator: each set is yielded as soon as it is formed, so a caller
+    that writes the sets out never holds them all.  The cap on the number of
+    vertices is checked, and :class:`LatticeTooLargeError` raised, at its
+    first step, before anything is yielded.
+
+    The pass branches over strongly connected components, successors first,
+    carrying each partial set as a bare mask.  A hereditary set holds each
+    component wholly or not at all, and both halves only look along
+    out-edges.  So once every component that a component C reaches is
+    decided, C's choice is local: out if an edge of C leaves to a vertex
+    outside the set (hereditary), in if C is one vertex without a loop whose
+    edges all land inside (saturated), and either way otherwise (a sink, or
+    C has an internal edge).  No branch dead-ends, so finding the sets costs
+    O(#components) mask operations per listed set.
 
     The flag is the formula of :func:`leavitt.ideals.perp` on bitmasks:
     bar(H) is the OR of the backward reach masks of H's vertices, perp(H) is
     everything outside bar(H), and H is regular iff H == perp(perp(H)).
-    bar(H) grows with H during the branching.  bar(perp(H)) and H's member
-    names are read through two tables per 8-bit chunk of a mask (the OR of
-    the backward reach masks of the chunk's bits, and the chunk's names in
-    sorted order), so each costs at most three lookups below the cutoff.
-    Each listed set is still built through the checking constructor, O(V + E).
+    bar(H), bar(perp(H)) and H's member names are read through two tables
+    per 8-bit chunk of a mask (the OR of the backward reach masks of the
+    chunk's bits, and the chunk's names in sorted order), so each costs at
+    most three lookups below the cutoff.  Each yielded set is still built
+    through the checking constructor, O(V + E).
 
-    Bit ``n - 1 - i`` stands for the i-th vertex in sorted order, so among
-    sets of one size, larger masks come first in membership order.
+    Bit ``n - 1 - i`` stands for the i-th vertex in sorted order, so the
+    masks are put in one bucket per size, and each bucket is listed in
+    descending mask order: that is the (size, membership) order.
     """
     n = len(graph.vertices)
     if n > ENUMERATION_CUTOFF:
@@ -132,7 +143,7 @@ def lattice_with_regularity(graph: Graph) -> list[tuple[HereditarySaturatedSet, 
     back = {bit[v]: sum(bit[w] for w in graph.backward_reach((v,))) for v in names}
     # a component is fwd & back of any of its vertices; reaching more comes later
     components = sorted({fwd[b] & back[b] for b in succ}, key=lambda c: fwd[c & -c].bit_count())
-    partial = [(0, 0)]  # (set, bar(set)) over the components decided so far
+    partial = [0]  # the sets over the components decided so far
     for comp in components:
         edges_to = 0
         for b in _bits(comp):
@@ -140,18 +151,20 @@ def lattice_with_regularity(graph: Graph) -> list[tuple[HereditarySaturatedSet, 
         exits = edges_to & ~comp
         # one vertex without a loop that emits; larger components have internal edges
         forced = edges_to and not edges_to & comp
-        bar = back[comp & -comp]
         grown = []
-        for h, h_bar in partial:
+        for h in partial:
             if exits & ~h:
-                grown.append((h, h_bar))
+                grown.append(h)
             elif forced:
-                grown.append((h | comp, h_bar | bar))
+                grown.append(h | comp)
             else:
-                grown += ((h, h_bar), (h | comp, h_bar | bar))
+                grown += (h, h | comp)
         partial = grown
+    by_size = [[] for _ in range(n + 1)]
+    for h in partial:
+        by_size[h.bit_count()].append(h)
+    del partial
     everything = (1 << n) - 1
-    partial.sort(key=lambda pair: (pair[0].bit_count(), -pair[0]))
     # bit j stands for names[n - 1 - j]; a higher bit comes earlier in sorted order
     chunks = list(zip(
         range(0, n, CHUNK_BITS),
@@ -159,16 +172,19 @@ def lattice_with_regularity(graph: Graph) -> list[tuple[HereditarySaturatedSet, 
         _chunk_tables(names[::-1], lambda tail, name: (name, *tail), ()),
     ))
     chunk_mask = (1 << CHUNK_BITS) - 1
-    out = []
-    for h, h_bar in partial:
-        perp_h = everything & ~h_bar
-        perp_bar = 0
-        members = ()
-        for shift, bar_of, names_of in chunks:
-            perp_bar |= bar_of[perp_h >> shift & chunk_mask]
-            members = names_of[h >> shift & chunk_mask] + members
-        out.append((HereditarySaturatedSet(graph, members), h == everything & ~perp_bar))
-    return out
+    for bucket in by_size:
+        bucket.sort(reverse=True)
+        for h in bucket:
+            h_bar = perp_bar = 0
+            members = ()
+            for shift, bar_of, names_of in chunks:
+                part = h >> shift & chunk_mask
+                h_bar |= bar_of[part]
+                members = names_of[part] + members
+            perp_h = everything & ~h_bar
+            for shift, bar_of, _ in chunks:
+                perp_bar |= bar_of[perp_h >> shift & chunk_mask]
+            yield HereditarySaturatedSet(graph, members), h == everything & ~perp_bar
 
 
 def _chunk_tables(per_bit: list, join, empty) -> list[list]:

@@ -256,10 +256,9 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
     failures: list[Failure] = []
     memo = IdealMemo(algebra)
     for h in hs_sets:
-        label = f"H={h.sorted_vertices()}"
-
+        # the label is built only for a failing row, since nearly every row passes
         def fail(row: str, detail: str) -> None:
-            failures.append(Failure(row, graph, f"{label}: {detail}"))
+            failures.append(Failure(row, graph, f"H={h.sorted_vertices()}: {detail}"))
 
         try:
             ideal = memo.of_vertices(h.vertices)
@@ -371,10 +370,9 @@ def calculus_checks_for_graph(graph: Graph):
     counts = dict.fromkeys(CALCULUS_SET_ROWS, len(hs_sets))
     failures: list[Failure] = []
     for h in hs_sets:
-        label = f"H={h.sorted_vertices()}"
-
+        # the label is built only for a failing row, since nearly every row passes
         def fail(row: str, detail: str) -> None:
-            failures.append(Failure(row, graph, f"{label}: {detail}"))
+            failures.append(Failure(row, graph, f"H={h.sorted_vertices()}: {detail}"))
 
         try:
             p1 = ideals.perp(h)

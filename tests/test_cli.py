@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from leavitt import (
     DEFAULT_DIMENSION_CAP,
+    ENUMERATION_CUTOFF,
     Graph,
     dump_graph_json,
     enumerate_hs_sets,
@@ -215,10 +217,47 @@ def test_lattice_empty_graph(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "1 hereditary saturated sets"
 
 
+# The listing is lazy, so its refusal comes at its first step: each mode must
+# refuse before it writes anything.  Twenty vertices are still accepted.
 def test_lattice_cutoff(tmp_path, capsys):
-    big = Graph(tuple(f"v{i}" for i in range(21)), ())
-    path = write_graph(tmp_path, big)
-    assert main(["lattice", "--graph", path]) == 4
+    big = write_graph(tmp_path, Graph(tuple(f"v{i:02d}" for i in range(ENUMERATION_CUTOFF + 1)), ()))
+    chain = write_graph(tmp_path, Graph(
+        tuple(f"v{i:02d}" for i in range(ENUMERATION_CUTOFF)),
+        tuple((f"e{i}", f"v{i:02d}", f"v{i + 1:02d}") for i in range(ENUMERATION_CUTOFF - 1)),
+    ), "chain.json")
+    for mode in ([], ["--json"], ["--dot"]):
+        assert main(["lattice", "--graph", big, *mode]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "capped at 20" in captured.err
+
+        assert main(["lattice", "--graph", chain, *mode]) == 0
+        out = capsys.readouterr().out
+        if mode == ["--json"]:
+            assert [len(entry["vertices"]) for entry in json.loads(out)] == [0, ENUMERATION_CUTOFF]
+        elif mode == ["--dot"]:
+            assert out.count("label=") == 2 and out.count("->") == 1
+        else:
+            assert out.splitlines()[0] == "2 hereditary saturated sets"
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_lattice_json_holds_no_listing():
+    # The 2,048 sets of an edgeless 11-vertex graph: the writer reads them one
+    # at a time, so its peak is the pass's masks and tables (0.10 MiB);
+    # building the whole listing of set objects first peaked at 1.59 MiB.
+    g = Graph(tuple(f"v{i:02d}" for i in range(11)), ())
+    tracemalloc.start()
+    try:
+        cli._write_lattice_json(g, lattice_with_regularity(g), _Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
 
 
 def test_quotient(graph_file, capsys):
@@ -355,6 +394,7 @@ def test_oracle_check_matches_its_golden_copy(capsys):
         (["lattice", "--json"], "calculus-4v-lattice.json"),
         (["lattice", "--dot"], "calculus-4v-lattice.dot"),
         (["lattice", "--json"], "calculus-10v-lattice.json"),
+        (["lattice"], "calculus-10v-lattice.txt"),
     ],
 )
 def test_calculus_command_matches_its_golden_copy(argv, golden_name, capsys):

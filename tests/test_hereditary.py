@@ -117,6 +117,16 @@ def test_constructor_names_the_first_vertex_that_breaks_the_rule():
     )
 
 
+def test_constructor_passes_over_sinks_before_the_emitter_it_names():
+    # s (outside) and t (inside) are sinks listed before the emitter a, whose
+    # only edge lands in {t}: all of a sink's (no) edges land inside any set,
+    # so a check that walked the sinks too would name s instead of a
+    g = Graph(("s", "t", "a"), (("e", "a", "t"),))
+    assert rejection(g, {"t"}) == "['t'] is not saturated: every edge of 'a' lands in it"
+    assert rejection(g, {"a"}) == "['a'] is not hereditary: an edge of 'a' leaves it"
+    assert rejection(g, {"s"}) is None
+
+
 # Loops and parallel edges included; every subset of every graph is tried.
 @settings(max_examples=200)
 @given(graphs(max_vertices=6, max_edges=10))
@@ -183,7 +193,7 @@ def lattice_listing(g):
 @settings(max_examples=300)
 @given(graphs(max_vertices=8, max_edges=14))
 def test_enumeration_matches_subset_scan_and_regularity(g):
-    flagged = lattice_with_regularity(g)
+    flagged = list(lattice_with_regularity(g))
     assert [h.vertices for h in enumerate_hs_sets(g)] == naive_enumerate_hs_sets(g)
     assert [h.vertices for h, _ in flagged] == naive_enumerate_hs_sets(g)
     assert [reg for _, reg in flagged] == [is_regular(h) for h, _ in flagged]
@@ -194,7 +204,7 @@ def test_enumeration_matches_subset_scan_and_regularity(g):
 @settings(max_examples=40)
 @given(graphs(min_vertices=9, max_vertices=12, max_edges=16))
 def test_enumeration_across_a_chunk_boundary(g):
-    flagged = lattice_with_regularity(g)
+    flagged = list(lattice_with_regularity(g))
     assert [h.vertices for h, _ in flagged] == naive_enumerate_hs_sets(g)
     assert [reg for _, reg in flagged] == [is_regular(h) for h, _ in flagged]
 
@@ -204,7 +214,7 @@ def test_lattice_of_a_wide_edgeless_graph(n):
     # every subset is hereditary saturated and regular (its own double
     # annihilator); sorted by size, then by names, two and three chunks deep
     names = tuple(f"v{i:02d}" for i in range(n))
-    flagged = lattice_with_regularity(Graph(names, ()))
+    flagged = list(lattice_with_regularity(Graph(names, ())))
     expected = [s for k in range(n + 1) for s in itertools.combinations(names, k)]
     assert len(expected) == 2**n
     assert [h.sorted_vertices() for h, _ in flagged] == expected
@@ -275,6 +285,10 @@ def test_enumeration_cutoff():
     big = Graph(tuple(f"v{i}" for i in range(ENUMERATION_CUTOFF + 1)), ())
     with pytest.raises(LatticeTooLargeError):
         enumerate_hs_sets(big)
+    # the listing is lazy: the refusal comes at its first step, before any set
+    listing = lattice_with_regularity(big)
+    with pytest.raises(LatticeTooLargeError):
+        next(listing)
 
 
 @given(graphs_with_subset())
