@@ -15,7 +15,7 @@ from .errors import (
     OracleUnsupportedError,
     UnknownVertexError,
 )
-from .graphs import Cycle, Edge, Graph
+from .graphs import Edge, Graph
 from .hereditary import (
     ENUMERATION_CUTOFF,
     HereditarySaturatedSet,
@@ -64,7 +64,6 @@ __all__ = [
     "CLASS_BOTH",
     "CLASS_PERP_ZERO",
     "CLASS_REGULAR",
-    "Cycle",
     "DEFAULT_DIMENSION_CAP",
     "ENUMERATION_CUTOFF",
     "Edge",

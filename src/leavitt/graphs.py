@@ -3,6 +3,10 @@
 Vertices and edges are named and keep insertion order.  Parallel edges and
 loops are allowed.  All values are immutable after construction and every
 operation is a pure function, so graphs are safe to share freely.
+
+Reach and the cycle layer are linear: exit-free cycles, Condition (L) and
+acyclicity come from one Kahn peeling.  Only :meth:`Graph.cycles`, the
+tests' exponential referee for that layer, lists cycles.
 """
 
 from __future__ import annotations
@@ -20,51 +24,6 @@ class Edge(NamedTuple):
     name: str
     src: str
     dst: str
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """Nontrivial closed path whose edge sources are pairwise distinct.
-
-    Only the exponential referee :meth:`Graph.cycles` builds these; the tests
-    compare the linear-time cycle layer against it.
-    """
-
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if not self.edges:
-            raise ValueError("a cycle has at least one edge")
-        for left, right in zip(self.edges, self.edges[1:]):
-            if left.dst != right.src:
-                raise ValueError(f"edges {left.name!r} and {right.name!r} are not consecutive")
-        if self.edges[-1].dst != self.edges[0].src:
-            raise ValueError("cycle is not closed")
-        sources = [e.src for e in self.edges]
-        if len(set(sources)) != len(sources):
-            raise ValueError("cycle revisits a vertex")
-
-    @classmethod
-    def canonical(cls, edges: tuple[Edge, ...]) -> "Cycle":
-        """The lexicographically least rotation, used as the class representative."""
-        rotations = [edges[i:] + edges[:i] for i in range(len(edges))]
-        best = min(rotations, key=lambda rot: tuple(e.name for e in rot))
-        return cls(best)
-
-    @property
-    def base(self) -> str:
-        return self.edges[0].src
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(e.src for e in self.edges)
-
-    def edge_names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.edges)
 
 
 @dataclass(frozen=True)
@@ -133,10 +92,6 @@ class Graph:
         if not out <= self._vset:
             raise UnknownVertexError(f"unknown vertex: {min(out - self._vset)!r}")
         return out
-
-    def out_edges(self, vertex: str) -> tuple[Edge, ...]:
-        self.require_vertex(vertex)
-        return self._out[vertex]
 
     def in_edges(self, vertex: str) -> tuple[Edge, ...]:
         self.require_vertex(vertex)
@@ -220,37 +175,26 @@ class Graph:
     def is_acyclic(self) -> bool:
         return not self._cyclic_core(self._out)
 
-    def cycles(self) -> tuple[Cycle, ...]:
-        """All cycles, one canonical representative per rotation class.
+    def cycles(self) -> tuple[tuple[Edge, ...], ...]:
+        """Every cycle (a closed path with distinct edge sources) as its
+        rotation with the least edge names, sorted by (length, names).
 
-        Exponential referee for the linear-time methods above; the library
-        itself never enumerates cycles.
+        Exponential and unused by the library: it is the tests' referee for
+        the methods above, and it stays because the benchmark's tracer wraps
+        it by name.  Edge names are unique, so edge tuples compare by name.
         """
-        found: dict[tuple[str, ...], Cycle] = {}
+        found = set()
         for start in self.vertices:
-            self._cycle_dfs(start, start, (), {start}, found)
-        return tuple(sorted(found.values(), key=lambda c: (c.length, c.edge_names())))
-
-    def _cycle_dfs(self, start, current, acc, visited, found):
-        for e in self._out[current]:
-            if e.dst == start:
-                cyc = Cycle.canonical(acc + (e,))
-                found.setdefault(cyc.edge_names(), cyc)
-            elif e.dst not in visited:
-                self._cycle_dfs(start, e.dst, acc + (e,), visited | {e.dst}, found)
-
-    def cycle_has_exit(self, cycle: Cycle) -> bool:
-        """True iff some vertex on the cycle emits an edge other than its cycle edge.
-
-        Part of the referee, with :meth:`cycles`.
-        """
-        for e in cycle.edges:
-            if self._edge_by_name.get(e.name) != e:
-                raise ValueError(f"cycle edge {e.name!r} does not belong to this graph")
-        cycle_names = {e.name for e in cycle.edges}
-        return any(
-            out.name not in cycle_names for e in cycle.edges for out in self._out[e.src]
-        )
+            paths = [(start, ())]
+            while paths:
+                vertex, path = paths.pop()
+                for e in self._out[vertex]:
+                    if e.dst == start:
+                        cycle = path + (e,)
+                        found.add(min(cycle[i:] + cycle[:i] for i in range(len(cycle))))
+                    elif all(f.dst != e.dst for f in path):
+                        paths.append((e.dst, path + (e,)))
+        return tuple(sorted(found, key=lambda cycle: (len(cycle), cycle)))
 
     # -- derived graphs ----------------------------------------------------------
 

@@ -8,6 +8,8 @@ regular ideal is graded.  So a graded ideal is passed around as its
 and the whole calculus — annihilators, double annihilators, regularity,
 quotients — runs on vertex sets alone.  The matrix oracle in
 :mod:`leavitt.oracle` checks these shortcuts against genuine linear algebra.
+Each verdict has one implementation, which ``analyze`` and
+``maximal_graded_ideals`` call too, so ``verify`` checks what they report.
 """
 
 from __future__ import annotations
@@ -68,10 +70,7 @@ def pc_bijection_check(graph: Graph, h: HereditarySaturatedSet) -> bool:
     set is regular; the check itself is unconditional so the implication can
     be property-tested.
     """
-    return _pc_bijection(graph, h, quotient_graph(graph, h).exit_free_cycle_vertices())
-
-
-def _pc_bijection(graph: Graph, h: HereditarySaturatedSet, quotient_pc: frozenset[str]) -> bool:
+    quotient_pc = quotient_graph(graph, h).exit_free_cycle_vertices()
     return graph.exit_free_cycle_vertices() - h.vertices == quotient_pc
 
 
@@ -104,19 +103,16 @@ class RegularityReport:
 def analyze(graph: Graph, generators: Iterable[str]) -> RegularityReport:
     """Full report for the ideal generated by ``generators``; deterministic."""
     h = hs_closure(graph, generators)
-    perp_h = perp(h)
-    dp_h = perp(perp_h)
     quotient = quotient_graph(graph, h)
-    quotient_pc = quotient.exit_free_cycle_vertices()
     return RegularityReport(
         ideal=h,
         bar_closure=bar_closure(h),
-        perp_set=perp_h.vertices,
-        double_perp_set=dp_h.vertices,
-        is_regular=h.vertices == dp_h.vertices,
+        perp_set=perp(h).vertices,
+        double_perp_set=double_perp(h).vertices,
+        is_regular=is_regular(h),
         quotient=quotient,
-        quotient_condition_l=not quotient_pc,
-        pc_bijection_holds=_pc_bijection(graph, h, quotient_pc),
+        quotient_condition_l=quotient.condition_l(),
+        pc_bijection_holds=pc_bijection_check(graph, h),
     )
 
 
@@ -137,9 +133,8 @@ def maximal_graded_ideals(
     for h in proper:
         if any(h.vertices < other.vertices for other in proper):
             continue
-        perp_h = perp(h)
-        regular = h.vertices == perp(perp_h).vertices
-        perp_zero = not perp_h.vertices
+        regular = is_regular(h)
+        perp_zero = not perp(h).vertices
         if regular and perp_zero:
             label = CLASS_BOTH
         elif regular:

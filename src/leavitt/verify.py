@@ -41,7 +41,13 @@ from . import ideals
 from .errors import InvalidArgumentError, LatticeTooLargeError
 from .graphdoc import document_from_graph
 from .graphs import Graph
-from .hereditary import ENUMERATION_CUTOFF, HereditarySaturatedSet, enumerate_hs_sets, hs_closure
+from .hereditary import (
+    ENUMERATION_CUTOFF,
+    HereditarySaturatedSet,
+    enumerate_hs_sets,
+    hs_closure,
+    lattice_with_regularity,
+)
 from .laurent import LaurentElement, laurent_perp_is_zero
 from .oracle import (
     IdealMemo,
@@ -240,22 +246,24 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
     """Rows refereed by the matrix oracle, for one acyclic graph.
 
     Returns (trial counts per row, failures, algebra) so callers can reuse
-    the built algebra.  Each distinct ideal, and its vertex set, is built
-    once per call: the per-set rows and the lattice count share one
-    :class:`IdealMemo`.
+    the built algebra.  The sets come from the lattice pass with the
+    regularity flags that ``leavitt lattice`` prints, and
+    ``regularity-verdict`` checks each flag as well as ``is_regular``.  Each
+    distinct ideal, and its vertex set, is built once per call: the per-set
+    rows and the lattice count share one :class:`IdealMemo`.
     """
     try:
         if algebra is None:
             algebra = build_oracle(graph, p)
-        hs_sets = enumerate_hs_sets(graph)
+        lattice = list(lattice_with_regularity(graph))
     except Exception as exc:  # oracle build is part of what the rows verify
         return *_setup_failed(ORACLE_ROWS, graph, exc), None
 
-    counts = dict.fromkeys(ORACLE_SET_ROWS, len(hs_sets))
+    counts = dict.fromkeys(ORACLE_SET_ROWS, len(lattice))
     counts[ROW_LATTICE_COUNT] = 1
     failures: list[Failure] = []
     memo = IdealMemo(algebra)
-    for h in hs_sets:
+    for h, flag in lattice:
         # the label is built only for a failing row, since nearly every row passes
         def fail(row: str, detail: str) -> None:
             failures.append(Failure(row, graph, f"H={h.sorted_vertices()}: {detail}"))
@@ -283,6 +291,8 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
                     ROW_REGULARITY,
                     f"oracle regular={oracle_regular} but calculus says {calculus_regular}",
                 )
+            elif oracle_regular != flag:
+                fail(ROW_REGULARITY, f"oracle regular={oracle_regular} but lattice says {flag}")
             if not is_graded_subspace(algebra, perp1):
                 fail(ROW_PERP_GRADED, "annihilator is not graded")
         except Exception as exc:
@@ -303,10 +313,10 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
                         f"closure {closed.sorted_vertices()}"
                     )
         expected = 2 ** len(graph.sinks())
-        if not (len(signatures) == len(hs_sets) == expected):
+        if not (len(signatures) == len(lattice) == expected):
             raise AssertionError(
                 f"(oracle ideals, lattice size, 2^sinks) = "
-                f"({len(signatures)}, {len(hs_sets)}, {expected})"
+                f"({len(signatures)}, {len(lattice)}, {expected})"
             )
     except Exception as exc:
         failures.append(Failure(ROW_LATTICE_COUNT, graph, f"count check failed: {exc}"))
@@ -505,8 +515,8 @@ _CHUNKS_PER_WORKER = 4
 
 
 @block_cache()
-def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
-    """Run the requested rows (all by default); trials=0 yields an empty matrix.
+def run_verification(cfg: VerifyConfig) -> VerificationMatrix:
+    """Run every row; trials=0 yields an empty matrix.
 
     The per-graph checks are independent, so they run on a pool of the
     usable CPUs (see :func:`_task_map`): one task per oracle graph, which
@@ -516,53 +526,39 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
     workers.  The run, shrinking included, has one block cache of its own,
     and so does each worker; none outlives the call.
     """
-    if rows is None:
-        requested = ALL_ROWS
-    else:
-        unknown = set(rows) - set(ALL_ROWS)
-        if unknown:
-            raise ValueError(f"unknown rows: {sorted(unknown)}")
-        requested = tuple(r for r in ALL_ROWS if r in set(rows))
     if cfg.trials == 0:
         return VerificationMatrix(cfg, ())
 
     counts: Counter[str] = Counter()
     failures: list[Failure] = []
     seeds = dict.fromkeys(ALL_ROWS, cfg.seed)
+    seeds[ROW_PERP_GRADED] = cfg.seed + 1
+    seeds[ROW_LAURENT] = cfg.seed + 2
 
-    family: tuple[Graph, ...] = ()
-    if any(r in requested for r in ORACLE_ROWS):
-        family = exhaustive_acyclic_graphs(
-            min(cfg.max_vertices, ORACLE_FAMILY_MAX_VERTICES),
-            min(cfg.max_edges, ORACLE_FAMILY_MAX_EDGES),
-        )
+    family = exhaustive_acyclic_graphs(
+        min(cfg.max_vertices, ORACLE_FAMILY_MAX_VERTICES),
+        min(cfg.max_edges, ORACLE_FAMILY_MAX_EDGES),
+    )
     # drawn as they are checked, so that in process each graph is dropped,
     # with the lookup tables its checks cache on it, once it is checked
-    n_random = cfg.trials if any(r in requested for r in CALCULUS_ROWS) else 0
     graph_rng = Random(cfg.seed)
-    randoms = (random_graph(graph_rng, cfg.max_vertices, cfg.max_edges) for _ in range(n_random))
-    laurent = []
-    if ROW_LAURENT in requested:
-        seeds[ROW_LAURENT] = cfg.seed + 2
-        laurent = [(cfg.seed + 2, cfg.prime, cfg.trials)]
+    randoms = (random_graph(graph_rng, cfg.max_vertices, cfg.max_edges) for _ in range(cfg.trials))
 
     # the perp-graded trials, each drawn on a graph of the family
     drawn: list[int] = []  # the graph of each trial
     generators: list[list] = [[] for _ in family]  # per graph, those of its trials
-    if ROW_PERP_GRADED in requested:
-        seeds[ROW_PERP_GRADED] = cfg.seed + 1
-        counts[ROW_PERP_GRADED] += cfg.trials
-        rng = Random(cfg.seed + 1)
-        dimensions = [_dimension(g) for g in family]
-        for _ in range(cfg.trials):
-            k = rng.randrange(len(family))
-            drawn.append(k)
-            generators[k].append(draw_generators(rng, dimensions[k], cfg.prime))
+    counts[ROW_PERP_GRADED] += cfg.trials
+    rng = Random(cfg.seed + 1)
+    dimensions = [_dimension(g) for g in family]
+    for _ in range(cfg.trials):
+        k = rng.randrange(len(family))
+        drawn.append(k)
+        generators[k].append(draw_generators(rng, dimensions[k], cfg.prime))
 
-    with _task_map(len(family) + n_random + len(laurent)) as run:
+    with _task_map(len(family) + cfg.trials + 1) as run:
         oracle_results = run(partial(_oracle_task, cfg.prime), family, generators)
         calculus_results = run(_calculus_task, randoms)
-        laurent_results = run(_laurent_task, laurent)
+        laurent_results = run(_laurent_task, [(cfg.seed + 2, cfg.prime, cfg.trials)])
 
         problems = []  # each graph's problems, one per trial, in the order drawn
         for c, fs, ps in oracle_results:
@@ -582,7 +578,7 @@ def run_verification(cfg: VerifyConfig, rows=None) -> VerificationMatrix:
             failures += fs
 
     results = []
-    for name in requested:
+    for name in ALL_ROWS:
         fs = [f for f in failures if f.row == name]
         counterexample = None
         witness = next((f.graph for f in fs if f.graph is not None), None)

@@ -17,15 +17,18 @@ from leavitt import (
 from .strategies import graphs, graphs_with_subset, ring
 
 
+def targets(g, v):
+    """The targets of the edges that ``v`` emits."""
+    return {e.dst for e in g.edges if e.src == v}
+
+
 def naive_hs_closure(g, subset):
     """Referee: alternate absorbing out-neighbours with adding every emitter
     whose edges all land inside, until neither adds anything."""
     closed = set(subset)
     while True:
         grown = closed | {e.dst for e in g.edges if e.src in closed}
-        grown |= {
-            v for v in g.vertices if g.out_edges(v) and all(e.dst in grown for e in g.out_edges(v))
-        }
+        grown |= {v for v in g.vertices if targets(g, v) and targets(g, v) <= grown}
         if grown == closed:
             return frozenset(closed)
         closed = grown
@@ -55,11 +58,7 @@ def hereditary_by_definition(g, subset):
 
 def saturated_by_definition(g, subset):
     """Referee: every emitter whose edges all land inside is a member."""
-    return all(
-        v in subset
-        for v in g.vertices
-        if g.out_edges(v) and all(e.dst in subset for e in g.out_edges(v))
-    )
+    return all(v in subset for v in g.vertices if targets(g, v) and targets(g, v) <= subset)
 
 
 def rejection(g, subset):

@@ -10,6 +10,7 @@ from leavitt import (
     double_perp,
     enumerate_hs_sets,
     hs_closure,
+    ideals,
     is_regular,
     maximal_graded_ideals,
     pc_bijection_check,
@@ -98,6 +99,12 @@ def test_analyze_loop_with_exit(loop_with_exit):
     # report invariants: perp and backward closure partition the vertices
     assert report.perp_set & report.bar_closure == frozenset()
     assert report.perp_set | report.bar_closure == frozenset(loop_with_exit.vertices)
+
+
+def test_analyze_reports_the_verdict_of_is_regular(monkeypatch, loop_with_exit):
+    # the report has no regularity test of its own, so a broken one shows in it
+    monkeypatch.setattr(ideals, "is_regular", lambda h: True)
+    assert analyze(loop_with_exit, {"v"}).is_regular is True
 
 
 def test_analyze_zero_ideal(loop_with_exit):

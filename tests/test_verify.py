@@ -9,7 +9,14 @@ from random import Random
 
 import pytest
 
-from leavitt import DEFAULT_DIMENSION_CAP, ENUMERATION_CUTOFF, Graph, LatticeTooLargeError, ideals
+from leavitt import (
+    DEFAULT_DIMENSION_CAP,
+    ENUMERATION_CUTOFF,
+    Graph,
+    LatticeTooLargeError,
+    ideals,
+    lattice_with_regularity,
+)
 from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
 from leavitt.oracle import _BLOCK_CACHE, OracleAlgebra, _sink_paths, build_oracle
@@ -19,6 +26,7 @@ from leavitt.verify import (
     ROW_MAXIMAL,
     ROW_PERP_GRADED,
     ROW_PERP_VSET,
+    ROW_REGULARITY,
     VerifyConfig,
     _dimension,
     calculus_checks_for_graph,
@@ -54,13 +62,6 @@ def test_matrix_is_deterministic():
     b = run_verification(SMALL)
     assert a.to_json_dict() == b.to_json_dict()
     assert a.render_text() == b.render_text()
-
-
-def test_row_subset_and_unknown_row():
-    matrix = run_verification(SMALL, rows=[ROW_PERP_VSET])
-    assert [r.name for r in matrix.rows] == [ROW_PERP_VSET]
-    with pytest.raises(ValueError):
-        run_verification(SMALL, rows=["no-such-row"])
 
 
 @pytest.mark.parametrize("field", ["trials", "max_vertices", "max_edges"])
@@ -178,6 +179,24 @@ def test_maximal_dichotomy_violation_is_one_failure(monkeypatch, edgeless_ab):
     assert "neither regular nor annihilator-zero" in failures[0].detail
 
 
+def flags_nothing_regular(graph):
+    """The lattice pass with every regularity flag set to False."""
+    return ((h, False) for h, _ in lattice_with_regularity(graph))
+
+
+def test_a_wrong_lattice_flag_fails_the_regularity_row(monkeypatch):
+    # every ideal of an acyclic graph is regular, so only a flag of False can be wrong there
+    # set, not replaced, so that a runner that never reads the flags fails the asserts below
+    monkeypatch.setattr(
+        "leavitt.verify.lattice_with_regularity", flags_nothing_regular, raising=False
+    )
+    cfg = VerifyConfig(max_vertices=3, max_edges=3, trials=5)
+    row = the_row(run_verification(cfg), ROW_REGULARITY)
+    assert row.failures == row.trials
+    assert row.detail == "H=(): oracle regular=True but lattice says False"
+    assert row.counterexample == {"vertices": [], "edges": []}
+
+
 def test_laurent_checks_pass():
     trials, failures = laurent_checks(Random(1), 5, 100)
     assert trials == 100
@@ -195,12 +214,17 @@ def test_minimize_counterexample_shrinks():
     assert set(small.vertices) == used
 
 
+def the_row(matrix, name):
+    (row,) = (r for r in matrix.rows if r.name == name)
+    return row
+
+
 def test_injected_mutant_fails_perp_row(monkeypatch):
     # break the backward closure: pretend H-bar is H itself
     monkeypatch.setattr(ideals, "bar_closure", lambda ideal: ideal.vertices)
     cfg = VerifyConfig(max_vertices=3, max_edges=3, trials=1)
-    matrix = run_verification(cfg, rows=[ROW_PERP_VSET])
-    (row,) = matrix.rows
+    matrix = run_verification(cfg)
+    row = the_row(matrix, ROW_PERP_VSET)
     assert row.failures > 0
     assert row.counterexample is not None
     # the smallest witness needs a vertex outside H that reaches H
@@ -214,7 +238,7 @@ def test_always_graded_mutant_fails_the_perp_graded_row(monkeypatch):
     # random-ideal trial can see a gradedness test that always says yes
     monkeypatch.setattr("leavitt.verify.is_graded_subspace", lambda algebra, subspace: True)
     cfg = VerifyConfig(max_vertices=3, max_edges=3, trials=5)
-    (row,) = run_verification(cfg, rows=[ROW_PERP_GRADED]).rows
+    row = the_row(run_verification(cfg), ROW_PERP_GRADED)
     assert row.failures > 0
     assert "spans a graded line" in row.detail
     # one edge is the smallest graph with two degrees
@@ -224,8 +248,8 @@ def test_always_graded_mutant_fails_the_perp_graded_row(monkeypatch):
 def test_mutant_matrix_is_still_deterministic(monkeypatch):
     monkeypatch.setattr(ideals, "bar_closure", lambda ideal: ideal.vertices)
     cfg = VerifyConfig(max_vertices=3, max_edges=3, trials=1)
-    a = run_verification(cfg, rows=[ROW_PERP_VSET])
-    b = run_verification(cfg, rows=[ROW_PERP_VSET])
+    a = run_verification(cfg)
+    b = run_verification(cfg)
     assert a.to_json_dict() == b.to_json_dict()
 
 
