@@ -18,8 +18,9 @@ with no graph-theoretic shortcuts, and gradedness is read off the RREF basis
 
 Costs are polynomial in the algebra dimension but the dimension itself is
 exponential-ish in graph size; intended inputs are desk-scale graphs,
-capped at ``DEFAULT_DIMENSION_CAP``.  All arithmetic is exact int64, which
-bounds the prime by the cap (see :func:`leavitt.gfp.max_exact_prime`).
+capped at ``DEFAULT_DIMENSION_CAP``, which is checked on path counts
+before any path is listed.  All arithmetic is exact int64, which bounds
+the prime by the cap (see :func:`leavitt.gfp.max_exact_prime`).
 
 An element is read through one view, its blocks: the n x n matrix of
 each sink, for one element or a stack of rows (``OracleAlgebra._block``).
@@ -71,6 +72,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar, Token
+from graphlib import TopologicalSorter
 
 import numpy as np
 
@@ -96,7 +98,7 @@ class OracleAlgebra:
 
     Use :func:`build_oracle` rather than constructing directly; the factory
     validates the graph, the prime and the dimension cap, and passes the
-    paths into each sink that it listed to check the cap as ``paths``.
+    paths into each sink, listed once the cap is checked, as ``paths``.
     """
 
     def __init__(self, graph: Graph, p: int, paths: dict[str, list[tuple[tuple[str, ...], str]]]):
@@ -316,26 +318,25 @@ def build_oracle(graph: Graph, p: int) -> OracleAlgebra:
     return OracleAlgebra(graph, p, _sink_paths(graph))
 
 
-def oracle_dimension(graph: Graph) -> int:
-    """The dimension of the oracle of an acyclic graph, over any prime, without building it."""
-    return sum(len(paths) ** 2 for paths in _sink_paths(graph).values())
-
-
 def _sink_paths(graph: Graph) -> dict[str, list[tuple[tuple[str, ...], str]]]:
     """The paths into each sink, which index the oracle's blocks; refused for
-    a cyclic graph, which has infinitely many, and past the dimension cap."""
+    a cyclic graph, which has infinitely many, and past the dimension cap.
+
+    The cap is checked before any path is listed, on counts from one pass in
+    topological order: the paths ending at v are the trivial one plus, for
+    each edge into v, the paths ending at its source.  The counts are exact
+    Python ints, however many paths there are.
+    """
     if not graph.is_acyclic():
         raise OracleUnsupportedError("the matrix oracle covers acyclic graphs only")
-    paths = {}
-    dim = 0
-    for v in sorted(graph.sinks()):
-        paths[v] = _paths_into(graph, v)
-        dim += len(paths[v]) ** 2
-        if dim > DEFAULT_DIMENSION_CAP:
-            raise OracleDimensionError(
-                f"oracle dimension exceeds the cap of {DEFAULT_DIMENSION_CAP}"
-            )
-    return paths
+    sources = {v: [e.src for e in graph.in_edges(v)] for v in graph.vertices}
+    ending = {}
+    for v in TopologicalSorter(sources).static_order():
+        ending[v] = 1 + sum(ending[u] for u in sources[v])
+    sinks = sorted(graph.sinks())
+    if sum(ending[v] ** 2 for v in sinks) > DEFAULT_DIMENSION_CAP:
+        raise OracleDimensionError(f"oracle dimension exceeds the cap of {DEFAULT_DIMENSION_CAP}")
+    return {v: _paths_into(graph, v) for v in sinks}
 
 
 def _block_products(x: np.ndarray, n: int, p: int, transpose: bool):

@@ -9,17 +9,18 @@ graph-level laws run over seeded random graph samples (cycles allowed); the
 Laurent row covers the single exit-free cycle family.  A failing row is
 reported together with a greedily minimized witness graph.
 
-Every per-graph check is a pure function of its graph, so the runner
-hands them to a pool of worker processes, one per usable CPU up to two,
-forked at the start of the run and joined before it returns.  The runner
-itself draws every random input, in the serial order, and merges the
-results in that order, so the matrix, the failure details, the witnesses
-and their minimization (which stays serial) are the same on any number of
-workers.  With one usable CPU, without the ``fork`` start method, on
-Python 3.12 and later, beside a second Python thread, or in a daemonic
-process, the same tasks run in process.  A run reuses the oracle's block
-solves across its algebras through one :func:`leavitt.oracle.block_cache`
-for the run, and each worker through one of its own.
+Every per-graph check is a pure function of its own inputs: an oracle
+graph's task draws its own random ideals, from a stream seeded by the run's
+seed and the graph.  So the runner hands the checks to a pool of worker
+processes, one per usable CPU up to two, forked at the start of the run and
+joined before it returns, and takes the results in the serial order; the
+matrix, the failure details, the witnesses and their minimization (which
+stays serial) are the same on any number of workers.  With one usable CPU,
+without the ``fork`` start method, on Python 3.12 and later, beside a
+second Python thread, or in a daemonic process, the same tasks run in
+process.  A run reuses the oracle's block solves across its algebras
+through one :func:`leavitt.oracle.block_cache` for the run, and each worker
+through one of its own.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .graphs import Graph
 from .hereditary import (
     ENUMERATION_CUTOFF,
     HereditarySaturatedSet,
-    enumerate_hs_sets,
     hs_closure,
     lattice_with_regularity,
 )
@@ -56,7 +56,6 @@ from .oracle import (
     build_oracle,
     ideal_generated_by,
     is_graded_subspace,
-    oracle_dimension,
     perp_subspace,
     require_exact_prime,
     start_block_cache,
@@ -326,10 +325,7 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
 
 def draw_generators(rng: Random, dimension: int, p: int) -> list[np.ndarray]:
     """The random generators of one trial: one or two elements of an algebra
-    of this dimension over GF(p), each with one to four nonzero coordinates.
-
-    Needs no algebra, so a runner can draw every trial before any check runs.
-    """
+    of this dimension over GF(p), each with one to four nonzero coordinates."""
     return [_random_element(rng, dimension, p) for _ in range(rng.randint(1, 2))]
 
 
@@ -369,17 +365,23 @@ def generated_ideal_check(algebra, generators):
 
 
 def calculus_checks_for_graph(graph: Graph):
-    """Graph-level rows (no oracle) for one graph, cycles allowed."""
+    """Graph-level rows (no oracle) for one graph, cycles allowed.
+
+    The sets come from the lattice pass with the regularity flags that
+    ``leavitt lattice`` prints; ``regular-quotient-condition-l-iff-pc``, whose
+    law rests on the verdict, also fails where a flag disagrees with
+    ``is_regular``.
+    """
     try:
-        hs_sets = enumerate_hs_sets(graph)
+        lattice = list(lattice_with_regularity(graph))
         cond_l = graph.condition_l()
         pc = graph.exit_free_cycle_vertices()
     except Exception as exc:
         return _setup_failed(CALCULUS_ROWS, graph, exc)
 
-    counts = dict.fromkeys(CALCULUS_SET_ROWS, len(hs_sets))
+    counts = dict.fromkeys(CALCULUS_SET_ROWS, len(lattice))
     failures: list[Failure] = []
-    for h in hs_sets:
+    for h, flag in lattice:
         # the label is built only for a failing row, since nearly every row passes
         def fail(row: str, detail: str) -> None:
             failures.append(Failure(row, graph, f"H={h.sorted_vertices()}: {detail}"))
@@ -407,6 +409,8 @@ def calculus_checks_for_graph(graph: Graph):
                     ROW_REGULAR_L_IFF_PC,
                     f"regular but (L)-quotient={quotient_l} vs containment={pc_inside}",
                 )
+            elif regular != flag:
+                fail(ROW_REGULAR_L_IFF_PC, f"calculus regular={regular} but lattice says {flag}")
             if cond_l and regular and not quotient_l:
                 fail(ROW_L_PRESERVED, "quotient lost Condition (L)")
         except Exception as exc:
@@ -414,7 +418,7 @@ def calculus_checks_for_graph(graph: Graph):
                 fail(row, f"check raised {exc!r}")
 
     try:
-        counts[ROW_MAXIMAL] = len(ideals.maximal_graded_ideals(hs_sets))
+        counts[ROW_MAXIMAL] = len(ideals.maximal_graded_ideals([h for h, _ in lattice]))
     except Exception as exc:  # the dichotomy itself raises AssertionError
         counts[ROW_MAXIMAL] = 1
         failures.append(Failure(ROW_MAXIMAL, graph, f"check raised {exc!r}"))
@@ -488,8 +492,9 @@ def minimize_counterexample(graph: Graph, still_fails) -> Graph:
 def _still_fails(row: str, cfg: VerifyConfig, g: Graph) -> bool:
     """True iff the graph-carrying ``row`` still fails on ``g``.
 
-    ``perp-graded`` also fails when one of 32 random-ideal trials, seeded as
-    in the runner and run one at a time as in its task, finds a problem.
+    ``perp-graded`` also fails when one of 32 random-ideal trials finds a
+    problem: on a graph of the oracle family, the first 32 that the runner's
+    task for that graph draws.
     """
     if row in CALCULUS_ROWS:
         _counts, failures = calculus_checks_for_graph(g)
@@ -497,11 +502,9 @@ def _still_fails(row: str, cfg: VerifyConfig, g: Graph) -> bool:
     _counts, failures, algebra = oracle_checks_for_graph(g, cfg.prime)
     if any(f.row == row for f in failures):
         return True
-    if row != ROW_PERP_GRADED:
-        return False
-    rng = Random(cfg.seed + 1)
-    trials = (draw_generators(rng, algebra.dimension, cfg.prime) for _ in range(32))
-    return any(_problems(algebra, failures, trials))
+    return row == ROW_PERP_GRADED and any(
+        _random_ideal_problems(cfg.seed + 1, algebra, failures, 32)
+    )
 
 
 # -- the runner -------------------------------------------------------------------
@@ -520,17 +523,19 @@ def run_verification(cfg: VerifyConfig) -> VerificationMatrix:
 
     The per-graph checks are independent, so they run on a pool of the
     usable CPUs (see :func:`_task_map`): one task per oracle graph, which
-    also runs the ``perp-graded`` trials drawn on it, one per random graph
-    and one for the Laurent row.  Inputs are drawn, and results merged, in
-    the serial order, so the output does not depend on the number of
-    workers.  The run, shrinking included, has one block cache of its own,
-    and so does each worker; none outlives the call.
+    also runs the ``perp-graded`` random-ideal trials that fall on it, and
+    one per random graph.  The runner draws only how many trials fall on
+    each oracle graph; each task draws its own random ideals, seeded by the
+    run's seed and its graph.  The Laurent row runs in this process while
+    the pool works.  Results are taken in the serial order, so the output
+    does not depend on the number of workers.  The run, shrinking included,
+    has one block cache of its own, and so does each worker; none outlives
+    the call.
     """
     if cfg.trials == 0:
         return VerificationMatrix(cfg, ())
 
     counts: Counter[str] = Counter()
-    failures: list[Failure] = []
     seeds = dict.fromkeys(ALL_ROWS, cfg.seed)
     seeds[ROW_PERP_GRADED] = cfg.seed + 1
     seeds[ROW_LAURENT] = cfg.seed + 2
@@ -539,42 +544,21 @@ def run_verification(cfg: VerifyConfig) -> VerificationMatrix:
         min(cfg.max_vertices, ORACLE_FAMILY_MAX_VERTICES),
         min(cfg.max_edges, ORACLE_FAMILY_MAX_EDGES),
     )
+    # the number of perp-graded trials that falls on each graph of the family
+    rng = Random(cfg.seed + 1)
+    per_graph = Counter(rng.randrange(len(family)) for _ in range(cfg.trials))
     # drawn as they are checked, so that in process each graph is dropped,
     # with the lookup tables its checks cache on it, once it is checked
     graph_rng = Random(cfg.seed)
     randoms = (random_graph(graph_rng, cfg.max_vertices, cfg.max_edges) for _ in range(cfg.trials))
 
-    # the perp-graded trials, each drawn on a graph of the family
-    drawn: list[int] = []  # the graph of each trial
-    generators: list[list] = [[] for _ in family]  # per graph, those of its trials
-    counts[ROW_PERP_GRADED] += cfg.trials
-    rng = Random(cfg.seed + 1)
-    dimensions = [_dimension(g) for g in family]
-    for _ in range(cfg.trials):
-        k = rng.randrange(len(family))
-        drawn.append(k)
-        generators[k].append(draw_generators(rng, dimensions[k], cfg.prime))
-
-    with _task_map(len(family) + cfg.trials + 1) as run:
-        oracle_results = run(partial(_oracle_task, cfg.prime), family, generators)
+    with _task_map(len(family) + cfg.trials) as run:
+        oracle_task = partial(_oracle_task, cfg.prime, cfg.seed + 1)
+        oracle_results = run(oracle_task, family, [per_graph[k] for k in range(len(family))])
         calculus_results = run(_calculus_task, randoms)
-        laurent_results = run(_laurent_task, [(cfg.seed + 2, cfg.prime, cfg.trials)])
-
-        problems = []  # each graph's problems, one per trial, in the order drawn
-        for c, fs, ps in oracle_results:
+        counts[ROW_LAURENT], failures = laurent_checks(Random(cfg.seed + 2), cfg.prime, cfg.trials)
+        for c, fs in itertools.chain(oracle_results, calculus_results):
             counts.update(c)
-            failures += fs
-            problems.append(iter(ps))
-        for k in drawn:  # after every oracle row, as each trial was drawn
-            problem = next(problems[k])
-            if problem:
-                failures.append(Failure(ROW_PERP_GRADED, family[k], problem))
-
-        for c, fs in calculus_results:
-            counts.update(c)
-            failures += fs
-        for trials, fs in laurent_results:
-            counts[ROW_LAURENT] = trials
             failures += fs
 
     results = []
@@ -649,34 +633,35 @@ def _task_map(work: int):
 # monkeypatch installed on a check is what the workers call.
 
 
-def _oracle_task(p, graph, trials):
-    """The oracle rows of one graph, then the perp-graded random-ideal trials
-    drawn on it: a problem (or None) per trial, in the order drawn."""
+def _oracle_task(p, seed, graph, count):
+    """The oracle rows of one graph, then ``count`` perp-graded random-ideal trials on it."""
     counts, failures, algebra = oracle_checks_for_graph(graph, p)
-    return counts, failures, list(_problems(algebra, failures, trials))
+    counts[ROW_PERP_GRADED] += count
+    problems = list(_random_ideal_problems(seed, algebra, failures, count))
+    failures += [Failure(ROW_PERP_GRADED, graph, problem) for problem in problems if problem]
+    return counts, failures
 
 
 def _calculus_task(graph):
     return calculus_checks_for_graph(graph)
 
 
-def _laurent_task(args):
-    seed, p, trials = args
-    return laurent_checks(Random(seed), p, trials)
+def _random_ideal_problems(seed, algebra, failures, count):
+    """A problem (or None) for each of ``count`` random-ideal trials, lazily.
 
-
-def _problems(algebra, failures, trials):
-    """A problem (or None) per trial, lazily; the set-up failure where no algebra built."""
-    for gens in trials:
+    Each trial's generators come from :func:`draw_generators`, on a stream
+    seeded by ``seed`` and the graph (a str seed, which hashes alike under
+    every ``PYTHONHASHSEED``), so the runner's task and the shrinker draw
+    the same first trials on one graph.  Where no algebra was built, every
+    trial fails with the set-up failure, the first of ``failures``.
+    """
+    if algebra is None:
+        yield from itertools.repeat(failures[0].detail, count)
+        return
+    rng = Random(f"{seed} {algebra.graph!r}")
+    for _ in range(count):
+        generators = draw_generators(rng, algebra.dimension, algebra.p)
         try:
-            yield failures[0].detail if algebra is None else generated_ideal_check(algebra, gens)
+            yield generated_ideal_check(algebra, generators)
         except Exception as exc:
             yield f"random ideal check raised {exc!r}"
-
-
-def _dimension(graph):
-    """The oracle dimension of ``graph``, or 0 where that raises: its task reports why."""
-    try:
-        return oracle_dimension(graph)
-    except Exception:
-        return 0

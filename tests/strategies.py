@@ -43,6 +43,17 @@ def ring(n):
     )
 
 
+def diamond_chain(k):
+    """``k`` diamonds in a row, a0 -> l0, r0 -> a1 -> ... -> ak: 2^k paths from
+    a0 alone into the one sink ak, and 2^(k + 2) - 3 paths into it in all."""
+    vertices = [f"a{i}" for i in range(k + 1)] + [f"{s}{i}" for i in range(k) for s in "lr"]
+    edges = []
+    for i in range(k):
+        for s in "lr":
+            edges += [(f"to-{s}{i}", f"a{i}", f"{s}{i}"), (f"from-{s}{i}", f"{s}{i}", f"a{i + 1}")]
+    return Graph(tuple(vertices), tuple(edges))
+
+
 def primes_around(bound):
     """The largest prime at most ``bound`` and the least prime above it."""
     below, above = bound, bound + 1

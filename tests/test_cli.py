@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from leavitt import cli
 from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
 
-from .strategies import graphs, primes_around, ring
+from .strategies import diamond_chain, graphs, primes_around, ring
 
 
 @pytest.fixture
@@ -418,6 +419,15 @@ def test_oracle_check_dimension_cap(tmp_path, capsys):
         edges.append((f"b{i}", f"v{i}", f"v{i+1}"))
     path = write_graph(tmp_path, Graph(vertices, tuple(edges)))
     assert main(["oracle-check", "--graph", path]) == 4
+
+
+def test_oracle_check_refuses_a_chain_of_64_diamonds_at_once(tmp_path, capsys):
+    # 2^64 paths into the sink: the cap is checked before any path is listed
+    path = write_graph(tmp_path, diamond_chain(64))
+    start = time.perf_counter()
+    assert main(["oracle-check", "--graph", path]) == 4
+    assert time.perf_counter() - start < 1
+    assert "oracle dimension exceeds the cap" in capsys.readouterr().err
 
 
 def test_oracle_check_nonprime(tmp_path, capsys):

@@ -33,10 +33,10 @@ from leavitt.gfp import (
     rref,
     rref_pivots,
 )
-from leavitt.oracle import _BLOCK_CACHE, IdealMemo, _sum_of_ideals, block_cache, oracle_dimension
+from leavitt.oracle import _BLOCK_CACHE, IdealMemo, _sum_of_ideals, block_cache
 from leavitt.verify import draw_generators, exhaustive_acyclic_graphs
 
-from .strategies import primes_around
+from .strategies import diamond_chain, primes_around
 
 
 def path_ab():
@@ -67,17 +67,6 @@ def test_build_rejects_cycles(single_loop):
         build_oracle(single_loop, 2)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_oracle_dimension_is_the_built_dimension(p):
-    for graph in exhaustive_acyclic_graphs():
-        assert oracle_dimension(graph) == build_oracle(graph, p).dimension
-
-
-def test_oracle_dimension_rejects_cycles(single_loop):
-    with pytest.raises(OracleUnsupportedError):
-        oracle_dimension(single_loop)
-
-
 def test_build_rejects_nonprime():
     with pytest.raises(ValueError):
         build_oracle(path_ab(), 4)
@@ -90,12 +79,18 @@ def parallel_edges(count):
 
 def test_dimension_cap():
     # 44 ** 2 is within the cap; 45 ** 2 and 46 ** 2 are past it
-    assert oracle_dimension(parallel_edges(43)) == 44**2 <= DEFAULT_DIMENSION_CAP
+    assert build_oracle(parallel_edges(43), 2).dimension == 44**2 <= DEFAULT_DIMENSION_CAP
     for count in (44, 45):
         with pytest.raises(OracleDimensionError):
-            oracle_dimension(parallel_edges(count))
-        with pytest.raises(OracleDimensionError):
             build_oracle(parallel_edges(count), 2)
+
+
+def test_the_cap_is_checked_on_path_counts():
+    # 2^(k + 2) - 3 paths into the one sink: 29 ** 2 is within the cap, 61 ** 2 past it
+    assert build_oracle(diamond_chain(3), 2).dimension == 29**2 <= DEFAULT_DIMENSION_CAP
+    for k in (4, 64):  # 2^64 paths from a0 alone: refused before any is listed
+        with pytest.raises(OracleDimensionError):
+            build_oracle(diamond_chain(k), 2)
 
 
 def test_degrees_and_labels():

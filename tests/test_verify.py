@@ -1,9 +1,11 @@
 import concurrent.futures
 import itertools
+import json
 import multiprocessing
 import os
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -26,11 +28,12 @@ from leavitt.verify import (
     ROW_MAXIMAL,
     ROW_PERP_GRADED,
     ROW_PERP_VSET,
+    ROW_REGULAR_L_IFF_PC,
     ROW_REGULARITY,
     VerifyConfig,
-    _dimension,
+    _oracle_task,
+    _still_fails,
     calculus_checks_for_graph,
-    draw_generators,
     exhaustive_acyclic_graphs,
     laurent_checks,
     minimize_counterexample,
@@ -197,6 +200,51 @@ def test_a_wrong_lattice_flag_fails_the_regularity_row(monkeypatch):
     assert row.counterexample == {"vertices": [], "edges": []}
 
 
+def flags_every_set_regular(graph):
+    """The lattice pass with every regularity flag set to True."""
+    return ((h, True) for h, _ in lattice_with_regularity(graph))
+
+
+def test_a_wrong_regular_flag_fails_verify_with_defaults(monkeypatch, capsys):
+    # right on every oracle graph, whose ideals are all regular: only the calculus rows,
+    # on random graphs with cycles, see it
+    monkeypatch.setattr(
+        "leavitt.verify.lattice_with_regularity", flags_every_set_regular, raising=False
+    )
+    assert main(["verify", "--json"]) == 1
+    rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+    assert {name for name, row in rows.items() if row["failures"]} == {ROW_REGULAR_L_IFF_PC}
+    row = rows[ROW_REGULAR_L_IFF_PC]
+    assert row["detail"].endswith(": calculus regular=False but lattice says True")
+    # a loop with an exit is the smallest graph with a set that is not regular
+    assert len(row["counterexample"]["vertices"]) == len(row["counterexample"]["edges"]) == 2
+
+
+def recorded_trials(monkeypatch):
+    """Make every random-ideal trial pass; returns the list of the generators each one got."""
+    seen = []
+
+    def check(algebra, generators):
+        seen.append([g.tolist() for g in generators])
+
+    monkeypatch.setattr("leavitt.verify.generated_ideal_check", check)
+    return seen
+
+
+def test_the_shrinker_replays_the_first_trials_of_a_graphs_task(monkeypatch):
+    seen = recorded_trials(monkeypatch)
+    cfg = VerifyConfig(prime=3)
+    graph = exhaustive_acyclic_graphs()[-1]
+    counts, failures = _oracle_task(cfg.prime, cfg.seed + 1, graph, 40)
+    assert counts[ROW_PERP_GRADED] == 40 + counts[ROW_PERP_VSET]
+    assert not failures
+    task = list(seen)
+    seen.clear()
+    assert not _still_fails(ROW_PERP_GRADED, cfg, graph)
+    assert seen == task[:32]
+    assert len(task) == 40 and task[0] != task[1]
+
+
 def test_laurent_checks_pass():
     trials, failures = laurent_checks(Random(1), 5, 100)
     assert trials == 100
@@ -287,14 +335,10 @@ def fails_on_two_edges(real):
     return step
 
 
-def graphs_of_the_trials(cfg, family):
-    """The graph each perp-graded trial of ``cfg`` is drawn on, drawn as the runner draws."""
+def trials_per_graph(cfg, family):
+    """How many perp-graded trials of ``cfg`` fall on each graph, counted as the runner counts."""
     rng = Random(cfg.seed + 1)
-    graphs = []
-    for _ in range(cfg.trials):
-        graphs.append(family[rng.randrange(len(family))])
-        draw_generators(rng, _dimension(graphs[-1]), cfg.prime)
-    return graphs
+    return Counter(family[rng.randrange(len(family))] for _ in range(cfg.trials))
 
 
 MUTANTS = {
@@ -303,9 +347,9 @@ MUTANTS = {
     "bar-closure": ("leavitt.ideals.bar_closure", lambda ideal: ideal.vertices),
     # fails the random-ideal trials of perp-graded, which each graph's task runs after its rows
     "always-graded": ("leavitt.verify.is_graded_subspace", lambda algebra, subspace: True),
-    # fails every oracle row of the two-edge graphs, and the trials drawn on them
+    # fails every oracle row of the two-edge graphs, and the trials that fall on them
     "build-fails": ("leavitt.verify.build_oracle", fails_on_two_edges(build_oracle)),
-    # the same, from the step that also gives the runner each graph's dimension
+    # the same, from the step of the build that counts and lists each sink's paths
     "paths-fail": ("leavitt.oracle._sink_paths", fails_on_two_edges(_sink_paths)),
 }
 
@@ -322,7 +366,7 @@ def test_two_workers_give_the_serial_matrix(monkeypatch, mutant):
     if mutant in ("build-fails", "paths-fail"):
         family = exhaustive_acyclic_graphs(cfg.max_vertices, cfg.max_edges)
         unbuilt = sum(len(g.edges) == 2 for g in family)
-        drawn = sum(len(g.edges) == 2 for g in graphs_of_the_trials(cfg, family))
+        drawn = sum(n for g, n in trials_per_graph(cfg, family).items() if len(g.edges) == 2)
         assert unbuilt and drawn  # else the case shows nothing
         rows = {row["name"]: row for row in outputs[0][0]["rows"]}
         assert rows[ROW_PERP_GRADED]["failures"] == unbuilt + drawn
