@@ -38,12 +38,11 @@ sums of ideals are solved one block at a time, on the block's n * n
 columns, and the block results are stacked in column order, which is the
 RREF of the whole (a ring identity, not the vertex calculus under test):
 :func:`ideal_generated_by`, :func:`perp_subspace` and the subset sums of
-:class:`IdealMemo`.  Ideal generation iterates unit products to a fixed
-point, and its last round is a closure audit; each block annihilator is a
-nullspace, audited to be an ideal.  Both start each reduction from the
-first product half, whose RREF form :func:`leavitt.gfp.rref_pivots` checks
-rather than trusts, and reduce only the rest into it with
-:func:`leavitt.gfp.reduce_rowspace`, the one way a basis grows here.
+:class:`IdealMemo`.  The ideal generated by S is A·S·A in one pass, the
+right products of the left products of S, followed by a closure audit;
+each block annihilator is a nullspace, audited to be an ideal, reduced
+from the first constraint half.  Product halves come in RREF, which
+:func:`leavitt.gfp.rref_pivots` checks rather than trusts.
 
 A command that solves many ideals, such as ``oracle-check`` or ``verify``,
 runs inside :func:`block_cache`: there each block solve is memoized by its
@@ -340,35 +339,41 @@ def _sink_paths(graph: Graph) -> dict[str, list[tuple[tuple[str, ...], str]]]:
 
 
 def _block_products(x: np.ndarray, n: int, p: int, transpose: bool):
-    """Rows spanning the products of n x n matrices by every matrix unit.
+    """Rows spanning the products of n x n matrices by every matrix unit: the
+    left products (:func:`_left_products`), then the right ones.
 
-    ``x`` is a stack of the matrices, or of their rows of n * n entries.
-
-    A left product unit * x copies one row of x to another row position,
-    and a right product x * unit copies one column.  So the left products
-    of all of x span the matrices whose rows all lie in R, the span of the
-    rows of every x, and the right products span those whose columns all
-    lie in C, the span of the columns.  The constraint (a*x)_k = 0 reads a
-    column of x along a row of a, and (x*a)_k = 0 reads a row of x along a
-    column, so when transposed the two spans trade places: rows in C and
-    columns in R.
-
-    With R and C as RREF bases, those spans are the rows of kron(I, R) and
-    kron(C, I), flattened row-major: at most n * n rows each.  Both are
-    returned in RREF: row (i, j) of kron(I, R) has its leading 1 at column
-    i * n + (pivot j of R), and row (k, i) of kron(C, I) at (pivot k of C) *
-    n + i, both increasing in row order, and no other row is nonzero there
-    because R and C are RREF.
+    ``x`` is a stack of the matrices, or of their rows of n * n entries.  The
+    constraint (a*x)_k = 0 reads a column of x along a row of a, and
+    (x*a)_k = 0 reads a row along a column, so when transposed both halves
+    are taken of the transposed matrices: rows in C and columns in R.
     """
-    x = x.reshape(-1, n, n)
+    x = x.reshape(-1, n, n).transpose(0, 2, 1) if transpose else x
+    return _left_products(x, n, p), _right_products(x, n, p)
+
+
+def _left_products(x: np.ndarray, n: int, p: int) -> np.ndarray:
+    """kron(I, R), R the RREF basis of the span of the rows of the n x n matrices x.
+
+    A left product unit * x copies one row of x to another row, so the left
+    products of all of x span the matrices whose rows lie in R: the rows of
+    kron(I, R), flattened row-major.  Row (i, j) leads at column i * n +
+    (pivot j of R), and R is RREF, so these rows are in RREF too.
+    """
     row_basis = reduce_rowspace(x.reshape(-1, n), p)[0]
-    col_basis = reduce_rowspace(x.transpose(0, 2, 1).reshape(-1, n), p)[0]
-    if transpose:
-        row_basis, col_basis = col_basis, row_basis
     eye = np.eye(n, dtype=np.int64)
-    left = eye[:, None, :, None] * row_basis[None, :, None, :]
-    right = col_basis[:, None, :, None] * eye[None, :, None, :]
-    return left.reshape(-1, n * n), right.reshape(-1, n * n)
+    return (eye[:, None, :, None] * row_basis[None, :, None, :]).reshape(-1, n * n)
+
+
+def _right_products(x: np.ndarray, n: int, p: int) -> np.ndarray:
+    """kron(C, I), C the RREF basis of the span of the columns of the matrices x.
+
+    A right product x * unit copies one column, so the right products span
+    the matrices whose columns lie in C.  Row (k, i) leads at column (pivot
+    k of C) * n + i: in RREF as well.
+    """
+    col_basis = reduce_rowspace(x.reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n), p)[0]
+    eye = np.eye(n, dtype=np.int64)
+    return (col_basis[:, None, :, None] * eye[None, :, None, :]).reshape(-1, n * n)
 
 
 class Subspace:
@@ -487,23 +492,18 @@ def _solve(kind: str, solve, n: int, p: int, *spans):
 
 
 def _block_ideal(n: int, p: int, span):
-    """The ideal of M_n(GF(p)) generated by a span, by iterated row reduction.
+    """The ideal of M_n(GF(p)) generated by a span S: span(A·S·A), as M_n is unital.
 
-    Each round takes the span of the round-start basis and of its products
-    with every matrix unit on both sides.  The left products come in RREF,
-    so a round starts from them as its basis (checked, not trusted) and
-    reduces only the right products into it.  The round-start basis needs
-    no reduction: each x is the sum of the products e_ii * x by the diagonal
-    units, so it lies in the span of the left products already (a ring
-    identity, not the vertex calculus).  A round that adds no rank ends the
-    search, and so does full rank.  That last round is a closure audit.
+    One pass, by ring identities only, not the vertex calculus: A·S is the
+    span of the left products of S, kron(I, R) with R the row basis of S,
+    and A·S·A that of their right products, kron(C, I) with C the column
+    basis of A·S, in RREF (checked, not trusted).  A result short of full
+    rank is audited to be closed; the full block is trivially closed.
     """
-    basis, pivots = span
-    start_rank = -1
-    while start_rank < len(pivots) < n * n:
-        start_rank = len(pivots)
-        left, right = _block_products(basis, n, p, transpose=False)
-        basis, pivots = reduce_rowspace(right, p, left, rref_pivots(left))
+    basis = _right_products(_left_products(span[0], n, p), n, p)
+    pivots = rref_pivots(basis)
+    if len(pivots) < n * n:
+        _check_closed(_block_products(basis, n, p, transpose=False), basis, pivots, p)
     return basis, pivots
 
 

@@ -21,6 +21,7 @@ from leavitt import (
     ideal_generated_by,
     is_graded_subspace,
     load_graph,
+    oracle,
     perp_subspace,
     vertex_set_of,
 )
@@ -33,7 +34,14 @@ from leavitt.gfp import (
     rref,
     rref_pivots,
 )
-from leavitt.oracle import _BLOCK_CACHE, IdealMemo, _sum_of_ideals, block_cache
+from leavitt.oracle import (
+    _BLOCK_CACHE,
+    IdealMemo,
+    _block_ideal,
+    _solve,
+    _sum_of_ideals,
+    block_cache,
+)
 from leavitt.verify import draw_generators, exhaustive_acyclic_graphs
 
 from .strategies import diamond_chain, primes_around
@@ -547,8 +555,8 @@ def test_unit_products_yield_at_most_twice_the_dimension(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_each_element_lies_in_the_span_of_its_left_products(p):
-    # x = sum of e_ii * x over the diagonal units, so ideal_generated_by
-    # need not reduce its round-start basis into the left half
+    # x = sum of e_ii * x over the diagonal units, so the one-pass block
+    # ideal A·S·A, built on the left half, contains S without reducing S into it
     rng = Random(23 + p)
     for graph in exhaustive_acyclic_graphs(3, 4):
         algebra = build_oracle(graph, p)
@@ -645,7 +653,7 @@ def _referee_algebras(family):
     return [build_oracle(graph, int(family[-1])) for graph in exhaustive_acyclic_graphs()]
 
 
-@pytest.mark.parametrize("family", ["exhaustive-p2", "exhaustive-p3", "7v"])
+@pytest.mark.parametrize("family", ["exhaustive-p2", "exhaustive-p3", "exhaustive-p5", "7v"])
 def test_block_solves_match_the_whole_algebra_referee(family):
     cases = _referee_cases(_referee_algebras(family), Random(family))
     want = _referee_results(cases)
@@ -661,6 +669,49 @@ def test_block_solves_match_the_whole_algebra_referee(family):
     interned = {id(basis) for basis, _pivots in results.values()}
     assert {id(basis) for basis, _pivots in solves.values()} == interned
     assert not any(basis.flags.writeable for basis, _pivots in results.values())
+
+
+def _nonzero_block_spans(n, p, rng):
+    """Spans in M_n(GF(p)), each nonzero: a single unit, a rank-1 matrix u v^T,
+    and 1-3 random matrices, as RREF bases of their flattened rows."""
+
+    def nonzero_vector(size):
+        v = np.zeros(size, dtype=np.int64)
+        while not v.any():
+            v = np.array([rng.randrange(p) for _ in range(size)], dtype=np.int64)
+        return v
+
+    unit = np.zeros(n * n, dtype=np.int64)
+    unit[rng.randrange(n * n)] = 1
+    rank_one = np.outer(nonzero_vector(n), nonzero_vector(n)).reshape(1, -1) % p
+    randoms = [[nonzero_vector(n * n) for _ in range(count)] for count in (1, 2, 3)]
+    return [reduce_rowspace(np.array(rows), p) for rows in [[unit], rank_one, *randoms]]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_block_ideal_of_a_nonzero_span_is_the_whole_block(p):
+    # M_n is simple; a column step that read the rows of A·S would stop short
+    rng = Random(f"whole block {p}")
+    for n in range(1, 7):
+        for span in _nonzero_block_spans(n, p, rng):
+            for scope in (nullcontext(), block_cache()):
+                with scope:
+                    basis, pivots = _solve("ideal", _block_ideal, n, p, span)
+                assert pivots == tuple(range(n * n))
+                assert np.array_equal(basis, np.eye(n * n, dtype=np.int64))
+
+
+def test_a_one_pass_result_short_of_full_rank_fails_the_audit(monkeypatch):
+    # a column half that drops the last column basis vector leaves the
+    # matrices whose columns miss a coordinate: a right ideal, not a two-sided one
+    right_products = oracle._right_products
+    monkeypatch.setattr(oracle, "_right_products", lambda x, n, p: right_products(x, n, p)[:-n])
+    rng = Random("short of full rank")
+    for p in (2, 3):
+        for n in (2, 3, 4):
+            for span in _nonzero_block_spans(n, p, rng):
+                with pytest.raises(ValueError, match="subspace is not closed"):
+                    _block_ideal(n, p, span)
 
 
 def test_perp_of_a_span_across_blocks():
