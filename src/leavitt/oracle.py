@@ -33,16 +33,22 @@ and C are RREF bases of the spans of their rows and of their columns: at
 most 2 * n * n rows (:func:`_block_products`).  Both halves are in RREF.
 
 Each sink block is a two-sided ideal, cut out by the central idempotent
-1_b (the sum of the block's diagonal units), so ideals, annihilators and
-sums of ideals are solved one block at a time, on the block's n * n
-columns, and the block results are stacked in column order, which is the
-RREF of the whole (a ring identity, not the vertex calculus under test):
-:func:`ideal_generated_by`, :func:`perp_subspace` and the subset sums of
-:class:`IdealMemo`.  The ideal generated by S is A·S·A in one pass, the
-right products of the left products of S, followed by a closure audit;
-each block annihilator is a nullspace, audited to be an ideal, reduced
-from the first constraint half.  Product halves come in RREF, which
-:func:`leavitt.gfp.rref_pivots` checks rather than trusts.
+1_b (the sum of the block's diagonal units), so every ideal is the direct
+sum of its blocks, and ideals, annihilators and sums of ideals are solved
+one block at a time, on the block's n * n columns (a ring identity, not the
+vertex calculus under test): :func:`ideal_generated_by`,
+:func:`perp_subspace` and the subset sums of :class:`IdealMemo`.  The ideal
+generated by S is A·S·A in one pass, the right products of the left
+products of S, followed by a closure audit; each block annihilator is a
+nullspace, audited to be an ideal, reduced from the first constraint half.
+Product halves come in RREF, which :func:`leavitt.gfp.rref_pivots` checks
+rather than trusts.  An :class:`IdealSubspace` is held as its block spans,
+one RREF basis and its pivots per block, just as the solves return them;
+the next solve, sum or query reads them as they are.  Vertex sets and
+gradedness are read block by block too: an element lies in a direct sum
+iff each block of it lies in that block's span, and the whole RREF basis
+is the blocks' bases side by side.  The whole-algebra basis is stitched
+from the spans only when asked for, by the public API.
 
 A command that solves many ideals, such as ``oracle-check`` or ``verify``,
 runs inside :func:`block_cache`: there each block solve is memoized by its
@@ -56,20 +62,21 @@ results.  Within one pass over an algebra, :class:`IdealMemo` builds the
 ideal of each vertex subset once: the ideal generated by a set is the sum
 of the ideals generated by its elements, so the ideal of X is the sum of
 that of X minus its last vertex and that vertex's ideal, reduced once per
-pair of interned ideals.  Whole-algebra bases are interned by their RREF
-bytes (built once per object), and annihilators and vertex sets are
-memoized by the RREF bytes of their argument.
+pair of interned ideals.  Ideals are interned, and annihilators and vertex
+sets memoized, by their block key: the tuple of the RREF bytes of each
+block span, built once per object.
 
 The public :class:`IdealSubspace` constructor audits closure under
-multiplication by every matrix unit of the whole algebra.  Ideals built
-here skip that audit: their blocks are audited by the block solves, and a
-sum of ideals is an ideal.
+multiplication by every matrix unit of the whole algebra, then splits the
+result into its block spans.  Ideals built here skip that audit: their
+blocks are audited by the block solves, and a sum of ideals is an ideal.
 """
 
 from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
+from functools import cached_property
 from contextvars import ContextVar, Token
 from graphlib import TopologicalSorter
 
@@ -412,24 +419,98 @@ class Subspace:
             and np.array_equal(self.basis, other.basis)
         )
 
+    def _block_span(self, b: int):
+        """The span of the projection onto block b.
+
+        For a direct sum of block subspaces, such as an ideal, that is the
+        rows whose pivot lies in the block, and no other row has a part
+        there; otherwise the projected rows are reduced.
+        """
+        cols = self.algebra._columns(b)
+        x = self.basis[:, cols]
+        lo, hi = np.searchsorted(self.pivots, (cols.start, cols.stop))
+        if np.count_nonzero(x.any(axis=1)) == hi - lo:
+            return x[lo:hi], tuple(c - cols.start for c in self.pivots[lo:hi])
+        return reduce_rowspace(x, self.algebra.p)
+
+    def _parts(self):
+        """(columns, RREF basis, pivots) of subspaces on disjoint columns whose
+        direct sum is this one: here the whole basis on every column."""
+        return [(slice(0, self.algebra.dimension), self.basis, self.pivots)]
+
 
 class IdealSubspace(Subspace):
-    """Subspace verified closed under two-sided multiplication by the basis units."""
+    """Subspace verified closed under two-sided multiplication by the basis units.
+
+    An ideal is the direct sum of its blocks, and it is held as them:
+    ``spans[b]`` is the RREF basis and pivots of block b on the block's
+    n * n columns, as the block solves return them.  The whole-algebra
+    ``basis``, ``pivots`` and ``signature()`` are stitched from the spans
+    on first use; the oracle itself compares and memoizes ideals by
+    :attr:`block_key`.
+    """
 
     def __init__(self, algebra: OracleAlgebra, vectors):
-        super().__init__(algebra, vectors)
-        if not self.is_everything:  # the full space is trivially closed
-            products = self.algebra.product_rows(self.basis)
-            _check_closed(products, self.basis, self.pivots, self.algebra.p)
+        whole = Subspace(algebra, vectors)
+        if not whole.is_everything:  # the full space is trivially closed
+            products = algebra.product_rows(whole.basis)
+            _check_closed(products, whole.basis, whole.pivots, algebra.p)
+        self.algebra = algebra
+        self.spans = tuple(whole._block_span(b) for b in range(len(algebra.sinks)))
+        self._whole = whole.basis, whole.pivots
 
     @classmethod
-    def _from_rref(cls, algebra: OracleAlgebra, basis: np.ndarray, pivots: tuple[int, ...]):
-        """An ideal from an RREF basis, taken as it is: no reduction and no audit."""
+    def _from_spans(cls, algebra: OracleAlgebra, spans):
+        """The ideal whose block b is ``spans[b]``, taken as it is: no audit."""
         ideal = cls.__new__(cls)
         ideal.algebra = algebra
-        ideal.basis = basis
-        ideal.pivots = pivots
+        ideal.spans = tuple(spans)
         return ideal
+
+    @property
+    def dim(self) -> int:
+        return sum(len(pivots) for _basis, pivots in self.spans)
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self._whole[0]
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return self._whole[1]
+
+    @cached_property
+    def _whole(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The whole-algebra RREF basis and pivots, stitched from the spans.
+
+        A span's rows sit on its block's columns and the blocks come in
+        column order, so the stacked rows are already the RREF of the whole.
+        """
+        algebra = self.algebra
+        basis = np.zeros((self.dim, algebra.dimension), dtype=np.int64)
+        pivots: list[int] = []
+        for b, (block_basis, block_pivots) in enumerate(self.spans):
+            cols = algebra._columns(b)
+            basis[len(pivots) : len(pivots) + len(block_pivots), cols] = block_basis
+            pivots += [cols.start + c for c in block_pivots]
+        return basis, tuple(pivots)
+
+    @cached_property
+    def block_key(self) -> tuple[bytes, ...]:
+        """The RREF bytes of each block span: two ideals of one algebra are
+        equal iff their keys are."""
+        return tuple(basis.tobytes() for basis, _pivots in self.spans)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, IdealSubspace) and other.algebra is self.algebra:
+            return self.block_key == other.block_key
+        return super().__eq__(other)
+
+    def _block_span(self, b: int):
+        return self.spans[b]
+
+    def _parts(self):
+        return [(self.algebra._columns(b), *span) for b, span in enumerate(self.spans)]
 
 
 def _check_closed(products, basis: np.ndarray, pivots: tuple[int, ...], p: int) -> None:
@@ -528,38 +609,6 @@ def _block_sum(n: int, p: int, head, last):
     return reduce_rowspace(last[0], p, *head)
 
 
-def _block_span(subspace: Subspace, b: int):
-    """The span of the projection of a subspace onto block b.
-
-    For a direct sum of block subspaces, such as an ideal, that is the rows
-    whose pivot lies in the block, and no other row has a part there;
-    otherwise the projected rows are reduced.
-    """
-    algebra = subspace.algebra
-    cols = algebra._columns(b)
-    x = subspace.basis[:, cols]
-    lo, hi = np.searchsorted(subspace.pivots, (cols.start, cols.stop))
-    if np.count_nonzero(x.any(axis=1)) == hi - lo:
-        return x[lo:hi], tuple(c - cols.start for c in subspace.pivots[lo:hi])
-    return reduce_rowspace(x, algebra.p)
-
-
-def _stitch(algebra: OracleAlgebra, spans) -> IdealSubspace:
-    """The ideal whose block b is ``spans[b]``, one span per block.
-
-    A span's rows sit on its block's columns and the blocks come in column
-    order, so the stacked rows are already the RREF of the whole.
-    """
-    rank = sum(len(pivots) for _basis, pivots in spans)
-    basis = np.zeros((rank, algebra.dimension), dtype=np.int64)
-    pivots: list[int] = []
-    for b, (block_basis, block_pivots) in enumerate(spans):
-        cols = algebra._columns(b)
-        basis[len(pivots) : len(pivots) + len(block_pivots), cols] = block_basis
-        pivots += [cols.start + c for c in block_pivots]
-    return IdealSubspace._from_rref(algebra, basis, tuple(pivots))
-
-
 def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
     """Least two-sided ideal containing the generators, solved block by block.
 
@@ -573,7 +622,7 @@ def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
     for b, n in enumerate(algebra._block_sizes):
         span = reduce_rowspace(gens[:, algebra._columns(b)], algebra.p)
         spans.append(_solve("ideal", _block_ideal, n, algebra.p, span) if span[1] else span)
-    return _stitch(algebra, spans)
+    return IdealSubspace._from_spans(algebra, spans)
 
 
 def _sum_of_ideals(a: IdealSubspace, b: IdealSubspace) -> IdealSubspace:
@@ -585,23 +634,24 @@ def _sum_of_ideals(a: IdealSubspace, b: IdealSubspace) -> IdealSubspace:
     algebra = a.algebra
     spans = []
     for k, n in enumerate(algebra._block_sizes):
-        head, last = _block_span(a, k), _block_span(b, k)
+        head, last = a._block_span(k), b._block_span(k)
         if not last[1] or len(head[1]) == n * n:
             spans.append(head)
         elif not head[1] or len(last[1]) == n * n:
             spans.append(last)
         else:
             spans.append(_solve("sum", _block_sum, n, algebra.p, head, last))
-    return _stitch(algebra, spans)
+    return IdealSubspace._from_spans(algebra, spans)
 
 
 class IdealMemo:
     """Ideals of vertex subsets and annihilators over one algebra, each built once.
 
-    Holds one object per distinct ideal (interned by its RREF bytes), the
-    ideal of every subset asked for and of its prefixes in graph vertex
-    order, the sum of every pair of interned ideals it has added, and the
-    annihilator and vertex set of every ideal asked for.  Create one per
+    Holds one object per distinct ideal (interned by its
+    :attr:`~IdealSubspace.block_key`), the ideal of every subset asked for
+    and of its prefixes in graph vertex order, the sum of every pair of
+    interned ideals it has added, and the annihilator and vertex set of
+    every ideal asked for, all keyed by block keys.  Create one per
     pass over an algebra and let it go with the pass.  The block solves
     under these whole-algebra results are shared more widely, by every
     algebra of one command, through :func:`block_cache`.
@@ -609,14 +659,14 @@ class IdealMemo:
 
     def __init__(self, algebra: OracleAlgebra):
         self.algebra = algebra
-        self._interned: dict[bytes, IdealSubspace] = {}
+        self._interned: dict[tuple[bytes, ...], IdealSubspace] = {}
         self._by_subset: dict[tuple[str, ...], IdealSubspace] = {}
-        self._sums: dict[tuple[bytes, bytes], IdealSubspace] = {}
-        self._perps: dict[bytes, IdealSubspace] = {}
-        self._vertex_sets: dict[bytes, frozenset[str]] = {}
+        self._sums: dict[tuple[tuple[bytes, ...], tuple[bytes, ...]], IdealSubspace] = {}
+        self._perps: dict[tuple[bytes, ...], IdealSubspace] = {}
+        self._vertex_sets: dict[tuple[bytes, ...], frozenset[str]] = {}
 
     def _intern(self, ideal: IdealSubspace) -> IdealSubspace:
-        return self._interned.setdefault(ideal.signature(), ideal)
+        return self._interned.setdefault(ideal.block_key, ideal)
 
     def of_vertices(self, vertices) -> IdealSubspace:
         """Ideal generated by the images of the given vertices.
@@ -638,22 +688,22 @@ class IdealMemo:
                 self._by_subset[prefix] = self._intern(ideal)
                 continue
             head, last = self._by_subset[prefix[:-1]], self.of_vertices(prefix[-1:])
-            pair = (head.signature(), last.signature())
+            pair = (head.block_key, last.block_key)
             if pair not in self._sums:
                 self._sums[pair] = self._intern(_sum_of_ideals(head, last))
             self._by_subset[prefix] = self._sums[pair]
         return self._by_subset[key]
 
     def perp(self, ideal: IdealSubspace) -> IdealSubspace:
-        """:func:`perp_subspace`, memoized by the RREF bytes of the argument."""
-        key = ideal.signature()
+        """:func:`perp_subspace`, memoized by the block key of the argument."""
+        key = ideal.block_key
         if key not in self._perps:
             self._perps[key] = self._intern(perp_subspace(self.algebra, ideal))
         return self._perps[key]
 
     def vertex_set(self, ideal: IdealSubspace) -> frozenset[str]:
-        """:func:`vertex_set_of`, memoized by the RREF bytes of the argument."""
-        key = ideal.signature()
+        """:func:`vertex_set_of`, memoized by the block key of the argument."""
+        key = ideal.block_key
         if key not in self._vertex_sets:
             self._vertex_sets[key] = vertex_set_of(self.algebra, ideal)
         return self._vertex_sets[key]
@@ -668,20 +718,28 @@ def perp_subspace(algebra: OracleAlgebra, ideal: Subspace) -> IdealSubspace:
     (:func:`_block_perp`, audited there to be an ideal).
     """
     spans = [
-        _solve("perp", _block_perp, n, algebra.p, _block_span(ideal, b))
+        _solve("perp", _block_perp, n, algebra.p, ideal._block_span(b))
         for b, n in enumerate(algebra._block_sizes)
     ]
-    return _stitch(algebra, spans)
+    return IdealSubspace._from_spans(algebra, spans)
 
 
 def vertex_set_of(algebra: OracleAlgebra, subspace: Subspace) -> frozenset[str]:
     """Vertices whose generator image lies in the subspace.
 
-    The vertex image matrix is reduced against the basis at once; a zero
-    residual row marks a member.
+    The subspace is a direct sum of parts on disjoint columns (an ideal's
+    block spans, or else the whole basis), so an element lies in it iff
+    each part of the element lies in that part.  The vertex image matrix is
+    reduced against each part at once, on the part's columns; a vertex
+    whose residual rows are all zero is a member.  A part of full rank holds
+    every element and is skipped.
     """
-    outside = residual(algebra._vertex_matrix, subspace.basis, subspace.pivots, algebra.p)
-    return frozenset(v for v, out in zip(algebra.graph.vertices, outside.any(axis=1)) if not out)
+    outside = np.zeros(len(algebra.graph.vertices), dtype=bool)
+    for cols, basis, pivots in subspace._parts():
+        if len(pivots) < basis.shape[1]:
+            images = algebra._vertex_matrix[:, cols]
+            outside |= residual(images, basis, pivots, algebra.p).any(axis=1)
+    return frozenset(v for v, out in zip(algebra.graph.vertices, outside) if not out)
 
 
 def is_graded_subspace(algebra: OracleAlgebra, subspace: Subspace) -> bool:
@@ -693,7 +751,15 @@ def is_graded_subspace(algebra: OracleAlgebra, subspace: Subspace) -> bool:
     uniqueness, is the RREF basis of S; and homogeneous rows always span a
     graded space.  Rows that pass span a graded space whether or not they
     are reduced, so a basis that is not fully reduced can only give a false
-    "not graded", never a false "graded".
+    "not graded", never a false "graded".  The rows of the whole RREF basis
+    are those of the parts' bases (an ideal's block spans), each on its
+    part's columns, so the rows are read part by part.  A part with no rows
+    has none to read, and a part of full rank is all of its columns, which
+    is graded whatever its basis reads: both are skipped.
     """
-    pivot_degrees = algebra.degrees[list(subspace.pivots)]
-    return not ((subspace.basis != 0) & (algebra.degrees != pivot_degrees[:, None])).any()
+    for cols, basis, pivots in subspace._parts():
+        if 0 < len(pivots) < basis.shape[1]:
+            degrees = algebra.degrees[cols]
+            if ((basis != 0) & (degrees != degrees[list(pivots)][:, None])).any():
+                return False
+    return True

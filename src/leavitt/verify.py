@@ -299,11 +299,11 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
                 fail(row, f"check raised {exc!r}")
 
     try:
-        signatures = set()
+        keys = set()
         for size in range(len(graph.vertices) + 1):
             for subset in itertools.combinations(graph.vertices, size):
                 ideal = memo.of_vertices(subset)
-                signatures.add(ideal.signature())
+                keys.add(ideal.block_key)
                 closed = hs_closure(graph, subset)
                 got = memo.vertex_set(ideal)
                 if got != closed.vertices:
@@ -312,10 +312,10 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
                         f"closure {closed.sorted_vertices()}"
                     )
         expected = 2 ** len(graph.sinks())
-        if not (len(signatures) == len(lattice) == expected):
+        if not (len(keys) == len(lattice) == expected):
             raise AssertionError(
                 f"(oracle ideals, lattice size, 2^sinks) = "
-                f"({len(signatures)}, {len(lattice)}, {expected})"
+                f"({len(keys)}, {len(lattice)}, {expected})"
             )
     except Exception as exc:
         failures.append(Failure(ROW_LATTICE_COUNT, graph, f"count check failed: {exc}"))

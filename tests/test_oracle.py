@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from contextlib import nullcontext
 from pathlib import Path
 from random import Random
@@ -42,7 +43,7 @@ from leavitt.oracle import (
     _sum_of_ideals,
     block_cache,
 )
-from leavitt.verify import draw_generators, exhaustive_acyclic_graphs
+from leavitt.verify import _oracle_task, draw_generators, exhaustive_acyclic_graphs
 
 from .strategies import diamond_chain, primes_around
 
@@ -315,13 +316,15 @@ def test_summed_subset_ideals_match_generation(p):
                 generated = ideal_generated_by(algebra, [algebra.vertex_image(v) for v in subset])
                 assert summed.signature() == generated.signature()
                 assert summed.pivots == generated.pivots
+                # one ideal by prefix sums and by generation: one key, one interned object
+                assert summed == generated and memo._intern(generated) is summed
                 # the sum skipped the audit; the public constructor must accept it
                 audited = IdealSubspace(algebra, summed.basis)
                 assert audited.signature() == summed.signature()
                 assert memo.of_vertices(reversed(subset)) is summed
                 perp = memo.perp(summed)
                 assert perp.signature() == perp_subspace(algebra, summed).signature()
-                assert memo.perp(summed) is perp
+                assert memo.perp(summed) is perp and memo.perp(generated) is perp
 
 
 def _spans(subspace, vector):
@@ -438,17 +441,24 @@ def _random_element(algebra, rng):
 
 def test_generated_ideal_passes_the_audit():
     rng = Random(11)
-    for graph in exhaustive_acyclic_graphs(3, 4):
+    graph_7v = load_graph(str(Path(__file__).parent / "golden" / "oracle-7v.json"))
+    for graph in exhaustive_acyclic_graphs(3, 4) + (graph_7v,):
         for p in (2, 3, 5):
             algebra = build_oracle(graph, p)
             for _ in range(2):
                 gens = [_random_element(algebra, rng) for _ in range(rng.randint(1, 2))]
                 ideal = ideal_generated_by(algebra, gens)
-                audited = IdealSubspace(algebra, ideal.basis)
-                assert audited.signature() == ideal.signature()
-                assert audited.pivots == ideal.pivots
-                # a contiguous copy, not a view pinning the row reduction's work array
-                assert ideal.basis.base is None and ideal.basis.flags.c_contiguous
+                for held in (ideal, perp_subspace(algebra, ideal)):
+                    # the public constructor audits the stitched basis and splits it again
+                    audited = IdealSubspace(algebra, held.basis)
+                    assert audited == held and held == audited
+                    assert audited.block_key == held.block_key
+                    assert audited.signature() == held.signature()
+                    assert audited.pivots == held.pivots
+                    # a contiguous copy, not a view pinning the row reduction's work array
+                    assert held.basis.base is None and held.basis.flags.c_contiguous
+                # two builds of one algebra compare by the whole basis
+                assert ideal == IdealSubspace(build_oracle(graph, p), ideal.basis)
 
 
 def test_build_oracle_prime_bound():
@@ -735,9 +745,11 @@ def test_perp_of_a_span_across_blocks():
 
 def test_block_sums_of_partial_spans():
     # an ideal's block is zero or everything; spans inside the blocks also
-    # exercise the sum that is solved, with and without the cache
+    # exercise the sum that is solved, with and without the cache, and the
+    # per-block vertex-set and gradedness reads of partial, mixed spans
     rng = Random(31)
     fork = Graph(("a", "b", "c"), (("e1", "a", "b"), ("e2", "a", "c")))
+    verdicts = set()
     for p in (2, 3):
         algebra = build_oracle(fork, p)
         for _ in range(10):
@@ -747,6 +759,11 @@ def test_block_sums_of_partial_spans():
                 with scope:
                     got = _sum_of_ideals(head, last)
                 assert _sig(got.basis, got.pivots) == _sig(*want)
+                assert vertex_set_of(algebra, got) == _whole_vertex_set(algebra, got)
+                verdict = is_graded_subspace(algebra, got)
+                assert verdict == _whole_is_graded(algebra, got)
+                verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 def _random_block_rows(algebra, rng):
@@ -758,3 +775,81 @@ def _random_block_rows(algebra, rng):
         block[...] = np.array([rng.randrange(algebra.p) for _ in range(block.size)]).reshape(block.shape)
         rows.append(row)
     return rows
+
+
+# -- ideals held as block spans ---------------------------------------------------------
+
+
+def _whole_vertex_set(algebra, subspace):
+    """The vertices whose image reduces to zero against the stitched basis, all columns at once."""
+    images = as_matrix([algebra.vertex_image(v) for v in algebra.graph.vertices], algebra.dimension)
+    outside = residual(images, subspace.basis, subspace.pivots, algebra.p).any(axis=1)
+    return frozenset(v for v, out in zip(algebra.graph.vertices, outside) if not out)
+
+
+def _whole_is_graded(algebra, subspace):
+    """The degree test on the stitched basis: each row's entries have its pivot's degree."""
+    pivot_degrees = algebra.degrees[list(subspace.pivots)]
+    return not ((subspace.basis != 0) & (algebra.degrees != pivot_degrees[:, None])).any()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_block_span_fast_paths_match_the_whole_matrix_formulas(monkeypatch, p):
+    # every ideal that verify's oracle rows and random-ideal trials build on
+    # the exhaustive family (trials spread as with verify's defaults), and
+    # oracle-check on the 7-vertex golden graph
+    family = exhaustive_acyclic_graphs()
+    per_graph = Counter(Random(43).randrange(len(family)) for _ in range(500))
+    graph_7v = load_graph(str(Path(__file__).parent / "golden" / "oracle-7v.json"))
+    tasks = [(g, per_graph[k]) for k, g in enumerate(family)] + [(graph_7v, 20)]
+    built = []
+    from_spans = IdealSubspace._from_spans.__func__
+
+    def recording(cls, algebra, spans):
+        built.append(from_spans(cls, algebra, spans))
+        return built[-1]
+
+    monkeypatch.setattr(IdealSubspace, "_from_spans", classmethod(recording))
+    with block_cache():
+        for graph, trials in tasks:
+            assert _oracle_task(p, 43, graph, trials)[1] == []
+    monkeypatch.undo()
+    assert len(built) > 4 * len(tasks)
+    for ideal in built:
+        algebra = ideal.algebra
+        assert vertex_set_of(algebra, ideal) == _whole_vertex_set(algebra, ideal)
+        assert is_graded_subspace(algebra, ideal) == _whole_is_graded(algebra, ideal)
+
+
+def test_ideals_differing_in_one_block_get_different_keys():
+    # path a -> b plus two isolated sinks: blocks of sizes 2, 1 and 1
+    graph = Graph(("a", "b", "c", "d"), (("e", "a", "b"),))
+    algebra = build_oracle(graph, 3)
+    memo = IdealMemo(algebra)
+    subsets = [s for size in range(5) for s in itertools.combinations(graph.vertices, size)]
+    ideals = {memo.of_vertices(s).block_key: memo.of_vertices(s) for s in subsets}
+    assert len(ideals) == 2 ** len(algebra.sinks)
+    for one, other in itertools.combinations(ideals.values(), 2):
+        assert one != other
+    # c and cd differ in block d only; c and d hold one unit each, in two
+    # blocks of one size: their keys are per block, not concatenated bytes
+    c, d, cd = (memo.of_vertices(s) for s in (["c"], ["d"], ["c", "d"]))
+    assert [x == y for x, y in zip(c.block_key, cd.block_key)] == [True, True, False]
+    assert b"".join(c.block_key) == b"".join(d.block_key)
+    assert c.block_key != d.block_key and c != d
+
+
+def test_zero_and_whole_algebra_keys():
+    for graph in (path_ab(), Graph(("a", "b"), ()), Graph((), ())):
+        algebra = build_oracle(graph, 2)
+        zero = ideal_generated_by(algebra, [])
+        whole = IdealSubspace(algebra, np.eye(algebra.dimension, dtype=np.int64))
+        assert zero.block_key == (b"",) * len(algebra.sinks)
+        assert zero.dim == 0 and whole.is_everything
+        assert perp_subspace(algebra, zero) == whole and perp_subspace(algebra, whole) == zero
+        assert IdealSubspace(algebra, []) == zero
+        assert (zero == whole) == (algebra.dimension == 0)
+        if algebra.dimension:
+            images = [algebra.vertex_image(v) for v in graph.vertices]
+            generated = ideal_generated_by(algebra, images)
+            assert generated == whole and generated.block_key == whole.block_key
