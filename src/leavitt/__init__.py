@@ -49,7 +49,6 @@ from .oracle import (
     DEFAULT_DIMENSION_CAP,
     IdealSubspace,
     OracleAlgebra,
-    Subspace,
     build_oracle,
     ideal_generated_by,
     is_graded_subspace,
@@ -80,7 +79,6 @@ __all__ = [
     "OracleDimensionError",
     "OracleUnsupportedError",
     "RegularityReport",
-    "Subspace",
     "UnknownVertexError",
     "VerificationMatrix",
     "VerifyConfig",

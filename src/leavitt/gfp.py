@@ -2,7 +2,7 @@
 
 Row spaces are kept in reduced row echelon form, which is canonical: two
 subspaces are equal iff their RREF matrices are equal, so RREF bytes double
-as subspace signatures.  Because the form is fully reduced, reducing a
+as the oracle's block keys.  Because the form is fully reduced, reducing a
 vector against a basis is a single matrix product, not a pivot loop.
 
 :func:`rref` picks its kernel by the prime alone.  Over GF(2) each row is
@@ -10,7 +10,7 @@ packed into a Python int (column c at bit ``cols - 1 - c``) and eliminated
 by XOR, as in M4RI (Albrecht, Bard and Hart, "Algorithm 898", ACM TOMS
 37(1), 2010); the per-pivot numpy calls it replaces dominate on the small
 matrices the oracle reduces.  Odd primes use a numpy pivot loop.  Both
-return the same int64 array, byte for byte, so signatures do not depend on
+return the same int64 array, byte for byte, so block keys do not depend on
 the kernel.
 
 Entries are residues in [0, p), and every int64 step adds up at most some
@@ -32,10 +32,10 @@ def max_exact_prime(terms: int) -> int:
     """Largest p for which a sum of ``terms`` products of residues mod p fits in int64.
 
     The sums are: 1 term in the row update of :func:`rref`, and the inner
-    dimension in the int64 fallback of :func:`matmul_mod`.  The block
-    products of ``OracleAlgebra.mul`` are ``matmul_mod`` calls whose inner
-    dimension is one block size, at most the algebra dimension; so for an
-    algebra of dimension at most ``terms`` every sum has at most ``terms``.
+    dimension in the int64 fallback of :func:`matmul_mod`.  The oracle's
+    ``_audit_relations`` multiplies n x n blocks and its block solves
+    multiply by RREF bases of at most n * n rows, so for an algebra of
+    dimension at most ``terms`` every sum has at most ``terms``.
     """
     return math.isqrt(INT64_MAX // max(terms, 1)) + 1
 

@@ -24,7 +24,6 @@ the prime by the cap (see :func:`leavitt.gfp.max_exact_prime`).
 
 An element is read through one view, its blocks: the n x n matrix of
 each sink, for one element or a stack of rows (``OracleAlgebra._block``).
-A product is one block product per sink where the left factor is nonzero.
 Products by matrix units drive everything: ideal generation, the closure
 audit and the annihilator constraints.  A unit product copies one row or
 one column of a block, so the products of any number of n x n matrices by
@@ -48,7 +47,7 @@ the next solve, sum or query reads them as they are.  Vertex sets and
 gradedness are read block by block too: an element lies in a direct sum
 iff each block of it lies in that block's span, and the whole RREF basis
 is the blocks' bases side by side.  The whole-algebra basis is stitched
-from the spans only when asked for, by the public API.
+from the spans only when asked for, by the tests and the benchmark tracer.
 
 A command that solves many ideals, such as ``oracle-check`` or ``verify``,
 runs inside :func:`block_cache`: there each block solve is memoized by its
@@ -65,11 +64,6 @@ that of X minus its last vertex and that vertex's ideal, reduced once per
 pair of interned ideals.  Ideals are interned, and annihilators and vertex
 sets memoized, by their block key: the tuple of the RREF bytes of each
 block span, built once per object.
-
-The public :class:`IdealSubspace` constructor audits closure under
-multiplication by every matrix unit of the whole algebra, then splits the
-result into its block spans.  Ideals built here skip that audit: their
-blocks are audited by the block solves, and a sum of ideals is an ideal.
 """
 
 from __future__ import annotations
@@ -91,7 +85,6 @@ from .gfp import (
     nullspace_from_rref,
     reduce_rowspace,
     residual,
-    rref,
     rref_pivots,
 )
 from .graphs import Graph
@@ -135,23 +128,6 @@ class OracleAlgebra:
     def vertex_image(self, vertex: str) -> np.ndarray:
         self.graph.require_vertex(vertex)
         return self._vertex_matrix[self._vertex_row[vertex]].copy()
-
-    def edge_image(self, name: str) -> np.ndarray:
-        return self._edge_matrix[self._edge_row[name]].copy()
-
-    def ghost_image(self, name: str) -> np.ndarray:
-        return self._ghost_matrix[self._edge_row[name]].copy()
-
-    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The product x*y, block by block; y may be a stack of rows, each multiplied by x.
-
-        Only the blocks where x is nonzero are read: the rest stay zero.
-        """
-        out = np.zeros(y.shape, dtype=np.int64)
-        support = np.searchsorted(self._offsets, np.flatnonzero(x), side="right") - 1
-        for b in sorted(set(support.tolist())):
-            self._block(out, b)[...] = matmul_mod(self._block(x, b), self._block(y, b), self.p)
-        return out
 
     def _columns(self, b: int) -> slice:
         """The n_b * n_b coordinates of block b."""
@@ -383,117 +359,40 @@ def _right_products(x: np.ndarray, n: int, p: int) -> np.ndarray:
     return (col_basis[:, None, :, None] * eye[None, :, None, :]).reshape(-1, n * n)
 
 
-class Subspace:
-    """Row space over GF(p), stored in canonical reduced echelon form.
+class IdealSubspace:
+    """A two-sided ideal of the oracle algebra, held as its block spans.
 
-    The basis is not changed after construction, so the signature is built
-    once, on first use.
+    An ideal is the direct sum of its blocks: ``spans[b]`` is the RREF basis
+    and pivots of block b on the block's n * n columns, as the block solves
+    return them.  The spans are taken as given, with no audit: the block
+    solves audit their results, and a sum of ideals is an ideal.  The
+    whole-algebra ``basis`` is stitched from the spans on first use, for
+    the tests and the benchmark tracer; the oracle itself compares and
+    memoizes ideals by :attr:`block_key`.
     """
 
-    _signature: bytes | None = None
-
-    def __init__(self, algebra: OracleAlgebra, vectors):
+    def __init__(self, algebra: OracleAlgebra, spans):
         self.algebra = algebra
-        mat = as_matrix(vectors, algebra.dimension)
-        self.basis, self.pivots = rref(mat, algebra.p)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def is_everything(self) -> bool:
-        return self.dim == self.algebra.dimension
-
-    def signature(self) -> bytes:
-        if self._signature is None:
-            self._signature = self.basis.shape[0].to_bytes(4, "big") + self.basis.tobytes()
-        return self._signature
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (
-            self.algebra.p == other.algebra.p
-            and self.algebra.graph == other.algebra.graph
-            and np.array_equal(self.basis, other.basis)
-        )
-
-    def _block_span(self, b: int):
-        """The span of the projection onto block b.
-
-        For a direct sum of block subspaces, such as an ideal, that is the
-        rows whose pivot lies in the block, and no other row has a part
-        there; otherwise the projected rows are reduced.
-        """
-        cols = self.algebra._columns(b)
-        x = self.basis[:, cols]
-        lo, hi = np.searchsorted(self.pivots, (cols.start, cols.stop))
-        if np.count_nonzero(x.any(axis=1)) == hi - lo:
-            return x[lo:hi], tuple(c - cols.start for c in self.pivots[lo:hi])
-        return reduce_rowspace(x, self.algebra.p)
-
-    def _parts(self):
-        """(columns, RREF basis, pivots) of subspaces on disjoint columns whose
-        direct sum is this one: here the whole basis on every column."""
-        return [(slice(0, self.algebra.dimension), self.basis, self.pivots)]
-
-
-class IdealSubspace(Subspace):
-    """Subspace verified closed under two-sided multiplication by the basis units.
-
-    An ideal is the direct sum of its blocks, and it is held as them:
-    ``spans[b]`` is the RREF basis and pivots of block b on the block's
-    n * n columns, as the block solves return them.  The whole-algebra
-    ``basis``, ``pivots`` and ``signature()`` are stitched from the spans
-    on first use; the oracle itself compares and memoizes ideals by
-    :attr:`block_key`.
-    """
-
-    def __init__(self, algebra: OracleAlgebra, vectors):
-        whole = Subspace(algebra, vectors)
-        if not whole.is_everything:  # the full space is trivially closed
-            products = algebra.product_rows(whole.basis)
-            _check_closed(products, whole.basis, whole.pivots, algebra.p)
-        self.algebra = algebra
-        self.spans = tuple(whole._block_span(b) for b in range(len(algebra.sinks)))
-        self._whole = whole.basis, whole.pivots
-
-    @classmethod
-    def _from_spans(cls, algebra: OracleAlgebra, spans):
-        """The ideal whose block b is ``spans[b]``, taken as it is: no audit."""
-        ideal = cls.__new__(cls)
-        ideal.algebra = algebra
-        ideal.spans = tuple(spans)
-        return ideal
+        self.spans = tuple(spans)
 
     @property
     def dim(self) -> int:
         return sum(len(pivots) for _basis, pivots in self.spans)
 
-    @property
-    def basis(self) -> np.ndarray:
-        return self._whole[0]
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return self._whole[1]
-
     @cached_property
-    def _whole(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """The whole-algebra RREF basis and pivots, stitched from the spans.
+    def basis(self) -> np.ndarray:
+        """The whole-algebra RREF basis, stitched from the spans.
 
         A span's rows sit on its block's columns and the blocks come in
         column order, so the stacked rows are already the RREF of the whole.
         """
         algebra = self.algebra
         basis = np.zeros((self.dim, algebra.dimension), dtype=np.int64)
-        pivots: list[int] = []
-        for b, (block_basis, block_pivots) in enumerate(self.spans):
-            cols = algebra._columns(b)
-            basis[len(pivots) : len(pivots) + len(block_pivots), cols] = block_basis
-            pivots += [cols.start + c for c in block_pivots]
-        return basis, tuple(pivots)
+        start = 0
+        for b, (block_basis, _pivots) in enumerate(self.spans):
+            basis[start : start + len(block_basis), algebra._columns(b)] = block_basis
+            start += len(block_basis)
+        return basis
 
     @cached_property
     def block_key(self) -> tuple[bytes, ...]:
@@ -502,15 +401,12 @@ class IdealSubspace(Subspace):
         return tuple(basis.tobytes() for basis, _pivots in self.spans)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, IdealSubspace) and other.algebra is self.algebra:
-            return self.block_key == other.block_key
-        return super().__eq__(other)
-
-    def _block_span(self, b: int):
-        return self.spans[b]
-
-    def _parts(self):
-        return [(self.algebra._columns(b), *span) for b, span in enumerate(self.spans)]
+        """Equal ideals of algebras of one graph and one prime, however many
+        times the algebra was built."""
+        if not isinstance(other, IdealSubspace):
+            return NotImplemented
+        mine, theirs = self.algebra, other.algebra
+        return mine.p == theirs.p and mine.graph == theirs.graph and self.block_key == other.block_key
 
 
 def _check_closed(products, basis: np.ndarray, pivots: tuple[int, ...], p: int) -> None:
@@ -622,7 +518,7 @@ def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
     for b, n in enumerate(algebra._block_sizes):
         span = reduce_rowspace(gens[:, algebra._columns(b)], algebra.p)
         spans.append(_solve("ideal", _block_ideal, n, algebra.p, span) if span[1] else span)
-    return IdealSubspace._from_spans(algebra, spans)
+    return IdealSubspace(algebra, spans)
 
 
 def _sum_of_ideals(a: IdealSubspace, b: IdealSubspace) -> IdealSubspace:
@@ -634,14 +530,14 @@ def _sum_of_ideals(a: IdealSubspace, b: IdealSubspace) -> IdealSubspace:
     algebra = a.algebra
     spans = []
     for k, n in enumerate(algebra._block_sizes):
-        head, last = a._block_span(k), b._block_span(k)
+        head, last = a.spans[k], b.spans[k]
         if not last[1] or len(head[1]) == n * n:
             spans.append(head)
         elif not head[1] or len(last[1]) == n * n:
             spans.append(last)
         else:
             spans.append(_solve("sum", _block_sum, n, algebra.p, head, last))
-    return IdealSubspace._from_spans(algebra, spans)
+    return IdealSubspace(algebra, spans)
 
 
 class IdealMemo:
@@ -675,15 +571,20 @@ class IdealMemo:
         ideal of a larger subset is the :func:`_sum_of_ideals` of the ideal of the
         subset minus its last vertex and of that vertex's ideal.  That sum is
         built once per pair of interned ideals, however many subsets share it.
+        A subset held already costs one lookup; otherwise its prefixes back to
+        the longest one held are built, shortest first, with no recursion.
         """
         algebra = self.algebra
         members = algebra.graph.vertex_subset(vertices)
         key = tuple(v for v in algebra.graph.vertices if v in members)
-        for end in range(len(key) + 1):  # every prefix, shortest first
-            prefix = key[:end]
-            if prefix in self._by_subset:
-                continue
-            if end <= 1:
+        held = self._by_subset.get(key)
+        if held is not None:
+            return held
+        missing = [key]
+        while len(missing[-1]) > 1 and missing[-1][:-1] not in self._by_subset:
+            missing.append(missing[-1][:-1])
+        for prefix in reversed(missing):
+            if len(prefix) <= 1:
                 ideal = ideal_generated_by(algebra, [algebra.vertex_image(v) for v in prefix])
                 self._by_subset[prefix] = self._intern(ideal)
                 continue
@@ -709,40 +610,39 @@ class IdealMemo:
         return self._vertex_sets[key]
 
 
-def perp_subspace(algebra: OracleAlgebra, ideal: Subspace) -> IdealSubspace:
-    """Two-sided annihilator {a : a*x = x*a = 0 for all x in the subspace}, block by block.
+def perp_subspace(algebra: OracleAlgebra, ideal: IdealSubspace) -> IdealSubspace:
+    """Two-sided annihilator {a : a*x = x*a = 0 for all x in the ideal}, block by block.
 
     a * x is the sum of the block products a_b * x_b, which lie in distinct
     blocks, so a annihilates x iff each a_b annihilates x_b: block b of the
-    annihilator is the annihilator in M_n of the projection onto block b
+    annihilator is the annihilator in M_n of block b of the ideal
     (:func:`_block_perp`, audited there to be an ideal).
     """
     spans = [
-        _solve("perp", _block_perp, n, algebra.p, ideal._block_span(b))
+        _solve("perp", _block_perp, n, algebra.p, ideal.spans[b])
         for b, n in enumerate(algebra._block_sizes)
     ]
-    return IdealSubspace._from_spans(algebra, spans)
+    return IdealSubspace(algebra, spans)
 
 
-def vertex_set_of(algebra: OracleAlgebra, subspace: Subspace) -> frozenset[str]:
-    """Vertices whose generator image lies in the subspace.
+def vertex_set_of(algebra: OracleAlgebra, ideal: IdealSubspace) -> frozenset[str]:
+    """Vertices whose generator image lies in the ideal.
 
-    The subspace is a direct sum of parts on disjoint columns (an ideal's
-    block spans, or else the whole basis), so an element lies in it iff
-    each part of the element lies in that part.  The vertex image matrix is
-    reduced against each part at once, on the part's columns; a vertex
-    whose residual rows are all zero is a member.  A part of full rank holds
-    every element and is skipped.
+    The ideal is the direct sum of its block spans, so an element lies in it
+    iff each block of the element lies in that block's span.  The vertex
+    image matrix is reduced against each span at once, on the block's
+    columns; a vertex whose residual rows are all zero is a member.  A span
+    of full rank holds every element and is skipped.
     """
     outside = np.zeros(len(algebra.graph.vertices), dtype=bool)
-    for cols, basis, pivots in subspace._parts():
+    for b, (basis, pivots) in enumerate(ideal.spans):
         if len(pivots) < basis.shape[1]:
-            images = algebra._vertex_matrix[:, cols]
+            images = algebra._vertex_matrix[:, algebra._columns(b)]
             outside |= residual(images, basis, pivots, algebra.p).any(axis=1)
     return frozenset(v for v, out in zip(algebra.graph.vertices, outside) if not out)
 
 
-def is_graded_subspace(algebra: OracleAlgebra, subspace: Subspace) -> bool:
+def is_graded_subspace(algebra: OracleAlgebra, subspace: IdealSubspace) -> bool:
     """True iff every row of the RREF basis is homogeneous: no solve needed.
 
     A row is homogeneous iff its nonzero entries all have the degree of its
@@ -752,14 +652,14 @@ def is_graded_subspace(algebra: OracleAlgebra, subspace: Subspace) -> bool:
     graded space.  Rows that pass span a graded space whether or not they
     are reduced, so a basis that is not fully reduced can only give a false
     "not graded", never a false "graded".  The rows of the whole RREF basis
-    are those of the parts' bases (an ideal's block spans), each on its
-    part's columns, so the rows are read part by part.  A part with no rows
-    has none to read, and a part of full rank is all of its columns, which
-    is graded whatever its basis reads: both are skipped.
+    are those of the block spans, each on its block's columns, so the rows
+    are read block by block.  A span with no rows has none to read, and a
+    span of full rank is all of its block, which is graded whatever its
+    basis reads: both are skipped.
     """
-    for cols, basis, pivots in subspace._parts():
+    for b, (basis, pivots) in enumerate(subspace.spans):
         if 0 < len(pivots) < basis.shape[1]:
-            degrees = algebra.degrees[cols]
+            degrees = algebra.degrees[algebra._columns(b)]
             if ((basis != 0) & (degrees != degrees[list(pivots)][:, None])).any():
                 return False
     return True

@@ -40,6 +40,7 @@ import numpy as np
 
 from . import ideals
 from .errors import InvalidArgumentError, LatticeTooLargeError
+from .gfp import rref_pivots
 from .graphdoc import document_from_graph
 from .graphs import Graph
 from .hereditary import (
@@ -51,7 +52,7 @@ from .hereditary import (
 from .laurent import LaurentElement, laurent_perp_is_zero
 from .oracle import (
     IdealMemo,
-    Subspace,
+    IdealSubspace,
     block_cache,
     build_oracle,
     ideal_generated_by,
@@ -344,24 +345,41 @@ def generated_ideal_check(algebra, generators):
 
     Returns None or what went wrong.  A negative control rides along: the
     sum of a lowest- and a highest-degree unit must span a line that is not
-    graded (skipped when the algebra has one degree only).
+    graded (skipped when the algebra has one degree only; see
+    :func:`_mixed_degree_line`).
     """
     ideal = ideal_generated_by(algebra, generators)
     perp1 = perp_subspace(algebra, ideal)
     if not is_graded_subspace(algebra, perp1):
         return "annihilator of a random ideal is not graded"
-    degrees = algebra.degrees
-    if degrees.size and degrees.min() < degrees.max():
-        mixed = algebra.zero()
-        mixed[[degrees.argmin(), degrees.argmax()]] = 1
-        if is_graded_subspace(algebra, Subspace(algebra, [mixed])):
-            return "a sum of units of two degrees spans a graded line"
+    mixed = _mixed_degree_line(algebra)
+    if mixed is not None and is_graded_subspace(algebra, mixed):
+        return "a sum of units of two degrees spans a graded line"
     hset = vertex_set_of(algebra, ideal)
     try:
         HereditarySaturatedSet(algebra.graph, hset)
     except ValueError as exc:
         return f"vertex set {sorted(hset)} of a random ideal is not hereditary saturated: {exc}"
     return None
+
+
+def _mixed_degree_line(algebra):
+    """The line spanned by a lowest- plus a highest-degree unit, held as one
+    block span (it is not an ideal), or None where there is one degree only.
+
+    The extremes are -L and L, L the length of a longest path g, and the
+    block of the sink v that g ends holds both: e[v; v, g] and e[v; g, v].
+    """
+    degrees = algebra.degrees
+    if not degrees.size or degrees.min() == degrees.max():
+        return None
+    spans = [(np.zeros((0, n * n), dtype=np.int64), ()) for n in algebra._block_sizes]
+    b = next(b for b in range(len(spans)) if degrees[algebra._columns(b)].max() == degrees.max())
+    block = degrees[algebra._columns(b)]
+    line = np.zeros((1, block.size), dtype=np.int64)
+    line[0, [block.argmin(), block.argmax()]] = 1
+    spans[b] = (line, rref_pivots(line))
+    return IdealSubspace(algebra, spans)
 
 
 def calculus_checks_for_graph(graph: Graph):

@@ -14,7 +14,6 @@ from leavitt import (
     OracleAlgebra,
     OracleDimensionError,
     OracleUnsupportedError,
-    Subspace,
     UnknownVertexError,
     build_oracle,
     enumerate_hs_sets,
@@ -28,6 +27,7 @@ from leavitt import (
 )
 from leavitt.gfp import (
     as_matrix,
+    matmul_mod,
     max_exact_prime,
     nullspace_from_rref,
     reduce_rowspace,
@@ -50,6 +50,48 @@ from .strategies import diamond_chain, primes_around
 
 def path_ab():
     return Graph(("a", "b"), (("e", "a", "b"),))
+
+
+# -- whole-algebra helpers: products, generator images and the audited ideal -----------
+
+
+def block_mul(algebra, x, y):
+    """The product x*y of two elements, block by block."""
+    out = algebra.zero()
+    for b in range(len(algebra.sinks)):
+        algebra._block(out, b)[...] = matmul_mod(algebra._block(x, b), algebra._block(y, b), algebra.p)
+    return out
+
+
+def edge_image(algebra, name):
+    return algebra._edge_matrix[algebra._edge_row[name]]
+
+
+def ghost_image(algebra, name):
+    return algebra._ghost_matrix[algebra._edge_row[name]]
+
+
+def block_spans(algebra, vectors):
+    """The RREF span of each block's part of the vectors: the subspace itself,
+    held as an ideal is, when it is the direct sum of its block parts."""
+    rows = as_matrix(vectors, algebra.dimension)
+    return [reduce_rowspace(rows[:, algebra._columns(b)], algebra.p) for b in range(len(algebra.sinks))]
+
+
+def audited_ideal(algebra, vectors):
+    """The ideal spanned by the vectors, checked on the whole algebra: their
+    RREF basis, audited closed under every unit product, then split into spans."""
+    basis, pivots = rref(as_matrix(vectors, algebra.dimension), algebra.p)
+    if len(pivots) < algebra.dimension:  # the full space is trivially closed
+        oracle._check_closed(algebra.product_rows(basis), basis, pivots, algebra.p)
+    return IdealSubspace(algebra, block_spans(algebra, basis))
+
+
+def whole(ideal):
+    """The stitched RREF basis of an ideal and the pivots its spans claim, on all columns."""
+    columns = ideal.algebra._columns
+    pivots = tuple(columns(b).start + c for b, (_basis, span) in enumerate(ideal.spans) for c in span)
+    return ideal.basis, pivots
 
 
 def test_dimensions():
@@ -137,7 +179,7 @@ def test_perp_of_zero_and_full():
     zero = ideal_generated_by(algebra, [])
     assert perp_subspace(algebra, zero).dim == algebra.dimension
     full = ideal_generated_by(algebra, [algebra.vertex_image("a"), algebra.vertex_image("b")])
-    assert full.is_everything
+    assert full.dim == algebra.dimension
     assert perp_subspace(algebra, full).dim == 0
 
 
@@ -150,7 +192,9 @@ def test_graded_subspaces():
     vec = algebra.zero()
     vec[index[("b", (), ())]] = 1
     vec[index[("b", ("e",), ())]] = 1
-    assert not is_graded_subspace(algebra, Subspace(algebra, [vec]))
+    line = IdealSubspace(algebra, block_spans(algebra, [vec]))
+    assert not is_graded_subspace(algebra, line)
+    assert not _whole_is_graded(algebra, line.basis)
 
 
 def test_ideal_subspace_rejects_non_ideal():
@@ -159,32 +203,30 @@ def test_ideal_subspace_rejects_non_ideal():
     vec = algebra.zero()
     vec[index[("b", ("e",), ())]] = 1  # a single off-diagonal matrix unit
     with pytest.raises(ValueError):
-        IdealSubspace(algebra, [vec])
+        audited_ideal(algebra, [vec])
 
 
 def test_edge_and_ghost_multiplication():
     algebra = build_oracle(path_ab(), 2)
-    e = algebra.edge_image("e")
-    ghost = algebra.ghost_image("e")
+    e = edge_image(algebra, "e")
+    ghost = ghost_image(algebra, "e")
     # e* e = r(e) and e e* = s(e) via the range decomposition
-    assert np.array_equal(algebra.mul(ghost, e), algebra.vertex_image("b"))
-    assert np.array_equal(algebra.mul(e, ghost), algebra.vertex_image("a"))
+    assert np.array_equal(block_mul(algebra, ghost, e), algebra.vertex_image("b"))
+    assert np.array_equal(block_mul(algebra, e, ghost), algebra.vertex_image("a"))
 
 
 def test_images_are_read_only_and_handed_out_as_copies():
     algebra = build_oracle(path_ab(), 3)
-    images = (algebra.vertex_image("a"), algebra.edge_image("e"), algebra.ghost_image("e"))
-    for image in images:
-        image[:] = 2  # a copy: the algebra's rows stay as they were
-    assert [image.tolist() for image in images] == [[2] * 4] * 3
+    image = algebra.vertex_image("a")
+    image[:] = 2  # a copy: the algebra's row stays as it was
+    assert image.tolist() == [2] * 4
     assert algebra.vertex_image("a").tolist() == [0, 0, 0, 1]  # e[b; e, e], paths (b, e)
-    assert algebra.edge_image("e").tolist() == [0, 0, 1, 0]  # e[b; e, b]
-    assert algebra.ghost_image("e").tolist() == [0, 1, 0, 0]  # e[b; b, e]
-    assert not algebra._vertex_matrix.flags.writeable
-    assert not algebra._edge_matrix.flags.writeable
-    assert not algebra._ghost_matrix.flags.writeable
-    with pytest.raises(KeyError):
-        algebra.edge_image("f")
+    assert edge_image(algebra, "e").tolist() == [0, 0, 1, 0]  # e[b; e, b]
+    assert ghost_image(algebra, "e").tolist() == [0, 1, 0, 0]  # e[b; b, e]
+    for matrix in (algebra._vertex_matrix, algebra._edge_matrix, algebra._ghost_matrix):
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1
 
 
 def broken_images(spoil):
@@ -295,14 +337,25 @@ def test_vertex_subset_generation_matches_closure():
         assert vertex_set_of(algebra, ideal) == hs_closure(g, subset).vertices
 
 
-def test_subspace_equality_and_signature():
+def test_ideal_equality_and_block_key():
     algebra = build_oracle(path_ab(), 2)
     i1 = ideal_generated_by(algebra, [algebra.vertex_image("b")])
     i2 = ideal_generated_by(algebra, [algebra.vertex_image("a")])
     assert i1 == i2  # both generate the whole simple algebra
-    assert i1.signature() == i2.signature()
+    assert i1.block_key == i2.block_key
     zero = ideal_generated_by(algebra, [])
-    assert zero != i1
+    assert zero != i1 and zero.block_key != i1.block_key
+    # two builds of one graph and one prime compare equal
+    again = build_oracle(path_ab(), 2)
+    assert again is not algebra
+    assert ideal_generated_by(again, [again.vertex_image("a")]) == i1
+    assert ideal_generated_by(again, []) == zero
+    # the same block bytes over another prime, or of another graph, are unequal
+    for graph, p in ((path_ab(), 3), (Graph(("x", "y"), (("f", "x", "y"),)), 2)):
+        other = build_oracle(graph, p)
+        i3 = ideal_generated_by(other, [other.vertex_image(graph.vertices[0])])
+        assert i3.block_key == i1.block_key and i3 != i1 and i1 != i3
+    assert i1 != i1.block_key
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -314,33 +367,33 @@ def test_summed_subset_ideals_match_generation(p):
             for subset in itertools.combinations(graph.vertices, size):
                 summed = memo.of_vertices(subset)
                 generated = ideal_generated_by(algebra, [algebra.vertex_image(v) for v in subset])
-                assert summed.signature() == generated.signature()
-                assert summed.pivots == generated.pivots
+                assert summed.block_key == generated.block_key
+                assert whole(summed)[1] == whole(generated)[1]
                 # one ideal by prefix sums and by generation: one key, one interned object
                 assert summed == generated and memo._intern(generated) is summed
-                # the sum skipped the audit; the public constructor must accept it
-                audited = IdealSubspace(algebra, summed.basis)
-                assert audited.signature() == summed.signature()
+                # the sum skipped the audit; the whole-algebra audit must accept it
+                audited = audited_ideal(algebra, summed.basis)
+                assert audited.block_key == summed.block_key
                 assert memo.of_vertices(reversed(subset)) is summed
                 perp = memo.perp(summed)
-                assert perp.signature() == perp_subspace(algebra, summed).signature()
+                assert perp.block_key == perp_subspace(algebra, summed).block_key
                 assert memo.perp(summed) is perp and memo.perp(generated) is perp
 
 
-def _spans(subspace, vector):
+def _spans(algebra, basis, vector):
     """Membership by rank, one vector at a time: the referee of the one-call tests."""
-    stacked = np.vstack([subspace.basis, vector])
-    return len(rref(stacked, subspace.algebra.p)[1]) == subspace.dim
+    stacked = np.vstack([basis, vector])
+    return len(rref(stacked, algebra.p)[1]) == len(basis)
 
 
-def _referee_vertex_set(algebra, subspace):
-    return frozenset(v for v in algebra.graph.vertices if _spans(subspace, algebra.vertex_image(v)))
+def _referee_vertex_set(algebra, basis):
+    return frozenset(v for v in algebra.graph.vertices if _spans(algebra, basis, algebra.vertex_image(v)))
 
 
-def _referee_is_graded(algebra, subspace):
-    for row in subspace.basis:
+def _referee_is_graded(algebra, basis):
+    for row in basis:
         for d in np.unique(algebra.degrees[row != 0]):
-            if not _spans(subspace, np.where(algebra.degrees == d, row, 0)):
+            if not _spans(algebra, basis, np.where(algebra.degrees == d, row, 0)):
                 return False
     return True
 
@@ -355,40 +408,53 @@ def _random_spans(algebra, rng, count):
             for i in units:
                 vec[i] = rng.randrange(1, algebra.p)
             vectors.append(vec)
-        yield Subspace(algebra, vectors)
+        yield vectors
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_rref_gradedness_and_vertex_sets_match_the_per_vector_referee(p):
+    # ideals are read block span by block span; the other spans, which are
+    # not ideals, by the whole-matrix formulas, and by the block reads too
+    # where they are the direct sum of their block parts
     rng = Random(p)
-    graded = ungraded = 0
+    verdicts = Counter()
     for graph in exhaustive_acyclic_graphs(3, 4):
         algebra = build_oracle(graph, p)
         memo = IdealMemo(algebra)
-        subspaces = []
         for size in range(len(graph.vertices) + 1):
             for subset in itertools.combinations(graph.vertices, size):
                 ideal = memo.of_vertices(subset)
-                subspaces += [ideal, memo.perp(ideal)]
+                for held in (ideal, memo.perp(ideal)):
+                    assert vertex_set_of(algebra, held) == _referee_vertex_set(algebra, held.basis)
+                    assert memo.vertex_set(held) == vertex_set_of(algebra, held)
+                    verdict = is_graded_subspace(algebra, held)
+                    assert verdict == _referee_is_graded(algebra, held.basis)
+                    verdicts["ideal", verdict] += 1
         # a vertex image plus an edge image spans a line that is not graded,
         # also after the first unit (degree 0, first pivot) is added to it,
         # and so does the sum of the units of one sign once two degrees have it
         first_unit = np.eye(1, algebra.dimension, dtype=np.int64)[0]
+        spans = []
         for e in graph.edges:
-            mixed = algebra.vertex_image(e.src) + algebra.edge_image(e.name)
-            subspaces += [Subspace(algebra, [mixed]), Subspace(algebra, [first_unit, mixed])]
+            mixed = algebra.vertex_image(e.src) + edge_image(algebra, e.name)
+            spans += [[mixed], [first_unit, mixed]]
         for sign in (-1, 1):
-            subspaces.append(Subspace(algebra, [np.sign(algebra.degrees) == sign]))
-        subspaces += _random_spans(algebra, rng, 8)
-        for subspace in subspaces:
-            assert vertex_set_of(algebra, subspace) == _referee_vertex_set(algebra, subspace)
-            verdict = is_graded_subspace(algebra, subspace)
-            assert verdict == _referee_is_graded(algebra, subspace)
-            graded += verdict
-            ungraded += not verdict
-            if isinstance(subspace, IdealSubspace):
-                assert memo.vertex_set(subspace) == vertex_set_of(algebra, subspace)
-    assert graded > 0 and ungraded > 0
+            spans.append([np.sign(algebra.degrees) == sign])
+        spans += _random_spans(algebra, rng, 8)
+        for vectors in spans:
+            basis = rref(as_matrix(vectors, algebra.dimension), p)[0]
+            want_set, want_graded = _referee_vertex_set(algebra, basis), _referee_is_graded(algebra, basis)
+            assert _whole_vertex_set(algebra, basis) == want_set
+            assert _whole_is_graded(algebra, basis) == want_graded
+            verdicts["whole", want_graded] += 1
+            held = IdealSubspace(algebra, block_spans(algebra, basis))
+            if held.dim == len(basis):
+                assert held.basis.tobytes() == basis.tobytes()
+                assert vertex_set_of(algebra, held) == want_set
+                assert is_graded_subspace(algebra, held) == want_graded
+                verdicts["blocks", want_graded] += 1
+    # every ideal here is graded
+    assert set(verdicts) == {("ideal", True), ("whole", True), ("whole", False), ("blocks", True), ("blocks", False)}
 
 
 def test_memo_interns_equal_ideals():
@@ -419,10 +485,10 @@ def test_memo_reduces_each_distinct_sum_once(monkeypatch):
     pairs = {(id(memo.of_vertices(s[:-1])), id(singles[s[-1]])) for s in subsets if len(s) > 1}
     assert len(calls) <= len(pairs) < len(subsets) - 1 - len(graph.vertices)
     # unchanged: each subset's ideal is still its head's extended by its last vertex's
-    want = {(): (got[()].basis, got[()].pivots)}
+    want = {(): whole(got[()])}
     for subset in subsets[1:]:
         want[subset] = reduce_rowspace(singles[subset[-1]].basis, 2, *want[subset[:-1]])
-        assert got[subset].pivots == want[subset][1]
+        assert whole(got[subset])[1] == want[subset][1]
         assert got[subset].basis.tobytes() == want[subset][0].tobytes()
 
 
@@ -449,16 +515,15 @@ def test_generated_ideal_passes_the_audit():
                 gens = [_random_element(algebra, rng) for _ in range(rng.randint(1, 2))]
                 ideal = ideal_generated_by(algebra, gens)
                 for held in (ideal, perp_subspace(algebra, ideal)):
-                    # the public constructor audits the stitched basis and splits it again
-                    audited = IdealSubspace(algebra, held.basis)
+                    # the whole-algebra audit accepts the stitched basis, split again
+                    audited = audited_ideal(algebra, held.basis)
                     assert audited == held and held == audited
                     assert audited.block_key == held.block_key
-                    assert audited.signature() == held.signature()
-                    assert audited.pivots == held.pivots
+                    assert _sig(*whole(audited)) == _sig(*whole(held))
                     # a contiguous copy, not a view pinning the row reduction's work array
                     assert held.basis.base is None and held.basis.flags.c_contiguous
-                # two builds of one algebra compare by the whole basis
-                assert ideal == IdealSubspace(build_oracle(graph, p), ideal.basis)
+                # two builds of one algebra compare by their block keys
+                assert ideal == audited_ideal(build_oracle(graph, p), ideal.basis)
 
 
 def test_build_oracle_prime_bound():
@@ -470,7 +535,7 @@ def test_build_oracle_prime_bound():
     rng = Random(3)
     for _ in range(5):
         ideal = ideal_generated_by(algebra, [_random_element(algebra, rng)])
-        assert IdealSubspace(algebra, ideal.basis).signature() == ideal.signature()
+        assert audited_ideal(algebra, ideal.basis).block_key == ideal.block_key
         assert perp_subspace(algebra, ideal).dim == 4 - ideal.dim
     with pytest.raises(ValueError, match="int64"):
         build_oracle(path_ab(), bad)
@@ -490,7 +555,7 @@ def test_mul_follows_the_matrix_unit_rule(p):
                 want = algebra.zero()
                 if v == w and l == m:
                     want[index[(v, g, n)]] = 1
-                assert np.array_equal(algebra.mul(a, b), want)
+                assert np.array_equal(block_mul(algebra, a, b), want)
 
 
 def test_ideal_and_perp_over_many_blocks():
@@ -505,7 +570,7 @@ def test_ideal_and_perp_over_many_blocks():
 
 
 def naive_unit_products(algebra, rows, transpose):
-    """Every product of every row by every matrix unit, from ``algebra.mul``.
+    """Every product of every row by every matrix unit, from :func:`block_mul`.
 
     The left rows of x hold (unit_i * x) for each unit i, the right rows
     (x * unit_i).  Transposed, row k holds the coefficients of the
@@ -515,8 +580,8 @@ def naive_unit_products(algebra, rows, transpose):
     units = np.eye(dim, dtype=np.int64)
     out = [np.zeros((0, dim), dtype=np.int64)]
     for x in rows:
-        left = np.array([algebra.mul(u, x) for u in units]).reshape(dim, dim)
-        right = np.array([algebra.mul(x, u) for u in units]).reshape(dim, dim)
+        left = np.array([block_mul(algebra, u, x) for u in units]).reshape(dim, dim)
+        right = np.array([block_mul(algebra, x, u) for u in units]).reshape(dim, dim)
         out += [left.T, right.T] if transpose else [left, right]
     return np.vstack(out)
 
@@ -603,7 +668,7 @@ def whole_perp_subspace(algebra, basis):
     left, right = algebra.annihilator_constraints(basis)
     reduced = reduce_rowspace(right, p, left, rref_pivots(left))
     kernel, pivots = nullspace_from_rref(*reduced, p, algebra.dimension)
-    IdealSubspace(algebra, kernel)  # audits closure
+    audited_ideal(algebra, kernel)
     return kernel, pivots
 
 
@@ -650,9 +715,9 @@ def _block_results(cases):
         if kind == "hs":
             memo = memos.setdefault(id(algebra), IdealMemo(algebra))
             summed = memo.of_vertices(case)
-            assert _sig(summed.basis, summed.pivots) == _sig(ideal.basis, ideal.pivots)
+            assert _sig(*whole(summed)) == _sig(*whole(ideal))
         subspaces = [ideal] if kind == "vertex" else [ideal, perp_subspace(algebra, ideal)]
-        out.append([_sig(s.basis, s.pivots) for s in subspaces])
+        out.append([_sig(*whole(s)) for s in subspaces])
     return out
 
 
@@ -726,7 +791,8 @@ def test_a_one_pass_result_short_of_full_rank_fails_the_audit(monkeypatch):
 
 def test_perp_of_a_span_across_blocks():
     # a sum of block identities is central, so its annihilator is an ideal: the
-    # other blocks; its span is not a direct sum of block subspaces
+    # other blocks; its span is not a direct sum of block subspaces, but an
+    # element annihilates it iff it annihilates each of its block parts
     fork = Graph(("a", "b", "c"), (("e1", "a", "b"), ("e2", "a", "c")))
     for graph in (Graph(("a", "b", "c"), ()), fork):
         for p in (2, 3):
@@ -737,8 +803,8 @@ def test_perp_of_a_span_across_blocks():
                     for b in chosen:
                         np.fill_diagonal(algebra._block(element, b), 1)
                     want = whole_perp_subspace(algebra, element.reshape(1, -1))
-                    got = perp_subspace(algebra, Subspace(algebra, [element]))
-                    assert _sig(got.basis, got.pivots) == _sig(*want)
+                    got = perp_subspace(algebra, IdealSubspace(algebra, block_spans(algebra, [element])))
+                    assert _sig(*whole(got)) == _sig(*want)
                     sizes = algebra._block_sizes
                     assert got.dim == sum(n * n for b, n in enumerate(sizes) if b not in chosen)
 
@@ -753,15 +819,16 @@ def test_block_sums_of_partial_spans():
     for p in (2, 3):
         algebra = build_oracle(fork, p)
         for _ in range(10):
-            head, last = (Subspace(algebra, _random_block_rows(algebra, rng)) for _ in range(2))
-            want = rref(np.vstack([head.basis, last.basis]), p)
+            rows = [_random_block_rows(algebra, rng) for _ in range(2)]
+            head, last = (IdealSubspace(algebra, block_spans(algebra, r)) for r in rows)
+            want = rref(np.vstack(rows[0] + rows[1]), p)
             for scope in (nullcontext(), block_cache()):
                 with scope:
                     got = _sum_of_ideals(head, last)
-                assert _sig(got.basis, got.pivots) == _sig(*want)
-                assert vertex_set_of(algebra, got) == _whole_vertex_set(algebra, got)
+                assert _sig(*whole(got)) == _sig(*want)
+                assert vertex_set_of(algebra, got) == _whole_vertex_set(algebra, got.basis)
                 verdict = is_graded_subspace(algebra, got)
-                assert verdict == _whole_is_graded(algebra, got)
+                assert verdict == _whole_is_graded(algebra, got.basis)
                 verdicts.add(verdict)
     assert verdicts == {False, True}
 
@@ -780,17 +847,17 @@ def _random_block_rows(algebra, rng):
 # -- ideals held as block spans ---------------------------------------------------------
 
 
-def _whole_vertex_set(algebra, subspace):
-    """The vertices whose image reduces to zero against the stitched basis, all columns at once."""
+def _whole_vertex_set(algebra, basis):
+    """The vertices whose image reduces to zero against an RREF basis, all columns at once."""
     images = as_matrix([algebra.vertex_image(v) for v in algebra.graph.vertices], algebra.dimension)
-    outside = residual(images, subspace.basis, subspace.pivots, algebra.p).any(axis=1)
+    outside = residual(images, basis, rref_pivots(basis), algebra.p).any(axis=1)
     return frozenset(v for v, out in zip(algebra.graph.vertices, outside) if not out)
 
 
-def _whole_is_graded(algebra, subspace):
-    """The degree test on the stitched basis: each row's entries have its pivot's degree."""
-    pivot_degrees = algebra.degrees[list(subspace.pivots)]
-    return not ((subspace.basis != 0) & (algebra.degrees != pivot_degrees[:, None])).any()
+def _whole_is_graded(algebra, basis):
+    """The degree test on an RREF basis: each row's entries have its pivot's degree."""
+    pivot_degrees = algebra.degrees[list(rref_pivots(basis))]
+    return not ((basis != 0) & (algebra.degrees != pivot_degrees[:, None])).any()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -803,13 +870,13 @@ def test_block_span_fast_paths_match_the_whole_matrix_formulas(monkeypatch, p):
     graph_7v = load_graph(str(Path(__file__).parent / "golden" / "oracle-7v.json"))
     tasks = [(g, per_graph[k]) for k, g in enumerate(family)] + [(graph_7v, 20)]
     built = []
-    from_spans = IdealSubspace._from_spans.__func__
+    init = IdealSubspace.__init__
 
-    def recording(cls, algebra, spans):
-        built.append(from_spans(cls, algebra, spans))
-        return built[-1]
+    def recording(self, algebra, spans):
+        init(self, algebra, spans)
+        built.append(self)
 
-    monkeypatch.setattr(IdealSubspace, "_from_spans", classmethod(recording))
+    monkeypatch.setattr(IdealSubspace, "__init__", recording)
     with block_cache():
         for graph, trials in tasks:
             assert _oracle_task(p, 43, graph, trials)[1] == []
@@ -817,8 +884,8 @@ def test_block_span_fast_paths_match_the_whole_matrix_formulas(monkeypatch, p):
     assert len(built) > 4 * len(tasks)
     for ideal in built:
         algebra = ideal.algebra
-        assert vertex_set_of(algebra, ideal) == _whole_vertex_set(algebra, ideal)
-        assert is_graded_subspace(algebra, ideal) == _whole_is_graded(algebra, ideal)
+        assert vertex_set_of(algebra, ideal) == _whole_vertex_set(algebra, ideal.basis)
+        assert is_graded_subspace(algebra, ideal) == _whole_is_graded(algebra, ideal.basis)
 
 
 def test_ideals_differing_in_one_block_get_different_keys():
@@ -843,13 +910,13 @@ def test_zero_and_whole_algebra_keys():
     for graph in (path_ab(), Graph(("a", "b"), ()), Graph((), ())):
         algebra = build_oracle(graph, 2)
         zero = ideal_generated_by(algebra, [])
-        whole = IdealSubspace(algebra, np.eye(algebra.dimension, dtype=np.int64))
+        everything = audited_ideal(algebra, np.eye(algebra.dimension, dtype=np.int64))
         assert zero.block_key == (b"",) * len(algebra.sinks)
-        assert zero.dim == 0 and whole.is_everything
-        assert perp_subspace(algebra, zero) == whole and perp_subspace(algebra, whole) == zero
-        assert IdealSubspace(algebra, []) == zero
-        assert (zero == whole) == (algebra.dimension == 0)
+        assert zero.dim == 0 and everything.dim == algebra.dimension
+        assert perp_subspace(algebra, zero) == everything and perp_subspace(algebra, everything) == zero
+        assert audited_ideal(algebra, []) == zero
+        assert (zero == everything) == (algebra.dimension == 0)
         if algebra.dimension:
             images = [algebra.vertex_image(v) for v in graph.vertices]
             generated = ideal_generated_by(algebra, images)
-            assert generated == whole and generated.block_key == whole.block_key
+            assert generated == everything and generated.block_key == everything.block_key

@@ -13,6 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from leavitt import Graph, build_oracle, ideal_generated_by
+from leavitt.gfp import rref_pivots
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -34,3 +37,17 @@ def test_traced_name_resolves(module_name, qualname, is_generator):
     assert callable(fn), f"{module_name}.{qualname} is gone"
     # install wraps generators step by step and everything else call by call
     assert inspect.isgeneratorfunction(fn) == is_generator
+
+
+
+def test_generated_ideals_expose_what_the_tracer_reads():
+    # the ideal_generated_by hook reads the result's dim and hashes the bytes
+    # of its whole-algebra RREF basis
+    algebra = build_oracle(Graph(("a", "b", "c"), (("e", "a", "b"),)), 2)
+    dims = []
+    for vertices in ((), ("c",), ("a", "c")):
+        ideal = ideal_generated_by(algebra, [algebra.vertex_image(v) for v in vertices])
+        assert ideal.basis.shape == (ideal.dim, algebra.dimension)
+        assert len(rref_pivots(ideal.basis)) == ideal.dim
+        dims.append(ideal.dim)
+    assert dims == [0, 1, algebra.dimension]

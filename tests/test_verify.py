@@ -21,7 +21,7 @@ from leavitt import (
 )
 from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
-from leavitt.oracle import _BLOCK_CACHE, OracleAlgebra, _sink_paths, build_oracle
+from leavitt.oracle import _BLOCK_CACHE, OracleAlgebra, _sink_paths, build_oracle, is_graded_subspace
 from leavitt.verify import (
     ALL_ROWS,
     ROW_LATTICE_COUNT,
@@ -31,6 +31,7 @@ from leavitt.verify import (
     ROW_REGULAR_L_IFF_PC,
     ROW_REGULARITY,
     VerifyConfig,
+    _mixed_degree_line,
     _oracle_task,
     _still_fails,
     calculus_checks_for_graph,
@@ -291,6 +292,26 @@ def test_always_graded_mutant_fails_the_perp_graded_row(monkeypatch):
     assert "spans a graded line" in row.detail
     # one edge is the smallest graph with two degrees
     assert len(row.counterexample["edges"]) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_negative_control_is_a_line_in_one_block_that_is_not_graded(p):
+    controls = 0
+    for graph in exhaustive_acyclic_graphs():
+        algebra = build_oracle(graph, p)
+        degrees = algebra.degrees
+        line = _mixed_degree_line(algebra)
+        if not degrees.size or degrees.min() == degrees.max():
+            assert line is None
+            continue
+        controls += 1
+        assert [bool(pivots) for _basis, pivots in line.spans].count(True) == 1
+        # the first lowest- and the first highest-degree unit of the whole algebra
+        want = algebra.zero()
+        want[[degrees.argmin(), degrees.argmax()]] = 1
+        assert line.dim == 1 and line.basis.tobytes() == want.tobytes()
+        assert not is_graded_subspace(algebra, line)
+    assert controls > 0
 
 
 def test_mutant_matrix_is_still_deterministic(monkeypatch):
