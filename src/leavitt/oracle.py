@@ -122,9 +122,6 @@ class OracleAlgebra:
 
     # -- element helpers -------------------------------------------------------
 
-    def zero(self) -> np.ndarray:
-        return np.zeros(self.dimension, dtype=np.int64)
-
     def vertex_image(self, vertex: str) -> np.ndarray:
         self.graph.require_vertex(vertex)
         return self._vertex_matrix[self._vertex_row[vertex]].copy()
