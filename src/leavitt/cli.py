@@ -28,8 +28,12 @@ from .oracle import block_cache, build_oracle
 from .verify import VerifyConfig, oracle_checks_for_graph, run_verification
 
 
+def _format_names(names) -> str:
+    return "{" + ", ".join(names) + "}"
+
+
 def _format_set(values) -> str:
-    return "{" + ", ".join(sorted(values)) + "}"
+    return _format_names(sorted(values))
 
 
 def _split_generators(raw: str):
@@ -68,7 +72,9 @@ def cmd_lattice(args) -> int:
     if args.json:
         _write_lattice_json(graph, flagged, sys.stdout)
         return 0
-    lines = [f"{_format_set(h.vertices)} regular={'yes' if reg else 'no'}" for h, reg in flagged]
+    lines = [
+        f"{_format_names(h.sorted_vertices())} regular={'yes' if reg else 'no'}" for h, reg in flagged
+    ]
     print(f"{len(lines)} hereditary saturated sets", *lines, sep="\n")
     return 0
 
@@ -78,20 +84,27 @@ def _write_lattice_json(graph, flagged, out) -> None:
 
     ``entries`` is ``[{"vertices": [...sorted names], "is_regular": flag}]``
     over the ``(set, flag)`` pairs of ``flagged``, which is read once, in
-    order, and may be an iterator.  Each vertex name is encoded once, and
-    each entry is written as soon as its pair arrives, so the writer holds
-    neither the document nor the listing.  Nothing is written
-    before the first pair arrives, so an iterator that raises at its first
-    step leaves ``out`` empty.
+    order, and may be an iterator.  Each set's names come in the order that
+    ``sorted_vertices()`` holds, which for a set of the lattice pass is the
+    pass's own, so nothing is sorted here.  Each vertex name is encoded once,
+    and when every name encodes to itself in quotes (checked once per graph),
+    a member list is written with one join over the bare names; otherwise
+    each name's encoding is looked up.  Each entry is written as soon as its
+    pair arrives, so the writer holds neither the document nor the listing.
+    Nothing is written before the first pair arrives, so an iterator that
+    raises at its first step leaves ``out`` empty.
     """
     quoted = {v: json.dumps(v) for v in graph.vertices}
+    plain = all(q == f'"{v}"' for v, q in quoted.items())
     opening = "[\n"
     for h, reg in flagged:
         names = h.sorted_vertices()
-        if names:
-            vertices = "[\n      " + ",\n      ".join([quoted[v] for v in names]) + "\n    ]"
-        else:
+        if not names:
             vertices = "[]"
+        elif plain:
+            vertices = '[\n      "' + '",\n      "'.join(names) + '"\n    ]'
+        else:
+            vertices = "[\n      " + ",\n      ".join([quoted[v] for v in names]) + "\n    ]"
         flag = "true" if reg else "false"
         out.write(f'{opening}  {{\n    "vertices": {vertices},\n    "is_regular": {flag}\n  }}')
         opening = ",\n"
@@ -109,7 +122,7 @@ def _lattice_dot(graph, flagged) -> str:
     position = {}
     for i, (h, reg) in enumerate(flagged):
         position[h.vertices] = i
-        label = _format_set(h.vertices)
+        label = _format_names(h.sorted_vertices())
         if reg:
             label += "\\nregular"
         lines.append(f'  n{i} [label="{label}"];')

@@ -16,14 +16,19 @@ bitmasks: it branches over strongly connected components with bare masks,
 so its work grows with the number of sets it lists, and it reads each set's
 regularity off the same masks.  Per listed set it then does a fixed number
 of lookups, one per 8-bit chunk of its masks, and one checked construction,
-which is O(V + E).  The pass is an iterator: it keeps one mask per set, but
-forms and yields the set objects one at a time, so a caller that writes
-each set out as it comes never holds them all.
+which is O(V + E).  The lookups form the set's member names already in
+sorted order, and the set keeps that order as its ``sorted_vertices()``: a
+listed set is sorted once, by the pass, and ``leavitt lattice`` writes its
+names with one join (any other set sorts on first use, once).  The pass is
+an iterator: it keeps one mask per set, but forms and yields the set
+objects one at a time, so a caller that writes each set out as it comes
+never holds them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import LatticeTooLargeError
@@ -62,6 +67,12 @@ class HereditarySaturatedSet:
                 raise ValueError(f"{sorted(members)} is {why}")
 
     def sorted_vertices(self) -> tuple[str, ...]:
+        """The members in sorted order: the lattice pass's own order for a set it
+        lists, otherwise sorted on first use, once."""
+        return self._sorted
+
+    @cached_property
+    def _sorted(self) -> tuple[str, ...]:
         return tuple(sorted(self.vertices))
 
 
@@ -122,8 +133,11 @@ def lattice_with_regularity(graph: Graph) -> Iterator[tuple[HereditarySaturatedS
     bar(H), bar(perp(H)) and H's member names are read through two tables
     per 8-bit chunk of a mask (the OR of the backward reach masks of the
     chunk's bits, and the chunk's names in sorted order), so each costs at
-    most three lookups below the cutoff.  Each yielded set is still built
-    through the checking constructor, O(V + E).
+    most three lookups below the cutoff, and the names come out in sorted
+    order.  Each yielded set is still built through the checking
+    constructor, O(V + E), from those names, and keeps them as its
+    ``sorted_vertices()``: the pass sorts each set once, and a writer joins
+    the names as they are.
 
     Bit ``n - 1 - i`` stands for the i-th vertex in sorted order, so the
     masks are put in one bucket per size, and each bucket is listed in
@@ -184,7 +198,9 @@ def lattice_with_regularity(graph: Graph) -> Iterator[tuple[HereditarySaturatedS
             perp_h = everything & ~h_bar
             for shift, bar_of, _ in chunks:
                 perp_bar |= bar_of[perp_h >> shift & chunk_mask]
-            yield HereditarySaturatedSet(graph, members), h == everything & ~perp_bar
+            listed = HereditarySaturatedSet(graph, members)
+            object.__setattr__(listed, "_sorted", members)  # sorted_vertices() hands it back
+            yield listed, h == everything & ~perp_bar
 
 
 def _chunk_tables(per_bit: list, join, empty) -> list[list]:

@@ -26,6 +26,20 @@ def graphs(draw, max_vertices=5, max_edges=8, acyclic=False, min_vertices=0):
     return Graph(vertices, tuple(edges))
 
 
+# Names with a quote, a backslash, control characters and non-ASCII letters
+# (escaped as \uXXXX, a surrogate pair beyond the BMP), and the empty name.
+vertex_names = st.text(alphabet='ab"\\\t\x01é日\U0001d11e\u2028', max_size=3)
+
+
+@st.composite
+def graphs_with_named_vertices(draw):
+    """A graph of :func:`graphs` whose vertices are renamed from :data:`vertex_names`."""
+    g = draw(graphs(max_vertices=6, max_edges=8))
+    labels = draw(st.lists(vertex_names, min_size=len(g.vertices), max_size=len(g.vertices), unique=True))
+    rename = dict(zip(g.vertices, labels))
+    return Graph(tuple(labels), tuple((e.name, rename[e.src], rename[e.dst]) for e in g.edges))
+
+
 @st.composite
 def graphs_with_subset(draw, max_vertices=5, max_edges=8, acyclic=False):
     g = draw(graphs(max_vertices=max_vertices, max_edges=max_edges, acyclic=acyclic))

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from leavitt import (
     DEFAULT_DIMENSION_CAP,
@@ -23,7 +22,7 @@ from leavitt import cli
 from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
 
-from .strategies import diamond_chain, graphs, primes_around, ring
+from .strategies import diamond_chain, graphs, graphs_with_named_vertices, primes_around, ring
 
 
 @pytest.fixture
@@ -172,19 +171,6 @@ def test_lattice_dot_closure_count_is_bounded(tmp_path, monkeypatch):
     assert out.count("->") == 10 * 2**9
 
 
-# Names with a quote, a backslash, control characters and non-ASCII letters
-# (escaped as \uXXXX, a surrogate pair beyond the BMP), and the empty name.
-vertex_names = st.text(alphabet='ab"\\\t\x01é日\U0001d11e\u2028', max_size=3)
-
-
-@st.composite
-def graphs_with_named_vertices(draw):
-    g = draw(graphs(max_vertices=6, max_edges=8))
-    labels = draw(st.lists(vertex_names, min_size=len(g.vertices), max_size=len(g.vertices), unique=True))
-    rename = dict(zip(g.vertices, labels))
-    return Graph(tuple(labels), tuple((e.name, rename[e.src], rename[e.dst]) for e in g.edges))
-
-
 def lattice_json_by_json_dumps(g):
     entries = [
         {"vertices": list(h.sorted_vertices()), "is_regular": reg}
@@ -198,6 +184,20 @@ def lattice_json_by_json_dumps(g):
 @example(Graph((), ()))
 @example(Graph(('"',), ()))
 @example(Graph(("\\",), (("l", "\\", "\\"),)))
+# Two chunks of the lattice pass and both ways of writing a member list: each
+# name looked up in its encoding (some names need escaping), and one join over
+# the bare names (every name is plain).  Chains, a cycle and a loop with an
+# exit keep the listings short (24 and 48 sets) and flag some sets irregular.
+@example(Graph(
+    ("a", "b", '"', "c\\d", "é", "tab\t", "v1", "v2", "日"),
+    (("e1", "a", "b"), ("e2", "b", "c\\d"), ("e3", '"', "é"), ("e4", "é", '"'),
+     ("e5", "tab\t", "v1"), ("e6", "v1", "v1"), ("e7", "v1", "v2")),
+))
+@example(Graph(
+    tuple(f"v{i}" for i in range(10)),
+    (("e1", "v0", "v1"), ("e2", "v1", "v2"), ("e3", "v3", "v4"), ("e4", "v4", "v3"),
+     ("e5", "v5", "v5"), ("e6", "v5", "v6"), ("e7", "v6", "v7")),
+))
 def test_lattice_json_is_byte_identical_to_json_dumps(tmp_path_factory, g):
     path = write_graph(tmp_path_factory.getbasetemp(), g, "json_writer.json")
     out = io.StringIO()

@@ -14,7 +14,7 @@ from leavitt import (
     lattice_with_regularity,
 )
 
-from .strategies import graphs, graphs_with_subset, ring
+from .strategies import graphs, graphs_with_named_vertices, graphs_with_subset, ring
 
 
 def targets(g, v):
@@ -208,16 +208,31 @@ def test_enumeration_across_a_chunk_boundary(g):
     assert [reg for _, reg in flagged] == [is_regular(h) for h, _ in flagged]
 
 
-@pytest.mark.parametrize("n", [16, 17])
+def assert_listed_in_sorted_order(flagged):
+    """Referee for the order that a listed set's sorted_vertices() hands back,
+    which the pass formed through its per-chunk name tables."""
+    for h, _ in flagged:
+        assert h.sorted_vertices() == tuple(sorted(h.vertices))
+
+
+# On both sides of the 8- and 16-bit chunk boundaries of the lattice pass.
+@pytest.mark.parametrize("n", [8, 9, 16, 17])
 def test_lattice_of_a_wide_edgeless_graph(n):
     # every subset is hereditary saturated and regular (its own double
-    # annihilator); sorted by size, then by names, two and three chunks deep
+    # annihilator); sorted by size, then by names, one to three chunks deep
     names = tuple(f"v{i:02d}" for i in range(n))
     flagged = list(lattice_with_regularity(Graph(names, ())))
+    assert_listed_in_sorted_order(flagged)
     expected = [s for k in range(n + 1) for s in itertools.combinations(names, k)]
     assert len(expected) == 2**n
     assert [h.sorted_vertices() for h, _ in flagged] == expected
     assert all(reg for _, reg in flagged)
+
+
+@settings(max_examples=50)
+@given(graphs_with_named_vertices())
+def test_a_listed_set_of_escaped_names_keeps_a_sorted_order(g):
+    assert_listed_in_sorted_order(lattice_with_regularity(g))
 
 
 def test_lattice_of_a_long_chain():
