@@ -5,7 +5,10 @@ Schema::
     {"vertices": ["u", "v"],
      "edges": [{"name": "f", "src": "u", "dst": "u"}, ...]}
 
-UTF-8, no BOM.  Duplicate identifiers and unknown endpoints are rejected.
+UTF-8, no BOM.  Duplicate identifiers and unknown endpoints are rejected,
+and so is a vertex id that ``--generators`` could not name: one that holds
+a comma, or starts or ends with white space (the list is split on commas
+and each part stripped).
 """
 
 from __future__ import annotations
@@ -27,6 +30,12 @@ def graph_from_document(doc: Any) -> Graph:
     edges = doc.get("edges")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise GraphDocumentError('"vertices" must be a list of strings')
+    for v in vertices:
+        if "," in v or v != v.strip():
+            raise GraphDocumentError(
+                f"vertex id {v!r} holds a comma or starts or ends with white space, "
+                "so --generators could not name it"
+            )
     if not isinstance(edges, list):
         raise GraphDocumentError('"edges" must be a list of objects')
     parsed = []

@@ -2,7 +2,10 @@
 
 Vertices and edges are named and keep insertion order.  Parallel edges and
 loops are allowed.  All values are immutable after construction and every
-operation is a pure function, so graphs are safe to share freely.
+operation is a pure function, so graphs are safe to share freely.  A graph
+keeps what it derives from itself (its adjacency tables and its exit-free
+cycle vertices), each computed on first use, once: that changes costs, not
+results.
 
 Reach and the cycle layer are linear: exit-free cycles, Condition (L) and
 acyclicity come from one Kahn peeling.  Only :meth:`Graph.cycles`, the
@@ -165,7 +168,12 @@ class Graph:
         edge, so these are the cycle vertices of the subgraph of out-degree-1
         vertices.  There each vertex has at most one successor, so a cycle
         reaches only its own vertices and the Kahn core is the union of cycles.
+        Peeled once per graph and kept on it, like the lookup tables above.
         """
+        return self._exit_free
+
+    @cached_property
+    def _exit_free(self) -> frozenset[str]:
         return self._cyclic_core({v: es for v, es in self._out.items() if len(es) == 1})
 
     def condition_l(self) -> bool:

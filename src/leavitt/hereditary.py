@@ -49,7 +49,9 @@ class HereditarySaturatedSet:
     H qualifies iff each emitter is in H exactly when all of its edges land
     in H ("only if" is hereditary, "if" is saturated; sinks are free).  A
     rejection names the first vertex in graph order that breaks this rule,
-    and the half that it breaks.
+    and the half that it breaks.  The set is immutable, so it keeps what is
+    derived from it, each on first request, once: its sorted names here,
+    and its annihilator and quotient graph in :mod:`leavitt.ideals`.
     """
 
     graph: Graph

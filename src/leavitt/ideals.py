@@ -10,6 +10,13 @@ quotients — runs on vertex sets alone.  The matrix oracle in
 :mod:`leavitt.oracle` checks these shortcuts against genuine linear algebra.
 Each verdict has one implementation, which ``analyze`` and
 ``maximal_graded_ideals`` call too, so ``verify`` checks what they report.
+
+A set keeps its annihilator and its quotient graph, each built on first
+request, once, and a graph keeps its exit-free cycle vertices: the objects
+are immutable, so this changes costs, not results.  Each kept value lives
+as long as its owner and no longer.  So the chain H, perp(H), perp(perp(H)),
+... costs one backward search per link, however often ``double_perp`` and
+``is_regular`` walk it.
 """
 
 from __future__ import annotations
@@ -37,9 +44,14 @@ def perp(h: HereditarySaturatedSet) -> HereditarySaturatedSet:
 
     That complement is provably hereditary and saturated; the constructor
     re-checks it, so a violation aborts loudly instead of propagating a bug.
+    Built once per set and kept on it.
     """
-    g = h.graph
-    return HereditarySaturatedSet(g, g._vset - bar_closure(h))
+    kept = getattr(h, "_perp", None)
+    if kept is None:
+        g = h.graph
+        kept = HereditarySaturatedSet(g, g._vset - bar_closure(h))
+        object.__setattr__(h, "_perp", kept)
+    return kept
 
 
 def double_perp(h: HereditarySaturatedSet) -> HereditarySaturatedSet:
@@ -53,13 +65,21 @@ def is_regular(h: HereditarySaturatedSet) -> bool:
 
 
 def quotient_graph(graph: Graph, h: HereditarySaturatedSet) -> Graph:
-    """Remove the set's vertices and every edge whose target lies in the set."""
+    """Remove the set's vertices and every edge whose target lies in the set.
+
+    Built once per set and kept on it, after the check that ``graph`` is
+    the set's own.
+    """
     if h.graph != graph:
         raise GraphMismatchError("vertex set belongs to a different graph")
-    return Graph(
-        tuple(v for v in graph.vertices if v not in h.vertices),
-        tuple(e for e in graph.edges if e.dst not in h.vertices),
-    )
+    kept = getattr(h, "_quotient", None)
+    if kept is None:
+        kept = Graph(
+            tuple(v for v in graph.vertices if v not in h.vertices),
+            tuple(e for e in graph.edges if e.dst not in h.vertices),
+        )
+        object.__setattr__(h, "_quotient", kept)
+    return kept
 
 
 def pc_bijection_check(graph: Graph, h: HereditarySaturatedSet) -> bool:

@@ -369,17 +369,26 @@ def _mixed_degree_line(algebra):
 
     The extremes are -L and L, L the length of a longest path g, and the
     block of the sink v that g ends holds both: e[v; v, g] and e[v; g, v].
+    Every random-ideal trial on an algebra reads the line, so it is built
+    once per algebra and kept on it; an algebra never changes once built.
     """
+    kept = vars(algebra)
+    if "_mixed_degree_line" in kept:
+        return kept["_mixed_degree_line"]
     degrees = algebra.degrees
-    if not degrees.size or degrees.min() == degrees.max():
-        return None
-    spans = [(np.zeros((0, n * n), dtype=np.int64), ()) for n in algebra._block_sizes]
-    b = next(b for b in range(len(spans)) if degrees[algebra._columns(b)].max() == degrees.max())
-    block = degrees[algebra._columns(b)]
-    line = np.zeros((1, block.size), dtype=np.int64)
-    line[0, [block.argmin(), block.argmax()]] = 1
-    spans[b] = (line, rref_pivots(line))
-    return IdealSubspace(algebra, spans)
+    mixed = None
+    if degrees.size and degrees.min() != degrees.max():
+        spans = [(np.zeros((0, n * n), dtype=np.int64), ()) for n in algebra._block_sizes]
+        b = next(
+            b for b in range(len(spans)) if degrees[algebra._columns(b)].max() == degrees.max()
+        )
+        block = degrees[algebra._columns(b)]
+        line = np.zeros((1, block.size), dtype=np.int64)
+        line[0, [block.argmin(), block.argmax()]] = 1
+        spans[b] = (line, rref_pivots(line))
+        mixed = IdealSubspace(algebra, spans)
+    kept["_mixed_degree_line"] = mixed
+    return mixed
 
 
 def calculus_checks_for_graph(graph: Graph):

@@ -29,13 +29,16 @@ def graphs(draw, max_vertices=5, max_edges=8, acyclic=False, min_vertices=0):
 # Names with a quote, a backslash, control characters and non-ASCII letters
 # (escaped as \uXXXX, a surrogate pair beyond the BMP), and the empty name.
 vertex_names = st.text(alphabet='ab"\\\t\x01é日\U0001d11e\u2028', max_size=3)
+# The names a graph document accepts: none starts or ends with white space
+# (a tab or U+2028 may sit inside), and none above holds a comma.
+document_vertex_names = vertex_names.filter(lambda name: name == name.strip())
 
 
 @st.composite
-def graphs_with_named_vertices(draw):
-    """A graph of :func:`graphs` whose vertices are renamed from :data:`vertex_names`."""
+def graphs_with_named_vertices(draw, names=vertex_names):
+    """A graph of :func:`graphs` whose vertices are renamed from ``names``."""
     g = draw(graphs(max_vertices=6, max_edges=8))
-    labels = draw(st.lists(vertex_names, min_size=len(g.vertices), max_size=len(g.vertices), unique=True))
+    labels = draw(st.lists(names, min_size=len(g.vertices), max_size=len(g.vertices), unique=True))
     rename = dict(zip(g.vertices, labels))
     return Graph(tuple(labels), tuple((e.name, rename[e.src], rename[e.dst]) for e in g.edges))
 

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 
 from leavitt import (
@@ -5,6 +6,8 @@ from leavitt import (
     CLASS_PERP_ZERO,
     CLASS_REGULAR,
     Graph,
+    GraphMismatchError,
+    HereditarySaturatedSet,
     analyze,
     bar_closure,
     double_perp,
@@ -218,3 +221,81 @@ def test_maximal_labels_match_the_separate_calls(g):
             (True, False): CLASS_REGULAR,
             (False, True): CLASS_PERP_ZERO,
         }[(regular, perp_zero)]
+
+
+# -- kept values: a set keeps its annihilator and quotient, a graph its exit-free cycles --
+
+
+def plain_backward_search(g, targets):
+    """Every vertex with a path into ``targets``, one scan of the edge list per vertex."""
+    seen = set(targets)
+    frontier = list(seen)
+    while frontier:
+        w = frontier.pop()
+        for e in g.edges:
+            if e.dst == w and e.src not in seen:
+                seen.add(e.src)
+                frontier.append(e.src)
+    return frozenset(seen)
+
+
+def plain_exit_free_cycle_vertices(g):
+    """Vertices from which the walk along sole out-edges comes back within |V| steps."""
+    out = {v: [e.dst for e in g.edges if e.src == v] for v in g.vertices}
+    found = set()
+    for v in g.vertices:
+        w = v
+        for _ in range(len(g.vertices)):
+            if len(out[w]) != 1:
+                break
+            w = out[w][0]
+            if w == v:
+                found.add(v)
+                break
+    return frozenset(found)
+
+
+def fresh(g, h):
+    """A new copy of the graph and of the set on it, with nothing kept on either."""
+    copy = Graph(g.vertices, g.edges)
+    return copy, HereditarySaturatedSet(copy, h.vertices)
+
+
+@given(graphs())
+def test_kept_values_match_fresh_copies_and_plain_searches(g):
+    everything = frozenset(g.vertices)
+    sets = enumerate_hs_sets(g)
+    # fill what each set keeps in an order unlike the checks below
+    for h in reversed(sets):
+        pc_bijection_check(g, h)
+        is_regular(h)
+    assert g.exit_free_cycle_vertices() == plain_exit_free_cycle_vertices(g)
+    assert g.exit_free_cycle_vertices() == Graph(g.vertices, g.edges).exit_free_cycle_vertices()
+    assert g.exit_free_cycle_vertices() is g.exit_free_cycle_vertices()
+    for h in sets:
+        want_perp = everything - plain_backward_search(g, h.vertices)
+        want_double_perp = everything - plain_backward_search(g, want_perp)
+        assert perp(h) == perp(fresh(g, h)[1])
+        assert perp(h).vertices == want_perp
+        assert double_perp(h) == double_perp(fresh(g, h)[1])
+        assert double_perp(h).vertices == want_double_perp
+        assert is_regular(h) == is_regular(fresh(g, h)[1]) == (h.vertices == want_double_perp)
+        quotient = quotient_graph(g, h)
+        assert quotient == quotient_graph(*fresh(g, h))
+        assert quotient.exit_free_cycle_vertices() == plain_exit_free_cycle_vertices(quotient)
+        assert pc_bijection_check(g, h) == pc_bijection_check(*fresh(g, h))
+        assert perp(h) is perp(h)
+        assert double_perp(h) is double_perp(h)
+        assert quotient_graph(g, h) is quotient
+        assert quotient.exit_free_cycle_vertices() is quotient.exit_free_cycle_vertices()
+
+
+def test_a_kept_quotient_is_still_refused_for_another_graph(loop_with_exit, path_abc):
+    h = hs_closure(loop_with_exit, {"v"})
+    assert quotient_graph(loop_with_exit, h).vertices == ("u",)
+    with pytest.raises(GraphMismatchError):
+        quotient_graph(path_abc, h)
+    with pytest.raises(GraphMismatchError):
+        pc_bijection_check(path_abc, h)
+    # an equal graph built apart is the set's own graph
+    assert quotient_graph(Graph(loop_with_exit.vertices, loop_with_exit.edges), h).vertices == ("u",)

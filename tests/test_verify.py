@@ -173,6 +173,45 @@ def test_calculus_checks_clean_on_loop_with_exit(loop_with_exit):
     assert counts[ROW_MAXIMAL] == 1  # one trial per maximal proper set: {v}
 
 
+def counted_backward_searches(monkeypatch):
+    """Count the calls of ``ideals.bar_closure``, one backward search each."""
+    calls = []
+    real = ideals.bar_closure
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(ideals, "bar_closure", counted)
+    return calls
+
+
+def test_the_calculus_rows_search_three_times_per_listed_set(monkeypatch):
+    # a loop with an exit, a 2-cycle with an exit into it, and an isolated sink:
+    # sets that are not regular, sets whose quotient loses (L), and maximal sets
+    graph = Graph(
+        ("a", "b", "c", "s"),
+        (("l", "a", "a"), ("x", "a", "b"), ("bc", "b", "c"), ("cb", "c", "b"), ("ca", "c", "a")),
+    )
+    listed = len(list(lattice_with_regularity(graph)))
+    calls = counted_backward_searches(monkeypatch)
+    counts, failures = calculus_checks_for_graph(graph)
+    assert not failures and counts[ROW_MAXIMAL] > 0
+    # H, perp(H) and perp(perp(H)): each link of the chain is searched once,
+    # and the maximal-ideal row reads the links that the set rows built
+    assert len(calls) == 3 * listed
+
+
+def test_no_kept_value_outlives_a_run(monkeypatch):
+    # in process, where the counter sees every search
+    usable_cpus(monkeypatch, 1)
+    calls = counted_backward_searches(monkeypatch)
+    run_verification(SMALL)
+    first = len(calls)
+    run_verification(SMALL)
+    assert first > 0 and len(calls) == 2 * first
+
+
 def test_maximal_dichotomy_violation_is_one_failure(monkeypatch, edgeless_ab):
     def broken(hs_sets):
         raise AssertionError("maximal set ['a'] is neither regular nor annihilator-zero")
