@@ -23,17 +23,13 @@ from .errors import (
 )
 from .graphdoc import dump_graph_json, load_graph
 from .hereditary import hs_closure, lattice_with_regularity
-from .ideals import analyze, bar_closure, perp, quotient_graph
+from .ideals import analyze, perp, quotient_graph
 from .oracle import block_cache, build_oracle
 from .verify import VerifyConfig, oracle_checks_for_graph, run_verification
 
 
 def _format_names(names) -> str:
     return "{" + ", ".join(names) + "}"
-
-
-def _format_set(values) -> str:
-    return _format_names(sorted(values))
 
 
 def _split_generators(raw: str):
@@ -49,14 +45,14 @@ def cmd_analyze(args) -> int:
         return 0
     q = report.quotient
     print(f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges")
-    print(f"ideal vertex set: {_format_set(report.ideal.vertices)}")
-    print(f"backward closure: {_format_set(report.bar_closure)}")
-    print(f"perp vertex set: {_format_set(report.perp_set)}")
-    print(f"double perp vertex set: {_format_set(report.double_perp_set)}")
+    print(f"ideal vertex set: {_format_names(sorted(report.ideal.vertices))}")
+    print(f"backward closure: {_format_names(sorted(report.bar_closure))}")
+    print(f"perp vertex set: {_format_names(sorted(report.perp_set))}")
+    print(f"double perp vertex set: {_format_names(sorted(report.double_perp_set))}")
     print(f"regular: {'yes' if report.is_regular else 'no'}")
     print(
         f"quotient graph: {len(q.vertices)} vertices, {len(q.edges)} edges "
-        f"({_format_set(q.vertices)})"
+        f"({_format_names(sorted(q.vertices))})"
     )
     print(f"quotient satisfies condition (L): {'yes' if report.quotient_condition_l else 'no'}")
     print(f"exit-free cycle sets match: {'yes' if report.pc_bijection_holds else 'no'}")
@@ -150,17 +146,18 @@ def cmd_perp(args) -> int:
     graph = load_graph(args.graph)
     generators = graph.vertex_subset(_split_generators(args.generators))
     h = hs_closure(graph, generators)
+    annihilator = perp(h).vertices  # bar(H) is its complement: one backward search
     payload = {
         "ideal": sorted(h.vertices),
-        "bar_closure": sorted(bar_closure(h)),
-        "perp": sorted(perp(h).vertices),
+        "bar_closure": sorted(v for v in graph.vertices if v not in annihilator),
+        "perp": sorted(annihilator),
     }
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"ideal vertex set: {_format_set(payload['ideal'])}")
-    print(f"backward closure: {_format_set(payload['bar_closure'])}")
-    print(f"perp vertex set: {_format_set(payload['perp'])}")
+    print(f"ideal vertex set: {_format_names(payload['ideal'])}")
+    print(f"backward closure: {_format_names(payload['bar_closure'])}")
+    print(f"perp vertex set: {_format_names(payload['perp'])}")
     return 0
 
 

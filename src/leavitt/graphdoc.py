@@ -7,8 +7,8 @@ Schema::
 
 UTF-8, no BOM.  Duplicate identifiers and unknown endpoints are rejected,
 and so is a vertex id that ``--generators`` could not name: one that holds
-a comma, or starts or ends with white space (the list is split on commas
-and each part stripped).
+a comma, starts or ends with white space, or is empty (the list is split
+on commas, each part stripped and empty parts dropped).
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ def graph_from_document(doc: Any) -> Graph:
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise GraphDocumentError('"vertices" must be a list of strings')
     for v in vertices:
-        if "," in v or v != v.strip():
+        if not v or "," in v or v != v.strip():
             raise GraphDocumentError(
                 f"vertex id {v!r} holds a comma or starts or ends with white space, "
-                "so --generators could not name it"
+                "or is empty, so --generators could not name it"
             )
     if not isinstance(edges, list):
         raise GraphDocumentError('"edges" must be a list of objects')

@@ -79,10 +79,6 @@ class Graph:
         """Each emitter with the set of its edges' targets, in graph order."""
         return tuple((v, frozenset(e.dst for e in es)) for v, es in self._out.items() if es)
 
-    @cached_property
-    def _edge_by_name(self) -> dict[str, Edge]:
-        return {e.name: e for e in self.edges}
-
     # -- basic accessors ------------------------------------------------------
 
     def require_vertex(self, vertex: str) -> None:
@@ -207,9 +203,10 @@ class Graph:
     # -- derived graphs ----------------------------------------------------------
 
     def without_edge(self, name: str) -> "Graph":
-        if name not in self._edge_by_name:
+        edges = tuple(e for e in self.edges if e.name != name)
+        if len(edges) == len(self.edges):
             raise ValueError(f"unknown edge: {name!r}")
-        return Graph(self.vertices, tuple(e for e in self.edges if e.name != name))
+        return Graph(self.vertices, edges)
 
     def without_vertex(self, vertex: str) -> "Graph":
         """Drop a vertex together with all incident edges."""

@@ -16,7 +16,8 @@ request, once, and a graph keeps its exit-free cycle vertices: the objects
 are immutable, so this changes costs, not results.  Each kept value lives
 as long as its owner and no longer.  So the chain H, perp(H), perp(perp(H)),
 ... costs one backward search per link, however often ``double_perp`` and
-``is_regular`` walk it.
+``is_regular`` walk it, and ``analyze`` reads the backward closure of H off
+the kept annihilator, its complement.
 """
 
 from __future__ import annotations
@@ -124,10 +125,11 @@ def analyze(graph: Graph, generators: Iterable[str]) -> RegularityReport:
     """Full report for the ideal generated by ``generators``; deterministic."""
     h = hs_closure(graph, generators)
     quotient = quotient_graph(graph, h)
+    annihilator = perp(h).vertices
     return RegularityReport(
         ideal=h,
-        bar_closure=bar_closure(h),
-        perp_set=perp(h).vertices,
+        bar_closure=graph._vset - annihilator,  # bar(H) = V \ perp(H): no second search
+        perp_set=annihilator,
         double_perp_set=double_perp(h).vertices,
         is_regular=is_regular(h),
         quotient=quotient,

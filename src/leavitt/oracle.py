@@ -160,17 +160,13 @@ class OracleAlgebra:
         Each half stays in RREF: a row of block b has its leading 1 in
         block b's columns, and the blocks come in column order.
         """
-        dim, p = self.dimension, self.p
-        empty = np.zeros((0, dim), dtype=np.int64)
-        left, right = [empty], [empty]
+        left, right = [], []
         for b, n in enumerate(self._block_sizes):
             x = self._block(rows, b)
             if x.any():
-                for side, half in zip((left, right), _block_products(x, n, p, transpose)):
-                    placed = np.zeros((half.shape[0], dim), dtype=np.int64)
-                    placed[:, self._columns(b)] = half
-                    side.append(placed)
-        return np.vstack(left), np.vstack(right)
+                for side, half in zip((left, right), _block_products(x, n, self.p, transpose)):
+                    side.append((b, half))
+        return _stitch(self, left), _stitch(self, right)
 
     # -- construction internals ------------------------------------------------
 
@@ -259,22 +255,6 @@ class OracleAlgebra:
             raise RuntimeError("vertex idempotents do not sum to the identity")
 
 
-def _paths_into(graph: Graph, sink: str) -> list[tuple[tuple[str, ...], str]]:
-    """Paths ending at the sink, the trivial one included, as (edge names, source).
-
-    Sorted by (length, names) for determinism.
-    """
-    done = []
-    stack: list[tuple[tuple[str, ...], str]] = [((), sink)]
-    while stack:
-        names, src = stack.pop()
-        done.append((names, src))
-        for e in graph.in_edges(src):
-            stack.append(((e.name,) + names, e.src))
-    done.sort(key=lambda item: (len(item[0]), item[0]))
-    return done
-
-
 def require_exact_prime(p: int) -> None:
     """Refuse p unless it is a prime with exact int64 arithmetic up to the dimension cap.
 
@@ -301,21 +281,27 @@ def _sink_paths(graph: Graph) -> dict[str, list[tuple[tuple[str, ...], str]]]:
     """The paths into each sink, which index the oracle's blocks; refused for
     a cyclic graph, which has infinitely many, and past the dimension cap.
 
-    The cap is checked before any path is listed, on counts from one pass in
-    topological order: the paths ending at v are the trivial one plus, for
-    each edge into v, the paths ending at its source.  The counts are exact
-    Python ints, however many paths there are.
+    The paths ending at v are the trivial one plus, for each edge into v,
+    those ending at its source extended by that edge.  One pass in
+    topological order counts them (exact Python ints) for the cap check; a
+    second lists them, as (edge names, source) sorted by (length, names).
     """
     if not graph.is_acyclic():
         raise OracleUnsupportedError("the matrix oracle covers acyclic graphs only")
     sources = {v: [e.src for e in graph.in_edges(v)] for v in graph.vertices}
+    order = list(TopologicalSorter(sources).static_order())
     ending = {}
-    for v in TopologicalSorter(sources).static_order():
+    for v in order:
         ending[v] = 1 + sum(ending[u] for u in sources[v])
     sinks = sorted(graph.sinks())
     if sum(ending[v] ** 2 for v in sinks) > DEFAULT_DIMENSION_CAP:
         raise OracleDimensionError(f"oracle dimension exceeds the cap of {DEFAULT_DIMENSION_CAP}")
-    return {v: _paths_into(graph, v) for v in sinks}
+    listed = {}
+    for v in order:
+        listed[v] = [((), v)] + [
+            (names + (e.name,), src) for e in graph.in_edges(v) for names, src in listed[e.src]
+        ]
+    return {v: sorted(listed[v], key=lambda path: (len(path[0]), path[0])) for v in sinks}
 
 
 def _block_products(x: np.ndarray, n: int, p: int, transpose: bool):
@@ -356,6 +342,17 @@ def _right_products(x: np.ndarray, n: int, p: int) -> np.ndarray:
     return (col_basis[:, None, :, None] * eye[None, :, None, :]).reshape(-1, n * n)
 
 
+def _stitch(algebra: OracleAlgebra, blocks: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Stack the rows of each (block index, rows) pair, in the order given,
+    each placed in its block's columns of the whole algebra."""
+    stitched = np.zeros((sum(len(rows) for _b, rows in blocks), algebra.dimension), dtype=np.int64)
+    start = 0
+    for b, rows in blocks:
+        stitched[start : start + len(rows), algebra._columns(b)] = rows
+        start += len(rows)
+    return stitched
+
+
 class IdealSubspace:
     """A two-sided ideal of the oracle algebra, held as its block spans.
 
@@ -383,13 +380,7 @@ class IdealSubspace:
         A span's rows sit on its block's columns and the blocks come in
         column order, so the stacked rows are already the RREF of the whole.
         """
-        algebra = self.algebra
-        basis = np.zeros((self.dim, algebra.dimension), dtype=np.int64)
-        start = 0
-        for b, (block_basis, _pivots) in enumerate(self.spans):
-            basis[start : start + len(block_basis), algebra._columns(b)] = block_basis
-            start += len(block_basis)
-        return basis
+        return _stitch(self.algebra, [(b, basis) for b, (basis, _pivots) in enumerate(self.spans)])
 
     @cached_property
     def block_key(self) -> tuple[bytes, ...]:

@@ -29,9 +29,9 @@ def graphs(draw, max_vertices=5, max_edges=8, acyclic=False, min_vertices=0):
 # Names with a quote, a backslash, control characters and non-ASCII letters
 # (escaped as \uXXXX, a surrogate pair beyond the BMP), and the empty name.
 vertex_names = st.text(alphabet='ab"\\\t\x01é日\U0001d11e\u2028', max_size=3)
-# The names a graph document accepts: none starts or ends with white space
-# (a tab or U+2028 may sit inside), and none above holds a comma.
-document_vertex_names = vertex_names.filter(lambda name: name == name.strip())
+# The names a graph document accepts: none is empty or starts or ends with
+# white space (a tab or U+2028 may sit inside), and none above holds a comma.
+document_vertex_names = vertex_names.filter(lambda name: name and name == name.strip())
 
 
 @st.composite

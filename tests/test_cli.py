@@ -91,7 +91,7 @@ def test_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["a,b", " a"])
+@pytest.mark.parametrize("name", ["a,b", " a", ""])
 def test_an_id_that_generators_cannot_name_is_a_parse_error(tmp_path, capsys, name):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"vertices": [name, "a"], "edges": []}), encoding="utf-8")
@@ -298,6 +298,20 @@ def test_perp_json(graph_file, capsys):
     assert doc == {"ideal": ["v"], "bar_closure": ["u", "v"], "perp": []}
 
 
+@pytest.mark.parametrize("command, searches", [("analyze", 2), ("perp", 1)])
+def test_one_backward_search_per_link(monkeypatch, graph_file, capsys, command, searches):
+    # analyze searches back from H and from perp(H); perp from H alone.  The
+    # backward closure of H is the complement of perp(H), so it is read off, not
+    # searched again.  The search itself is counted, so a caller holding its own
+    # reference to ideals.bar_closure is counted too.
+    calls = []
+    real = Graph.backward_reach
+    monkeypatch.setattr(Graph, "backward_reach", lambda g, s: calls.append(s) or real(g, s))
+    assert main([command, "--graph", graph_file, "--generators", "v", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bar_closure"] == ["u", "v"]
+    assert len(calls) == searches
+
+
 def test_verify_small(capsys):
     code = main(
         ["verify", "--max-vertices", "3", "--max-edges", "4", "--trials", "30"]
@@ -443,6 +457,18 @@ def test_oracle_check_dimension_cap(tmp_path, capsys):
         edges.append((f"b{i}", f"v{i}", f"v{i+1}"))
     path = write_graph(tmp_path, Graph(vertices, tuple(edges)))
     assert main(["oracle-check", "--graph", path]) == 4
+
+
+def test_oracle_check_past_the_lattice_cutoff_is_a_resource_cutoff(tmp_path, capsys):
+    # oracle dimension 21, under its cap, but one vertex past the lattice cutoff:
+    # a refusal (exit 4), not five failed rows (exit 1).  The cutoff itself is
+    # left untested: the lattice-count row scans all 2^20 vertex subsets.
+    n = ENUMERATION_CUTOFF + 1
+    path = write_graph(tmp_path, Graph(tuple(f"v{i}" for i in range(n)), ()))
+    assert main(["oracle-check", "--graph", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"capped at {ENUMERATION_CUTOFF}" in captured.err
 
 
 def test_oracle_check_refuses_a_chain_of_64_diamonds_at_once(tmp_path, capsys):

@@ -125,6 +125,13 @@ def test_without_edge_and_vertex(loop_with_exit):
     assert [e.name for e in g2.edges] == ["f"]
 
 
+def test_without_edge_refuses_an_unknown_name(loop_with_exit):
+    with pytest.raises(ValueError, match=r"^unknown edge: 'zz'$"):
+        loop_with_exit.without_edge("zz")
+    with pytest.raises(ValueError, match=r"^unknown edge: 'f'$"):
+        Graph(("u",)).without_edge("f")
+
+
 @given(graphs())
 def test_tree_contains_vertex_and_is_transitive(g):
     for v in g.vertices:

@@ -39,6 +39,7 @@ from leavitt.oracle import (
     _BLOCK_CACHE,
     IdealMemo,
     _block_ideal,
+    _sink_paths,
     _solve,
     _sum_of_ideals,
     block_cache,
@@ -146,6 +147,28 @@ def test_the_cap_is_checked_on_path_counts():
     for k in (4, 64):  # 2^64 paths from a0 alone: refused before any is listed
         with pytest.raises(OracleDimensionError):
             build_oracle(diamond_chain(k), 2)
+
+
+def paths_into_by_search(graph, sink):
+    """Referee: the paths ending at the sink, the trivial one included, as (edge
+    names, source), found by a depth-first search back from the sink and sorted
+    by (length, names)."""
+    found = []
+    stack = [((), sink)]
+    while stack:
+        names, src = stack.pop()
+        found.append((names, src))
+        stack.extend(((e.name,) + names, e.src) for e in graph.in_edges(src))
+    return sorted(found, key=lambda path: (len(path[0]), path[0]))
+
+
+def test_paths_listed_in_the_counting_pass_match_the_search_from_each_sink():
+    golden = load_graph(str(Path(__file__).parent / "golden" / "oracle-7v.json"))
+    for graph in (*exhaustive_acyclic_graphs(), golden, diamond_chain(3), parallel_edges(5)):
+        paths = _sink_paths(graph)
+        assert list(paths) == sorted(graph.sinks())
+        for sink, listed in paths.items():
+            assert listed == paths_into_by_search(graph, sink)
 
 
 def test_degrees_and_labels():
