@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import (
     GraphDocumentError,
@@ -112,13 +113,14 @@ def _lattice_dot(graph, flagged) -> str:
 
     Every upper cover of a is the closure of a plus one vertex (any vertex of
     the cover outside a generates it over a), and the minimal such closures
-    are exactly the covers: at most |vertices| closures per set.
+    are exactly the covers: at most |vertices| closures per set.  Each label
+    is a DOT quoted string: a backslash or a quote in a name is escaped.
     """
     lines = ["digraph hs_lattice {", "  rankdir=BT;"]
     position = {}
     for i, (h, reg) in enumerate(flagged):
         position[h.vertices] = i
-        label = _format_names(h.sorted_vertices())
+        label = _format_names(h.sorted_vertices()).replace("\\", "\\\\").replace('"', '\\"')
         if reg:
             label += "\\nregular"
         lines.append(f'  n{i} [label="{label}"];')
@@ -181,7 +183,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle_check(args) -> int:
     graph = load_graph(args.graph)
     algebra = build_oracle(graph, args.prime)
-    counts, failures, _ = oracle_checks_for_graph(graph, args.prime, algebra=algebra)
+    counts, failures = oracle_checks_for_graph(graph, args.prime, algebra=algebra, trials=0)
     print(f"oracle dimension: {algebra.dimension} over GF({args.prime})")
     failed_rows = {f.row for f in failures}
     for row, trials in counts.items():
@@ -226,11 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_perp)
 
     p = sub.add_parser("verify", help="run the property suites and print the pass/fail matrix")
-    p.add_argument("--max-vertices", type=int, default=5)
-    p.add_argument("--max-edges", type=int, default=8)
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--prime", type=int, default=2)
+    for field in fields(VerifyConfig):
+        p.add_argument("--" + field.name.replace("_", "-"), type=int, default=field.default)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

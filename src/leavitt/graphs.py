@@ -60,19 +60,21 @@ class Graph:
     def _vset(self) -> frozenset[str]:
         return frozenset(self.vertices)
 
-    @cached_property
-    def _out(self) -> dict[str, tuple[Edge, ...]]:
+    def _edges_by(self, end: str) -> dict[str, tuple[Edge, ...]]:
+        """Each vertex with the edges whose ``end`` field names it, in edge order."""
+        step = Edge._fields.index(end)
         table: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            table[e.src].append(e)
+            table[e[step]].append(e)
         return {v: tuple(es) for v, es in table.items()}
 
     @cached_property
+    def _out(self) -> dict[str, tuple[Edge, ...]]:
+        return self._edges_by("src")
+
+    @cached_property
     def _in(self) -> dict[str, tuple[Edge, ...]]:
-        table: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            table[e.dst].append(e)
-        return {v: tuple(es) for v, es in table.items()}
+        return self._edges_by("dst")
 
     @cached_property
     def _emitter_targets(self) -> tuple[tuple[str, frozenset[str]], ...]:
@@ -211,7 +213,11 @@ class Graph:
     def without_vertex(self, vertex: str) -> "Graph":
         """Drop a vertex together with all incident edges."""
         self.require_vertex(vertex)
+        return self._without_vertices({vertex})
+
+    def _without_vertices(self, dropped) -> "Graph":
+        """Drop the vertices of ``dropped`` and every edge that touches one."""
         return Graph(
-            tuple(v for v in self.vertices if v != vertex),
-            tuple(e for e in self.edges if vertex not in (e.src, e.dst)),
+            tuple(v for v in self.vertices if v not in dropped),
+            tuple(e for e in self.edges if e.src not in dropped and e.dst not in dropped),
         )

@@ -66,8 +66,10 @@ def is_regular(h: HereditarySaturatedSet) -> bool:
 
 
 def quotient_graph(graph: Graph, h: HereditarySaturatedSet) -> Graph:
-    """Remove the set's vertices and every edge whose target lies in the set.
+    """Remove the set's vertices and every edge that touches the set.
 
+    The set is hereditary, so an edge with its source in the set has its
+    target there too: these are the edges whose target lies in the set.
     Built once per set and kept on it, after the check that ``graph`` is
     the set's own.
     """
@@ -75,10 +77,7 @@ def quotient_graph(graph: Graph, h: HereditarySaturatedSet) -> Graph:
         raise GraphMismatchError("vertex set belongs to a different graph")
     kept = getattr(h, "_quotient", None)
     if kept is None:
-        kept = Graph(
-            tuple(v for v in graph.vertices if v not in h.vertices),
-            tuple(e for e in graph.edges if e.dst not in h.vertices),
-        )
+        kept = graph._without_vertices(h.vertices)
         object.__setattr__(h, "_quotient", kept)
     return kept
 

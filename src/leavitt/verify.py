@@ -9,18 +9,20 @@ graph-level laws run over seeded random graph samples (cycles allowed); the
 Laurent row covers the single exit-free cycle family.  A failing row is
 reported together with a greedily minimized witness graph.
 
-Every per-graph check is a pure function of its own inputs: an oracle
-graph's task draws its own random ideals, from a stream seeded by the run's
-seed and the graph.  So the runner hands the checks to a pool of worker
-processes, one per usable CPU up to two, forked at the start of the run and
-joined before it returns, and takes the results in the serial order; the
-matrix, the failure details, the witnesses and their minimization (which
-stays serial) are the same on any number of workers.  With one usable CPU,
-without the ``fork`` start method, on Python 3.12 and later, beside a
-second Python thread, or in a daemonic process, the same tasks run in
-process.  A run reuses the oracle's block solves across its algebras
-through one :func:`leavitt.oracle.block_cache` for the run, and each worker
-through one of its own.
+Every per-graph check is a pure function of its own inputs: the oracle
+check of a graph also runs the ``perp-graded`` random-ideal trials that
+fall on it, drawn from a stream seeded by the run's seed and the graph, and
+the runner's tasks, the shrinker and ``oracle-check`` all call that one
+check.  So the runner hands the checks to a pool of worker processes, one
+per usable CPU up to two, forked at the start of the run and joined before
+it returns, and takes the results in the serial order; the matrix, the
+failure details, the witnesses and their minimization (which stays serial)
+are the same on any number of workers.  With one usable CPU, without the
+``fork`` start method, on Python 3.12 and later, beside a second Python
+thread, or in a daemonic process, the same tasks run in process.  A run
+reuses the oracle's block solves across its algebras through one
+:func:`leavitt.oracle.block_cache` for the run, and each worker through one
+of its own.
 """
 
 from __future__ import annotations
@@ -236,22 +238,31 @@ def _setup_failed(rows, graph: Graph, exc: Exception):
     return dict.fromkeys(rows, 1), [Failure(row, graph, f"setup failed: {exc}") for row in rows]
 
 
-def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
-    """Rows refereed by the matrix oracle, for one acyclic graph.
+def oracle_checks_for_graph(graph: Graph, p: int, algebra=None, seed=None, trials=0):
+    """Rows refereed by the matrix oracle, for one acyclic graph, then
+    ``trials`` perp-graded random-ideal trials on its algebra.
 
-    Returns (trial counts per row, failures, algebra) so callers can reuse
-    the built algebra.  The sets come from the lattice pass with the
-    regularity flags that ``leavitt lattice`` prints, and
+    Returns (trial counts per row, failures), failures in that order: the
+    per-set rows, the lattice count, the trials.  ``algebra``, when given,
+    is the graph's prebuilt algebra.  The sets come from the lattice pass
+    with the regularity flags that ``leavitt lattice`` prints, and
     ``regularity-verdict`` checks each flag as well as ``is_regular``.  Each
     distinct ideal, and its vertex set, is built once per call: the per-set
-    rows and the lattice count share one :class:`IdealMemo`.  The lattice
-    pass's refusal past the cutoff leaves this function: not a broken law.
+    rows and the lattice count share one :class:`IdealMemo`.  Each trial's
+    generators come from :func:`draw_generators`, on a stream seeded by
+    ``seed`` and the graph (a str seed, which hashes alike under every
+    ``PYTHONHASHSEED``), so the runner's task and the shrinker draw the same
+    first trials on one graph.  Where the algebra fails to build, every row
+    and every trial fails with the set-up failure.  The lattice pass's
+    refusal past the cutoff leaves this function: not a broken law.
     """
     try:
         if algebra is None:
             algebra = build_oracle(graph, p)
     except Exception as exc:  # oracle build is part of what the rows verify
-        return *_setup_failed(ORACLE_ROWS, graph, exc), None
+        counts, failures = _setup_failed(ORACLE_ROWS, graph, exc)
+        counts[ROW_PERP_GRADED] += trials
+        return counts, failures + [Failure(ROW_PERP_GRADED, graph, failures[0].detail)] * trials
     lattice = list(lattice_with_regularity(graph))
 
     counts = dict.fromkeys(ORACLE_SET_ROWS, len(lattice))
@@ -316,7 +327,18 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None):
     except Exception as exc:
         failures.append(Failure(ROW_LATTICE_COUNT, graph, f"count check failed: {exc}"))
 
-    return counts, failures, algebra
+    counts[ROW_PERP_GRADED] += trials
+    # seeding hashes the graph's repr (about 1% of an oracle-check), so only where trials run
+    rng = Random(f"{seed} {graph!r}") if trials else None
+    for _ in range(trials):
+        generators = draw_generators(rng, algebra.dimension, p)
+        try:
+            problem = generated_ideal_check(algebra, generators)
+        except Exception as exc:
+            problem = f"random ideal check raised {exc!r}"
+        if problem:
+            failures.append(Failure(ROW_PERP_GRADED, graph, problem))
+    return counts, failures
 
 
 def draw_generators(rng: Random, dimension: int, p: int) -> list[np.ndarray]:
@@ -520,13 +542,10 @@ def _still_fails(row: str, cfg: VerifyConfig, g: Graph) -> bool:
     """
     if row in CALCULUS_ROWS:
         _counts, failures = calculus_checks_for_graph(g)
-        return any(f.row == row for f in failures)
-    _counts, failures, algebra = oracle_checks_for_graph(g, cfg.prime)
-    if any(f.row == row for f in failures):
-        return True
-    return row == ROW_PERP_GRADED and any(
-        _random_ideal_problems(cfg.seed + 1, algebra, failures, 32)
-    )
+    else:
+        trials = 32 if row == ROW_PERP_GRADED else 0
+        _counts, failures = oracle_checks_for_graph(g, cfg.prime, seed=cfg.seed + 1, trials=trials)
+    return any(f.row == row for f in failures)
 
 
 # -- the runner -------------------------------------------------------------------
@@ -656,34 +675,8 @@ def _task_map(work: int):
 
 
 def _oracle_task(p, seed, graph, count):
-    """The oracle rows of one graph, then ``count`` perp-graded random-ideal trials on it."""
-    counts, failures, algebra = oracle_checks_for_graph(graph, p)
-    counts[ROW_PERP_GRADED] += count
-    problems = list(_random_ideal_problems(seed, algebra, failures, count))
-    failures += [Failure(ROW_PERP_GRADED, graph, problem) for problem in problems if problem]
-    return counts, failures
+    return oracle_checks_for_graph(graph, p, seed=seed, trials=count)
 
 
 def _calculus_task(graph):
     return calculus_checks_for_graph(graph)
-
-
-def _random_ideal_problems(seed, algebra, failures, count):
-    """A problem (or None) for each of ``count`` random-ideal trials, lazily.
-
-    Each trial's generators come from :func:`draw_generators`, on a stream
-    seeded by ``seed`` and the graph (a str seed, which hashes alike under
-    every ``PYTHONHASHSEED``), so the runner's task and the shrinker draw
-    the same first trials on one graph.  Where no algebra was built, every
-    trial fails with the set-up failure, the first of ``failures``.
-    """
-    if algebra is None:
-        yield from itertools.repeat(failures[0].detail, count)
-        return
-    rng = Random(f"{seed} {algebra.graph!r}")
-    for _ in range(count):
-        generators = draw_generators(rng, algebra.dimension, algebra.p)
-        try:
-            yield generated_ideal_check(algebra, generators)
-        except Exception as exc:
-            yield f"random ideal check raised {exc!r}"

@@ -13,6 +13,7 @@ import pytest
 
 from leavitt import Graph, analyze
 from leavitt.cli import main
+from leavitt.oracle import build_oracle
 from leavitt.verify import (
     ROW_DPERP_VSET,
     ROW_L_PRESERVED,
@@ -56,13 +57,13 @@ def oracle_sweep():
     pool = []
     pairs = 0
     for g in family:
-        c, fs, algebra = oracle_checks_for_graph(g, ORACLE_PRIME)
+        algebra = build_oracle(g, ORACLE_PRIME)
+        c, fs = oracle_checks_for_graph(g, ORACLE_PRIME, algebra=algebra)
         pairs += c[ROW_PERP_VSET]
         for row, k in c.items():
             counts[row] = counts.get(row, 0) + k
         failures.extend(fs)
-        if algebra is not None:
-            pool.append((g, algebra))
+        pool.append((g, algebra))
     duration = time.monotonic() - start
     return SimpleNamespace(
         family=family,

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -17,6 +18,7 @@ from leavitt import (
     ideals,
     is_regular,
     lattice_with_regularity,
+    load_graph,
 )
 from leavitt import cli
 from leavitt.cli import main
@@ -140,6 +142,22 @@ def test_lattice_dot(graph_file, capsys):
     assert out.startswith("digraph hs_lattice {")
     assert out.count("->") == 2  # covering relations of the 3-chain
     assert "regular" in out
+
+
+def test_lattice_dot_escapes_quotes_and_backslashes_in_labels(capsys):
+    # calculus-10v's names include loop"q and sink\a
+    path = Path(__file__).parent / "golden" / "calculus-10v.json"
+    assert main(["lattice", "--graph", str(path), "--dot"]) == 0
+    labels = re.findall(r"^  n\d+ \[label=(.*)\];$", capsys.readouterr().out, re.MULTILINE)
+    flagged = list(lattice_with_regularity(load_graph(str(path))))
+    assert len(labels) == len(flagged)
+    for label, (h, reg) in zip(labels, flagged):
+        assert re.fullmatch(r'"(?:[^"\\]|\\.)*"', label)
+        body = label[1:-1]
+        if reg:
+            assert body.endswith("\\nregular")
+            body = body[: -len("\\nregular")]
+        assert re.sub(r"\\(.)", r"\1", body) == cli._format_names(h.sorted_vertices())
 
 
 def naive_lattice_dot(g):
@@ -434,6 +452,7 @@ def test_oracle_check_matches_its_golden_copy(capsys):
         (["lattice", "--json"], "calculus-10v-lattice.json"),
         (["lattice"], "calculus-10v-lattice.txt"),
         (["analyze", "--generators", "sink\\a", "--json"], "calculus-10v-analyze.json"),
+        (["lattice", "--dot"], "calculus-10v-lattice.dot"),
     ],
 )
 def test_calculus_command_matches_its_golden_copy(argv, golden_name, capsys):

@@ -25,6 +25,7 @@ from leavitt.gfp import max_exact_prime
 from leavitt.oracle import _BLOCK_CACHE, OracleAlgebra, _sink_paths, build_oracle, is_graded_subspace
 from leavitt.verify import (
     ALL_ROWS,
+    ORACLE_ROWS,
     ROW_LATTICE_COUNT,
     ROW_MAXIMAL,
     ROW_PERP_GRADED,
@@ -160,10 +161,13 @@ def test_exhaustive_family_matches_the_ordered_pair_referee(bounds):
 
 
 def test_oracle_checks_report_setup_failure(single_loop):
-    counts, failures, algebra = oracle_checks_for_graph(single_loop, 2)
-    assert algebra is None
-    assert all(n == 1 for n in counts.values())
-    assert {f.row for f in failures} == set(counts)
+    counts, failures = oracle_checks_for_graph(single_loop, 2, seed=43, trials=3)
+    assert counts == {**dict.fromkeys(ORACLE_ROWS, 1), ROW_PERP_GRADED: 4}
+    # one failure per row, then one per trial, each with the set-up detail
+    assert [f.row for f in failures] == [*ORACLE_ROWS, *[ROW_PERP_GRADED] * 3]
+    assert failures[0].detail.startswith("setup failed: ")
+    graded = [f for f in failures if f.row == ROW_PERP_GRADED]
+    assert len(graded) == 4 and all(f.detail == failures[0].detail for f in graded)
 
 
 def test_calculus_checks_clean_on_loop_with_exit(loop_with_exit):
@@ -284,6 +288,18 @@ def test_the_shrinker_replays_the_first_trials_of_a_graphs_task(monkeypatch):
     assert not _still_fails(ROW_PERP_GRADED, cfg, graph)
     assert seen == task[:32]
     assert len(task) == 40 and task[0] != task[1]
+
+
+def test_the_shrinker_runs_trials_for_perp_graded_only(monkeypatch):
+    seen = recorded_trials(monkeypatch)
+    cfg = VerifyConfig(prime=3)
+    graph = exhaustive_acyclic_graphs()[-1]
+    for row in ORACLE_ROWS:
+        if row != ROW_PERP_GRADED:
+            assert not _still_fails(row, cfg, graph)
+    assert seen == []
+    assert not _still_fails(ROW_PERP_GRADED, cfg, graph)
+    assert len(seen) == 32
 
 
 def test_laurent_checks_pass():
