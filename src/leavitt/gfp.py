@@ -2,7 +2,8 @@
 
 Row spaces are kept in reduced row echelon form, which is canonical: two
 subspaces are equal iff their RREF matrices are equal, so RREF bytes double
-as the oracle's block keys.  Because the form is fully reduced, reducing a
+as the oracle's block keys (a full-rank RREF is the identity, so there its
+pivots do).  Because the form is fully reduced, reducing a
 vector against a basis is a single matrix product, not a pivot loop.
 
 :func:`rref` picks its kernel by the prime alone.  Over GF(2) each row is
@@ -22,6 +23,7 @@ terms * (p - 1)^2 <= 2^63 - 1 (see :func:`max_exact_prime`).  Past that,
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +48,9 @@ _RREF_MAX_PRIME = max_exact_prime(1)
 _CHUNK = 256
 
 
+@lru_cache(maxsize=8)
 def is_prime(n: int) -> bool:
+    """Trial division, memoized: a command asks about its one prime many times."""
     if n < 2:
         return False
     d = 2

@@ -49,21 +49,25 @@ iff each block of it lies in that block's span, and the whole RREF basis
 is the blocks' bases side by side.  The whole-algebra basis is stitched
 from the spans only when asked for, by the tests and the benchmark tracer.
 
-A command that solves many ideals, such as ``oracle-check`` or ``verify``,
-runs inside :func:`block_cache`: there each block solve is memoized by its
-kind, p, n and the RREF bytes of its input, its result is still audited
-once, and equal results are interned as one read-only array.  The cache
-is held in a context variable for the length of the command (and, in a
-worker process of ``verify``, for the worker's life, which is within one
-command); it is never stored on an algebra, and outside a command nothing
-is cached.  The solves are deterministic, so the cache changes costs, not
+A span is named by its :func:`_span_key`: its pivots when it has full
+rank, as its RREF basis is then the identity, and its RREF bytes
+otherwise.  A command that solves many ideals, such as ``oracle-check`` or
+``verify``, runs inside :func:`block_cache`: there each block solve is
+memoized by its kind, p, n and the keys of its input spans, its result is
+still audited once, and equal results are interned as one read-only
+array.  The input of an ideal solve is R, the row basis of the
+generators' block, which is all that A·S reads of them, so generators
+with one row space share one solve.  The cache is held in a context
+variable for the length of the command (and, in a worker process of
+``verify``, for the worker's life, which is within one command); it is
+never stored on an algebra, and outside a command nothing is cached.  The solves are deterministic, so the cache changes costs, not
 results.  Within one pass over an algebra, :class:`IdealMemo` builds the
 ideal of each vertex subset once: the ideal generated by a set is the sum
 of the ideals generated by its elements, so the ideal of X is the sum of
 that of X minus its last vertex and that vertex's ideal, reduced once per
 pair of interned ideals.  Ideals are interned, and annihilators and vertex
-sets memoized, by their block key: the tuple of the RREF bytes of each
-block span, built once per object.
+sets memoized, by their block key: the tuple of the key of each block
+span, built once per object.
 """
 
 from __future__ import annotations
@@ -90,6 +94,9 @@ from .gfp import (
 from .graphs import Graph
 
 DEFAULT_DIMENSION_CAP = 2000
+
+SpanKey = bytes | tuple[int, ...]  # see _span_key
+BlockKey = tuple[SpanKey, ...]
 
 
 class OracleAlgebra:
@@ -321,11 +328,16 @@ def _left_products(x: np.ndarray, n: int, p: int) -> np.ndarray:
     """kron(I, R), R the RREF basis of the span of the rows of the n x n matrices x.
 
     A left product unit * x copies one row of x to another row, so the left
-    products of all of x span the matrices whose rows lie in R: the rows of
-    kron(I, R), flattened row-major.  Row (i, j) leads at column i * n +
-    (pivot j of R), and R is RREF, so these rows are in RREF too.
+    products of all of x span the matrices whose rows lie in R
+    (:func:`_row_kron`).
     """
-    row_basis = reduce_rowspace(x.reshape(-1, n), p)[0]
+    return _row_kron(reduce_rowspace(x.reshape(-1, n), p)[0], n)
+
+
+def _row_kron(row_basis: np.ndarray, n: int) -> np.ndarray:
+    """kron(I, R) for an RREF basis R of rows of length n: the n x n matrices
+    whose rows lie in R, flattened row-major.  Row (i, j) leads at column
+    i * n + (pivot j of R), and R is RREF, so these rows are in RREF too."""
     eye = np.eye(n, dtype=np.int64)
     return (eye[:, None, :, None] * row_basis[None, :, None, :]).reshape(-1, n * n)
 
@@ -383,10 +395,10 @@ class IdealSubspace:
         return _stitch(self.algebra, [(b, basis) for b, (basis, _pivots) in enumerate(self.spans)])
 
     @cached_property
-    def block_key(self) -> tuple[bytes, ...]:
-        """The RREF bytes of each block span: two ideals of one algebra are
-        equal iff their keys are."""
-        return tuple(basis.tobytes() for basis, _pivots in self.spans)
+    def block_key(self) -> BlockKey:
+        """The :func:`_span_key` of each block span: two ideals of one algebra
+        are equal iff their keys are."""
+        return tuple(_span_key(*span) for span in self.spans)
 
     def __eq__(self, other) -> bool:
         """Equal ideals of algebras of one graph and one prime, however many
@@ -395,6 +407,13 @@ class IdealSubspace:
             return NotImplemented
         mine, theirs = self.algebra, other.algebra
         return mine.p == theirs.p and mine.graph == theirs.graph and self.block_key == other.block_key
+
+
+def _span_key(basis: np.ndarray, pivots: tuple[int, ...]) -> SpanKey:
+    """What names a span among those of its width: the pivots alone when it
+    has full rank, as a full-rank RREF basis is the identity; otherwise the
+    RREF bytes.  Keys of one width are equal iff their spans are."""
+    return pivots if len(pivots) == basis.shape[1] else basis.tobytes()
 
 
 def _check_closed(products, basis: np.ndarray, pivots: tuple[int, ...], p: int) -> None:
@@ -428,10 +447,10 @@ def block_cache():
     """Reuse block solves for the length of the body: one command.
 
     Within it, each block solve is memoized under its kind, p, n and the
-    RREF bytes of its input spans, and its results are interned by their
-    bytes, so equal results share one read-only array.  The solves are
-    deterministic, so the cache changes no result, only its cost.  Outside
-    any such body nothing is cached.  Also a decorator: each call of the
+    :func:`_span_key` of each input span, and its results are interned by
+    their shape and key, so equal results share one read-only array.  The
+    solves are deterministic, so the cache changes no result, only its
+    cost.  Outside any such body nothing is cached.  Also a decorator: each call of the
     decorated function gets its own cache.
     """
     token = start_block_cache()
@@ -442,30 +461,33 @@ def block_cache():
 
 
 def _solve(kind: str, solve, n: int, p: int, *spans):
-    """``solve(n, p, *spans)``, memoized in the current block cache if there is one."""
+    """``solve(n, p, *spans)``, memoized in the current block cache if there
+    is one, under the :func:`_span_key` of each input span."""
     cache = _BLOCK_CACHE.get()
     if cache is None:
         return solve(n, p, *spans)
     solves, results = cache
-    key = (kind, p, n, *(basis.tobytes() for basis, _pivots in spans))
+    key = (kind, p, n, *(_span_key(*span) for span in spans))
     if key not in solves:
         basis, pivots = solve(n, p, *spans)
         basis = np.array(basis)  # its own copy: the solve's may view a larger work array
         basis.flags.writeable = False
-        solves[key] = results.setdefault((basis.shape, basis.tobytes()), (basis, pivots))
+        solves[key] = results.setdefault((basis.shape, _span_key(basis, pivots)), (basis, pivots))
     return solves[key]
 
 
-def _block_ideal(n: int, p: int, span):
+def _block_ideal(n: int, p: int, rows):
     """The ideal of M_n(GF(p)) generated by a span S: span(A·S·A), as M_n is unital.
 
-    One pass, by ring identities only, not the vertex calculus: A·S is the
-    span of the left products of S, kron(I, R) with R the row basis of S,
-    and A·S·A that of their right products, kron(C, I) with C the column
-    basis of A·S, in RREF (checked, not trusted).  A result short of full
-    rank is audited to be closed; the full block is trivially closed.
+    ``rows`` is R, the RREF basis and pivots of the span of the rows of the
+    matrices of S, the one thing the solve reads of S.  One pass, by ring
+    identities only, not the vertex calculus: A·S is the span of the left
+    products of S, kron(I, R), and A·S·A that of their right products,
+    kron(C, I) with C the column basis of A·S, in RREF (checked, not
+    trusted).  A result short of full rank is audited to be closed; the
+    full block is trivially closed.
     """
-    basis = _right_products(_left_products(span[0], n, p), n, p)
+    basis = _right_products(_row_kron(rows[0], n), n, p)
     pivots = rref_pivots(basis)
     if len(pivots) < n * n:
         _check_closed(_block_products(basis, n, p, transpose=False), basis, pivots, p)
@@ -498,14 +520,20 @@ def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
 
     Block b of the ideal is the ideal of M_n generated by block b of the
     generators (:func:`_block_ideal`): 1_b is central, so 1_b * (A S A) is
-    A (1_b S) A.  Each block solve ends in a closure audit, so the result
-    is not audited again.
+    A (1_b S) A.  The solve reads the generators' block b through the RREF
+    basis of all its n x n matrices' rows, so that basis, not their span on
+    n * n columns, is what is reduced and keyed; where it is empty the
+    block of the ideal is zero.  Each block solve ends in a closure audit,
+    so the result is not audited again.
     """
     gens = as_matrix(generators, algebra.dimension)
     spans = []
     for b, n in enumerate(algebra._block_sizes):
-        span = reduce_rowspace(gens[:, algebra._columns(b)], algebra.p)
-        spans.append(_solve("ideal", _block_ideal, n, algebra.p, span) if span[1] else span)
+        rows = reduce_rowspace(algebra._block(gens, b).reshape(-1, n), algebra.p)
+        if rows[1]:
+            spans.append(_solve("ideal", _block_ideal, n, algebra.p, rows))
+        else:
+            spans.append((np.zeros((0, n * n), dtype=np.int64), ()))
     return IdealSubspace(algebra, spans)
 
 
@@ -543,11 +571,11 @@ class IdealMemo:
 
     def __init__(self, algebra: OracleAlgebra):
         self.algebra = algebra
-        self._interned: dict[tuple[bytes, ...], IdealSubspace] = {}
+        self._interned: dict[BlockKey, IdealSubspace] = {}
         self._by_subset: dict[tuple[str, ...], IdealSubspace] = {}
-        self._sums: dict[tuple[tuple[bytes, ...], tuple[bytes, ...]], IdealSubspace] = {}
-        self._perps: dict[tuple[bytes, ...], IdealSubspace] = {}
-        self._vertex_sets: dict[tuple[bytes, ...], frozenset[str]] = {}
+        self._sums: dict[tuple[BlockKey, BlockKey], IdealSubspace] = {}
+        self._perps: dict[BlockKey, IdealSubspace] = {}
+        self._vertex_sets: dict[BlockKey, frozenset[str]] = {}
 
     def _intern(self, ideal: IdealSubspace) -> IdealSubspace:
         return self._interned.setdefault(ideal.block_key, ideal)

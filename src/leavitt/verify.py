@@ -200,20 +200,28 @@ def exhaustive_acyclic_graphs(
     Every acyclic graph has a topological labelling, one in which each edge
     runs from a lower label to a higher one.  So the edge multisets over the
     pairs (i, j) with i < j reach every isomorphism class, and only acyclic
-    ones.  They are deduplicated by the minimal relabelling under vertex
-    permutations; the first multiset of each class is its representative.
+    ones; the first multiset of each class is its representative.  A
+    multiset over the ordered pairs of n vertices is coded as one int, with
+    the number of its edges on (a, b) as the base-(max_edges + 1) digit
+    a * n + b.  When a class first appears, the codes of every relabelling
+    of its representative are added to ``seen``, so each later multiset
+    costs one lookup of its own code.
     """
     family: list[Graph] = []
+    base = max_edges + 1
     for n in range(max_vertices + 1):
         pairs = list(itertools.combinations(range(n), 2))
-        perms = list(itertools.permutations(range(n)))
-        seen: set[tuple] = set()
+        # digit weights of the pairs under each relabelling, the identity's first
+        weights = [
+            [base ** (perm[a] * n + perm[b]) for a, b in pairs]
+            for perm in itertools.permutations(range(n))
+        ]
+        seen: set[int] = set()
         for m in range(max_edges + 1):
-            for combo in itertools.combinations_with_replacement(pairs, m):
-                key = min(tuple(sorted((perm[a], perm[b]) for a, b in combo)) for perm in perms)
-                if key not in seen:
-                    seen.add(key)
-                    family.append(_graph_from_pairs(n, combo))
+            for combo in itertools.combinations_with_replacement(range(len(pairs)), m):
+                if sum(weights[0][k] for k in combo) not in seen:
+                    seen.update(sum(w[k] for k in combo) for w in weights)
+                    family.append(_graph_from_pairs(n, [pairs[k] for k in combo]))
     return tuple(family)
 
 

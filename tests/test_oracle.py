@@ -41,6 +41,7 @@ from leavitt.oracle import (
     _block_ideal,
     _sink_paths,
     _solve,
+    _span_key,
     _sum_of_ideals,
     block_cache,
 )
@@ -383,6 +384,39 @@ def test_ideal_equality_and_block_key():
         i3 = ideal_generated_by(other, [other.vertex_image(graph.vertices[0])])
         assert i3.block_key == i1.block_key and i3 != i1 and i1 != i3
     assert i1 != i1.block_key
+    # the zero, a partial and the full span of one block: RREF bytes, but the
+    # pivots alone for the full span, whose RREF basis is the identity
+    partial = reduce_rowspace(algebra.vertex_image("b"), 2)
+    spans = (zero.spans[0], partial, i1.spans[0])
+    keys = [_span_key(*span) for span in spans]
+    assert len(set(keys)) == 3
+    assert keys == [b"", partial[0].tobytes(), (0, 1, 2, 3)]
+    assert zero.block_key == (b"",) and i1.block_key == ((0, 1, 2, 3),)
+
+
+def test_generators_with_one_row_space_share_one_ideal_solve(monkeypatch):
+    # e[i, 0] and e[j, 0] span different subspaces of a block's n * n
+    # columns, but their rows span one row space, all that the solve reads
+    solves = []
+    block_ideal = oracle._block_ideal
+
+    def counted(n, p, rows):
+        solves.append(n)
+        return block_ideal(n, p, rows)
+
+    monkeypatch.setattr(oracle, "_block_ideal", counted)
+    chain = Graph(("a", "b", "c"), (("e", "a", "b"), ("f", "b", "c")))
+    for graph, n in ((path_ab(), 2), (chain, 3)):
+        for p in (2, 3):
+            algebra = build_oracle(graph, p)  # one sink: one block of size n
+            first, last = zero(algebra), zero(algebra)
+            first[0], last[(n - 1) * n] = 1, 1
+            assert not np.array_equal(reduce_rowspace(first, p)[0], reduce_rowspace(last, p)[0])
+            solves.clear()
+            with block_cache():
+                ideals = [ideal_generated_by(algebra, [x]) for x in (first, last)]
+            assert solves == [n]
+            assert ideals[0] == ideals[1] and ideals[0].dim == n * n
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -790,15 +824,22 @@ def _nonzero_block_spans(n, p, rng):
     return [reduce_rowspace(np.array(rows), p) for rows in [[unit], rank_one, *randoms]]
 
 
+def _row_basis(span, n, p):
+    """R, the input of a block ideal solve: the RREF basis of the span of
+    the rows of the n x n matrices of a span."""
+    return reduce_rowspace(span[0].reshape(-1, n), p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_the_block_ideal_of_a_nonzero_span_is_the_whole_block(p):
     # M_n is simple; a column step that read the rows of A·S would stop short
     rng = Random(f"whole block {p}")
     for n in range(1, 7):
         for span in _nonzero_block_spans(n, p, rng):
+            rows = _row_basis(span, n, p)
             for scope in (nullcontext(), block_cache()):
                 with scope:
-                    basis, pivots = _solve("ideal", _block_ideal, n, p, span)
+                    basis, pivots = _solve("ideal", _block_ideal, n, p, rows)
                 assert pivots == tuple(range(n * n))
                 assert np.array_equal(basis, np.eye(n * n, dtype=np.int64))
 
@@ -813,7 +854,7 @@ def test_a_one_pass_result_short_of_full_rank_fails_the_audit(monkeypatch):
         for n in (2, 3, 4):
             for span in _nonzero_block_spans(n, p, rng):
                 with pytest.raises(ValueError, match="subspace is not closed"):
-                    _block_ideal(n, p, span)
+                    _block_ideal(n, p, _row_basis(span, n, p))
 
 
 def test_perp_of_a_span_across_blocks():
@@ -929,7 +970,9 @@ def test_ideals_differing_in_one_block_get_different_keys():
     # blocks of one size: their keys are per block, not concatenated bytes
     c, d, cd = (memo.of_vertices(s) for s in (["c"], ["d"], ["c", "d"]))
     assert [x == y for x, y in zip(c.block_key, cd.block_key)] == [True, True, False]
-    assert b"".join(c.block_key) == b"".join(d.block_key)
+    assert b"".join(basis.tobytes() for basis, _pivots in c.spans) == b"".join(
+        basis.tobytes() for basis, _pivots in d.spans
+    )
     assert c.block_key != d.block_key and c != d
 
 

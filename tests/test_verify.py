@@ -97,6 +97,14 @@ def test_config_refuses_prime_past_the_int64_bound():
         VerifyConfig(prime=bad)
 
 
+def test_verify_runs_at_the_largest_accepted_prime(capsys):
+    # each Laurent element checks its prime, by trial division up to its root
+    good, _bad = primes_around(max_exact_prime(DEFAULT_DIMENSION_CAP))
+    argv = ["verify", "--prime", str(good), "--max-vertices", "3", "--max-edges", "3"]
+    assert main([*argv, "--trials", "25"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "result: PASS"
+
+
 def test_random_graph_stream_is_seeded():
     a = [random_graph(Random(7), 5, 8) for _ in range(10)]
     b = [random_graph(Random(7), 5, 8) for _ in range(10)]
@@ -140,6 +148,28 @@ def referee_acyclic_graphs(max_vertices, max_edges):
     return family
 
 
+def least_relabelling_acyclic_graphs(max_vertices, max_edges):
+    """Referee for the order: edge multisets over the pairs (i, j) with i < j,
+    each keyed by its least relabelling; the first of each class is kept."""
+    family = []
+    for n in range(max_vertices + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        perms = list(itertools.permutations(range(n)))
+        seen = set()
+        for m in range(max_edges + 1):
+            for combo in itertools.combinations_with_replacement(pairs, m):
+                key = min(tuple(sorted((perm[a], perm[b]) for a, b in combo)) for perm in perms)
+                if key not in seen:
+                    seen.add(key)
+                    family.append(
+                        Graph(
+                            tuple(f"v{i}" for i in range(n)),
+                            tuple((f"e{k}", f"v{a}", f"v{b}") for k, (a, b) in enumerate(combo)),
+                        )
+                    )
+    return family
+
+
 def class_key(graph):
     """Isomorphism-class key of a graph on vertices v0..v(n-1)."""
     n = len(graph.vertices)
@@ -156,6 +186,8 @@ def test_exhaustive_family_matches_the_ordered_pair_referee(bounds):
     keys = [class_key(g) for g in family]
     assert len(set(keys)) == len(keys)  # one graph per class
     assert set(keys) == {class_key(g) for g in referee_acyclic_graphs(*bounds)}
+    # the same representatives in the same order, graph for graph
+    assert list(family) == least_relabelling_acyclic_graphs(*bounds)
     if bounds == (4, 5):
         assert len(family) == 198
 
@@ -473,9 +505,11 @@ def test_an_algebra_that_fails_its_audit_fails_its_rows(monkeypatch, capsys):
     assert detail.startswith("setup failed: ghost source/range relation fails for edge ")
 
 
-def returns_its_input(n, p, span):
-    """A broken block solve: the ideal generated by a span is the span."""
-    return span
+def returns_its_input(n, p, rows):
+    """A broken block solve: the ideal generated by a span is the matrices
+    whose first row lies in its row basis, and whose other rows are zero."""
+    basis, pivots = rows
+    return np.pad(basis, ((0, 0), (0, n * n - n))), pivots
 
 
 def test_a_trial_that_raises_while_shrinking_is_a_failure(monkeypatch):
@@ -573,9 +607,9 @@ def test_runs_in_process_inside_a_daemonic_worker(monkeypatch):
 # -- the block cache lives for one command ------------------------------------------------
 
 
-def forgets_the_generators(n, p, span):
+def forgets_the_generators(n, p, rows):
     """A broken block solve: every generated ideal is zero."""
-    return span[0][:0], ()
+    return np.zeros((0, n * n), dtype=np.int64), ()
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
