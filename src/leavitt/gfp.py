@@ -3,8 +3,8 @@
 Row spaces are kept in reduced row echelon form, which is canonical: two
 subspaces are equal iff their RREF matrices are equal, so RREF bytes double
 as the oracle's block keys (a full-rank RREF is the identity, so there its
-pivots do).  Because the form is fully reduced, reducing a
-vector against a basis is a single matrix product, not a pivot loop.
+pivots do).  Because the form is fully reduced, reducing a vector against a
+basis is a single matrix product, not a pivot loop.
 
 :func:`rref` picks its kernel by the prime alone.  Over GF(2) each row is
 packed into a Python int (column c at bit ``cols - 1 - c``) and eliminated

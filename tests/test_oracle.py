@@ -389,7 +389,6 @@ def test_ideal_equality_and_block_key():
     partial = reduce_rowspace(algebra.vertex_image("b"), 2)
     spans = (zero.spans[0], partial, i1.spans[0])
     keys = [_span_key(*span) for span in spans]
-    assert len(set(keys)) == 3
     assert keys == [b"", partial[0].tobytes(), (0, 1, 2, 3)]
     assert zero.block_key == (b"",) and i1.block_key == ((0, 1, 2, 3),)
 

@@ -139,10 +139,7 @@ def referee_acyclic_graphs(max_vertices, max_edges):
                 if (n, key) in seen:
                     continue
                 seen.add((n, key))
-                graph = Graph(
-                    tuple(f"v{i}" for i in range(n)),
-                    tuple((f"e{k}", f"v{a}", f"v{b}") for k, (a, b) in enumerate(combo)),
-                )
+                graph = numbered_graph(n, combo)
                 if graph.is_acyclic():
                     family.append(graph)
     return family
@@ -161,13 +158,16 @@ def least_relabelling_acyclic_graphs(max_vertices, max_edges):
                 key = min(tuple(sorted((perm[a], perm[b]) for a, b in combo)) for perm in perms)
                 if key not in seen:
                     seen.add(key)
-                    family.append(
-                        Graph(
-                            tuple(f"v{i}" for i in range(n)),
-                            tuple((f"e{k}", f"v{a}", f"v{b}") for k, (a, b) in enumerate(combo)),
-                        )
-                    )
+                    family.append(numbered_graph(n, combo))
     return family
+
+
+def numbered_graph(n, pairs):
+    """Vertices v0..v(n-1), and edge e<k> from v<a> to v<b> for the k-th pair (a, b)."""
+    return Graph(
+        tuple(f"v{i}" for i in range(n)),
+        tuple((f"e{k}", f"v{a}", f"v{b}") for k, (a, b) in enumerate(pairs)),
+    )
 
 
 def class_key(graph):
@@ -505,7 +505,7 @@ def test_an_algebra_that_fails_its_audit_fails_its_rows(monkeypatch, capsys):
     assert detail.startswith("setup failed: ghost source/range relation fails for edge ")
 
 
-def returns_its_input(n, p, rows):
+def first_rows_only(n, p, rows):
     """A broken block solve: the ideal generated by a span is the matrices
     whose first row lies in its row basis, and whose other rows are zero."""
     basis, pivots = rows
@@ -515,7 +515,7 @@ def returns_its_input(n, p, rows):
 def test_a_trial_that_raises_while_shrinking_is_a_failure(monkeypatch):
     # the annihilator of a span that is not an ideal fails its closure audit
     # by raising, also in the trials that shrink the perp-graded witness
-    monkeypatch.setattr("leavitt.oracle._block_ideal", returns_its_input)
+    monkeypatch.setattr("leavitt.oracle._block_ideal", first_rows_only)
     outputs = one_and_two_workers(monkeypatch, VerifyConfig(max_vertices=3, max_edges=3, trials=5))
     assert outputs[0] == outputs[1]
     rows = {row["name"]: row for row in outputs[0][0]["rows"]}
