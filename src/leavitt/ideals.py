@@ -148,12 +148,18 @@ def maximal_graded_ideals(
     saturated and contains the set, so by maximality it is the set itself
     (regular) or everything (annihilator zero).  A set matching neither
     label would be a bug and raises.
+
+    The proper sets are walked largest first: a set is maximal unless a
+    maximal set kept before it contains it, since every proper superset is
+    larger and lies inside a maximal one.  That costs one test per kept
+    maximal set, not one per proper set.
     """
-    proper = hs_sets[:-1]
+    maximal: list[HereditarySaturatedSet] = []
+    for h in reversed(hs_sets[:-1]):
+        if not any(h.vertices < kept.vertices for kept in maximal):
+            maximal.append(h)
     out = []
-    for h in proper:
-        if any(h.vertices < other.vertices for other in proper):
-            continue
+    for h in reversed(maximal):
         regular = is_regular(h)
         perp_zero = not perp(h).vertices
         if regular and perp_zero:

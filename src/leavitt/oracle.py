@@ -36,10 +36,10 @@ Each sink block is a two-sided ideal, cut out by the central idempotent
 sum of its blocks, and ideals, annihilators and sums of ideals are solved
 one block at a time, on the block's n * n columns (a ring identity, not the
 vertex calculus under test): :func:`ideal_generated_by`,
-:func:`perp_subspace` and the subset sums of :class:`IdealMemo`.  The ideal
-generated by S is A·S·A in one pass, the right products of the left
-products of S, followed by a closure audit; each block annihilator is a
-nullspace, audited to be an ideal, reduced from the first constraint half.
+:func:`perp_subspace` and :func:`sum_of_ideals`.  The ideal generated by S
+is A·S·A in one pass, the right products of the left products of S,
+followed by a closure audit; each block annihilator is a nullspace,
+audited to be an ideal, reduced from the first constraint half.
 Product halves come in RREF, which :func:`leavitt.gfp.rref_pivots` checks
 rather than trusts.  An :class:`IdealSubspace` is held as its block spans,
 one RREF basis and its pivots per block, just as the solves return them;
@@ -60,14 +60,16 @@ generators' block, which is all that A·S reads of them, so generators
 with one row space share one solve.  The cache is held in a context
 variable for the length of the command (and, in a worker process of
 ``verify``, for the worker's life, which is within one command); it is
-never stored on an algebra, and outside a command nothing is cached.  The solves are deterministic, so the cache changes costs, not
-results.  Within one pass over an algebra, :class:`IdealMemo` builds the
-ideal of each vertex subset once: the ideal generated by a set is the sum
-of the ideals generated by its elements, so the ideal of X is the sum of
-that of X minus its last vertex and that vertex's ideal, reduced once per
-pair of interned ideals.  Ideals are interned, and annihilators and vertex
-sets memoized, by their block key: the tuple of the key of each block
-span, built once per object.
+never stored on an algebra, and outside a command nothing is cached.
+The solves are deterministic, so the cache changes costs, not results.
+It is the oracle's only memo: whole-algebra results (ideals, annihilators,
+vertex sets) are not kept, and a caller that asks twice pays the per-block
+cache lookups again.  The ideal generated by a set is the sum of the
+ideals generated by its elements, so a caller builds the ideal of a vertex
+set by folding :func:`sum_of_ideals` over its vertices' ideals; a block of
+an ideal is 0 or the whole block, so each such sum is a pick, not a solve.
+Two ideals compare equal by their block key: the tuple of the key of each
+block span.
 """
 
 from __future__ import annotations
@@ -373,8 +375,8 @@ class IdealSubspace:
     return them.  The spans are taken as given, with no audit: the block
     solves audit their results, and a sum of ideals is an ideal.  The
     whole-algebra ``basis`` is stitched from the spans on first use, for
-    the tests and the benchmark tracer; the oracle itself compares and
-    memoizes ideals by :attr:`block_key`.
+    the tests and the benchmark tracer; the oracle itself compares ideals
+    by :attr:`block_key`.
     """
 
     def __init__(self, algebra: OracleAlgebra, spans):
@@ -394,10 +396,11 @@ class IdealSubspace:
         """
         return _stitch(self.algebra, [(b, basis) for b, (basis, _pivots) in enumerate(self.spans)])
 
-    @cached_property
+    @property
     def block_key(self) -> BlockKey:
         """The :func:`_span_key` of each block span: two ideals of one algebra
-        are equal iff their keys are."""
+        are equal iff their keys are.  Built on each read, which costs less
+        than a cached property when, as here, a key is read once or twice."""
         return tuple(_span_key(*span) for span in self.spans)
 
     def __eq__(self, other) -> bool:
@@ -537,7 +540,7 @@ def ideal_generated_by(algebra: OracleAlgebra, generators) -> IdealSubspace:
     return IdealSubspace(algebra, spans)
 
 
-def _sum_of_ideals(a: IdealSubspace, b: IdealSubspace) -> IdealSubspace:
+def sum_of_ideals(a: IdealSubspace, b: IdealSubspace) -> IdealSubspace:
     """The sum of two ideals of one algebra, block by block; a sum of ideals is an ideal.
 
     A block where one side is zero, or spans the whole block, is the other
@@ -554,76 +557,6 @@ def _sum_of_ideals(a: IdealSubspace, b: IdealSubspace) -> IdealSubspace:
         else:
             spans.append(_solve("sum", _block_sum, n, algebra.p, head, last))
     return IdealSubspace(algebra, spans)
-
-
-class IdealMemo:
-    """Ideals of vertex subsets and annihilators over one algebra, each built once.
-
-    Holds one object per distinct ideal (interned by its
-    :attr:`~IdealSubspace.block_key`), the ideal of every subset asked for
-    and of its prefixes in graph vertex order, the sum of every pair of
-    interned ideals it has added, and the annihilator and vertex set of
-    every ideal asked for, all keyed by block keys.  Create one per
-    pass over an algebra and let it go with the pass.  The block solves
-    under these whole-algebra results are shared more widely, by every
-    algebra of one command, through :func:`block_cache`.
-    """
-
-    def __init__(self, algebra: OracleAlgebra):
-        self.algebra = algebra
-        self._interned: dict[BlockKey, IdealSubspace] = {}
-        self._by_subset: dict[tuple[str, ...], IdealSubspace] = {}
-        self._sums: dict[tuple[BlockKey, BlockKey], IdealSubspace] = {}
-        self._perps: dict[BlockKey, IdealSubspace] = {}
-        self._vertex_sets: dict[BlockKey, frozenset[str]] = {}
-
-    def _intern(self, ideal: IdealSubspace) -> IdealSubspace:
-        return self._interned.setdefault(ideal.block_key, ideal)
-
-    def of_vertices(self, vertices) -> IdealSubspace:
-        """Ideal generated by the images of the given vertices.
-
-        A single vertex's ideal comes from :func:`ideal_generated_by`; the
-        ideal of a larger subset is the :func:`_sum_of_ideals` of the ideal of the
-        subset minus its last vertex and of that vertex's ideal.  That sum is
-        built once per pair of interned ideals, however many subsets share it.
-        A subset held already costs one lookup; otherwise its prefixes back to
-        the longest one held are built, shortest first, with no recursion.
-        """
-        algebra = self.algebra
-        members = algebra.graph.vertex_subset(vertices)
-        key = tuple(v for v in algebra.graph.vertices if v in members)
-        held = self._by_subset.get(key)
-        if held is not None:
-            return held
-        missing = [key]
-        while len(missing[-1]) > 1 and missing[-1][:-1] not in self._by_subset:
-            missing.append(missing[-1][:-1])
-        for prefix in reversed(missing):
-            if len(prefix) <= 1:
-                ideal = ideal_generated_by(algebra, [algebra.vertex_image(v) for v in prefix])
-                self._by_subset[prefix] = self._intern(ideal)
-                continue
-            head, last = self._by_subset[prefix[:-1]], self.of_vertices(prefix[-1:])
-            pair = (head.block_key, last.block_key)
-            if pair not in self._sums:
-                self._sums[pair] = self._intern(_sum_of_ideals(head, last))
-            self._by_subset[prefix] = self._sums[pair]
-        return self._by_subset[key]
-
-    def perp(self, ideal: IdealSubspace) -> IdealSubspace:
-        """:func:`perp_subspace`, memoized by the block key of the argument."""
-        key = ideal.block_key
-        if key not in self._perps:
-            self._perps[key] = self._intern(perp_subspace(self.algebra, ideal))
-        return self._perps[key]
-
-    def vertex_set(self, ideal: IdealSubspace) -> frozenset[str]:
-        """:func:`vertex_set_of`, memoized by the block key of the argument."""
-        key = ideal.block_key
-        if key not in self._vertex_sets:
-            self._vertex_sets[key] = vertex_set_of(self.algebra, ideal)
-        return self._vertex_sets[key]
 
 
 def perp_subspace(algebra: OracleAlgebra, ideal: IdealSubspace) -> IdealSubspace:
@@ -648,13 +581,14 @@ def vertex_set_of(algebra: OracleAlgebra, ideal: IdealSubspace) -> frozenset[str
     iff each block of the element lies in that block's span.  The vertex
     image matrix is reduced against each span at once, on the block's
     columns; a vertex whose residual rows are all zero is a member.  A span
-    of full rank holds every element and is skipped.
+    of full rank holds every element and is skipped; a span with no rows
+    holds only 0, so there the residual is the images themselves.
     """
     outside = np.zeros(len(algebra.graph.vertices), dtype=bool)
     for b, (basis, pivots) in enumerate(ideal.spans):
         if len(pivots) < basis.shape[1]:
             images = algebra._vertex_matrix[:, algebra._columns(b)]
-            outside |= residual(images, basis, pivots, algebra.p).any(axis=1)
+            outside |= (residual(images, basis, pivots, algebra.p) if pivots else images).any(axis=1)
     return frozenset(v for v, out in zip(algebra.graph.vertices, outside) if not out)
 
 

@@ -35,7 +35,7 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial, reduce
 from random import Random
 
 import numpy as np
@@ -53,7 +53,6 @@ from .hereditary import (
 )
 from .laurent import LaurentElement, laurent_perp_is_zero
 from .oracle import (
-    IdealMemo,
     IdealSubspace,
     block_cache,
     build_oracle,
@@ -62,6 +61,7 @@ from .oracle import (
     perp_subspace,
     require_exact_prime,
     start_block_cache,
+    sum_of_ideals,
     vertex_set_of,
 )
 
@@ -254,9 +254,12 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None, seed=None, trial
     per-set rows, the lattice count, the trials.  ``algebra``, when given,
     is the graph's prebuilt algebra.  The sets come from the lattice pass
     with the regularity flags that ``leavitt lattice`` prints, and
-    ``regularity-verdict`` checks each flag as well as ``is_regular``.  Each
-    distinct ideal, and its vertex set, is built once per call: the per-set
-    rows and the lattice count share one :class:`IdealMemo`.  Each trial's
+    ``regularity-verdict`` checks each flag as well as ``is_regular``.  The
+    ideal of a vertex set is the sum of its vertices' ideals, folded in
+    graph vertex order; each vertex's ideal and the zero ideal are built
+    once per call, on first use inside the rows' own error handling, so a
+    broken solve fails the rows rather than the set-up.  The lattice count
+    reads the vertex set of each distinct ideal once.  Each trial's
     generators come from :func:`draw_generators`, on a stream seeded by
     ``seed`` and the graph (a str seed, which hashes alike under every
     ``PYTHONHASHSEED``), so the runner's task and the shrinker draw the same
@@ -276,22 +279,31 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None, seed=None, trial
     counts = dict.fromkeys(ORACLE_SET_ROWS, len(lattice))
     counts[ROW_LATTICE_COUNT] = 1
     failures: list[Failure] = []
-    memo = IdealMemo(algebra)
+
+    @cache
+    def generated(vertex: str | None) -> IdealSubspace:
+        """The ideal of one vertex, or at None the zero ideal."""
+        return ideal_generated_by(algebra, [] if vertex is None else [algebra.vertex_image(vertex)])
+
+    def ideal_of(vertices) -> IdealSubspace:
+        summands = [generated(v) for v in graph.vertices if v in vertices] or [generated(None)]
+        return reduce(sum_of_ideals, summands)
+
     for h, flag in lattice:
         # the label is built only for a failing row, since nearly every row passes
         def fail(row: str, detail: str) -> None:
             failures.append(Failure(row, graph, f"H={h.sorted_vertices()}: {detail}"))
 
         try:
-            ideal = memo.of_vertices(h.vertices)
-            perp1 = memo.perp(ideal)
-            perp2 = memo.perp(perp1)
+            ideal = ideal_of(h.vertices)
+            perp1 = perp_subspace(algebra, ideal)
+            perp2 = perp_subspace(algebra, perp1)
 
-            got = memo.vertex_set(perp1)
+            got = vertex_set_of(algebra, perp1)
             want = ideals.perp(h).vertices
             if got != want:
                 fail(ROW_PERP_VSET, f"oracle perp {sorted(got)} != calculus {sorted(want)}")
-            got2 = memo.vertex_set(perp2)
+            got2 = vertex_set_of(algebra, perp2)
             want2 = ideals.double_perp(h).vertices
             if got2 != want2:
                 fail(
@@ -314,23 +326,25 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None, seed=None, trial
                 fail(row, f"check raised {exc!r}")
 
     try:
-        keys = set()
+        vertex_sets: dict = {}  # the oracle vertex set of each distinct ideal, by block key
         for size in range(len(graph.vertices) + 1):
             for subset in itertools.combinations(graph.vertices, size):
-                ideal = memo.of_vertices(subset)
-                keys.add(ideal.block_key)
+                ideal = ideal_of(subset)
+                key = ideal.block_key
+                if key not in vertex_sets:
+                    vertex_sets[key] = vertex_set_of(algebra, ideal)
+                got = vertex_sets[key]
                 closed = hs_closure(graph, subset)
-                got = memo.vertex_set(ideal)
                 if got != closed.vertices:
                     raise AssertionError(
                         f"X={sorted(subset)}: oracle vertex set {sorted(got)} != "
                         f"closure {closed.sorted_vertices()}"
                     )
         expected = 2 ** len(graph.sinks())
-        if not (len(keys) == len(lattice) == expected):
+        if not (len(vertex_sets) == len(lattice) == expected):
             raise AssertionError(
                 f"(oracle ideals, lattice size, 2^sinks) = "
-                f"({len(keys)}, {len(lattice)}, {expected})"
+                f"({len(vertex_sets)}, {len(lattice)}, {expected})"
             )
     except Exception as exc:
         failures.append(Failure(ROW_LATTICE_COUNT, graph, f"count check failed: {exc}"))

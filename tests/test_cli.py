@@ -20,7 +20,7 @@ from leavitt import (
     lattice_with_regularity,
     load_graph,
 )
-from leavitt import cli
+from leavitt import cli, verify
 from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
 
@@ -431,6 +431,25 @@ def test_oracle_check_matches_its_golden_copy(capsys):
         assert main(["oracle-check", "--graph", str(golden / "oracle-7v.json"), "--prime", prime]) == 0
         want = (golden / f"oracle-check-7v-prime{prime}.txt").read_text(encoding="utf-8")
         assert capsys.readouterr().out == want
+
+
+def test_oracle_check_reads_each_distinct_ideals_vertex_set_once(monkeypatch, capsys):
+    # two reads per lattice set (its annihilator and double annihilator),
+    # then one per distinct ideal of the 2^7 subsets: at most 2^sinks of them
+    graph_file = str(Path(__file__).parent / "golden" / "oracle-7v.json")
+    graph = load_graph(graph_file)
+    reads = []
+    vertex_set_of = verify.vertex_set_of
+
+    def counted(algebra, ideal):
+        reads.append(ideal)
+        return vertex_set_of(algebra, ideal)
+
+    monkeypatch.setattr(verify, "vertex_set_of", counted)
+    assert main(["oracle-check", "--graph", graph_file, "--prime", "5"]) == 0
+    capsys.readouterr()
+    lattice = enumerate_hs_sets(graph)
+    assert 2 * len(lattice) < len(reads) <= 2 * len(lattice) + 2 ** len(graph.sinks())
 
 
 # calculus-4v: a loop with an exit (u) next to a sink fed by two parallel

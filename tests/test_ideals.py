@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given
 
@@ -20,6 +22,7 @@ from leavitt import (
     perp,
     quotient_graph,
 )
+from leavitt.verify import random_graph
 
 from .strategies import graphs, graphs_with_subset
 
@@ -221,6 +224,25 @@ def test_maximal_labels_match_the_separate_calls(g):
             (True, False): CLASS_REGULAR,
             (False, True): CLASS_PERP_ZERO,
         }[(regular, perp_zero)]
+
+
+def maximal_by_pairwise_search(hs_sets):
+    """The maximal proper sets in listing order, each compared with every proper set."""
+    proper = hs_sets[:-1]
+    return [h for h in proper if not any(h.vertices < other.vertices for other in proper)]
+
+
+def _maximal_referee_graphs():
+    edgeless = [Graph(tuple(f"v{i}" for i in range(n)), ()) for n in range(9)]
+    rng = Random(42)  # verify's default calculus family: its seed and bounds
+    return edgeless + [random_graph(rng, 5, 8) for _ in range(500)]
+
+
+def test_maximal_sets_match_the_pairwise_search():
+    for g in _maximal_referee_graphs():
+        hs_sets = enumerate_hs_sets(g)
+        got = maximal_graded_ideals(hs_sets)
+        assert [h for h, _label in got] == maximal_by_pairwise_search(hs_sets)
 
 
 # -- kept values: a set keeps its annihilator and quotient, a graph its exit-free cycles --

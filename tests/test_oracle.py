@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from functools import reduce
 from contextlib import nullcontext
 from pathlib import Path
 from random import Random
@@ -37,13 +38,12 @@ from leavitt.gfp import (
 )
 from leavitt.oracle import (
     _BLOCK_CACHE,
-    IdealMemo,
     _block_ideal,
     _sink_paths,
     _solve,
     _span_key,
-    _sum_of_ideals,
     block_cache,
+    sum_of_ideals,
 )
 from leavitt.verify import _oracle_task, draw_generators, exhaustive_acyclic_graphs
 
@@ -91,6 +91,14 @@ def audited_ideal(algebra, vectors):
     if len(pivots) < algebra.dimension:  # the full space is trivially closed
         oracle._check_closed(algebra.product_rows(basis), basis, pivots, algebra.p)
     return IdealSubspace(algebra, block_spans(algebra, basis))
+
+
+def summed_ideal(algebra, vertices):
+    """The ideal of a vertex set as ``verify`` builds it: the sum of its
+    vertices' ideals in graph vertex order, from the zero ideal."""
+    members = [v for v in algebra.graph.vertices if v in vertices]
+    singles = [ideal_generated_by(algebra, [algebra.vertex_image(v)]) for v in members]
+    return reduce(sum_of_ideals, singles, ideal_generated_by(algebra, []))
 
 
 def whole(ideal):
@@ -422,22 +430,20 @@ def test_generators_with_one_row_space_share_one_ideal_solve(monkeypatch):
 def test_summed_subset_ideals_match_generation(p):
     for graph in exhaustive_acyclic_graphs(3, 4):
         algebra = build_oracle(graph, p)
-        memo = IdealMemo(algebra)
         for size in range(len(graph.vertices) + 1):
             for subset in itertools.combinations(graph.vertices, size):
-                summed = memo.of_vertices(subset)
+                summed = summed_ideal(algebra, subset)
                 generated = ideal_generated_by(algebra, [algebra.vertex_image(v) for v in subset])
                 assert summed.block_key == generated.block_key
                 assert whole(summed)[1] == whole(generated)[1]
-                # one ideal by prefix sums and by generation: one key, one interned object
-                assert summed == generated and memo._intern(generated) is summed
+                # one ideal by summing and by generation
+                assert summed == generated
                 # the sum skipped the audit; the whole-algebra audit must accept it
                 audited = audited_ideal(algebra, summed.basis)
                 assert audited.block_key == summed.block_key
-                assert memo.of_vertices(reversed(subset)) is summed
-                perp = memo.perp(summed)
-                assert perp.block_key == perp_subspace(algebra, summed).block_key
-                assert memo.perp(summed) is perp and memo.perp(generated) is perp
+                assert summed_ideal(algebra, subset[::-1]) == summed
+                perp = perp_subspace(algebra, summed)
+                assert perp.block_key == perp_subspace(algebra, generated).block_key
 
 
 def _spans(algebra, basis, vector):
@@ -480,13 +486,11 @@ def test_rref_gradedness_and_vertex_sets_match_the_per_vector_referee(p):
     verdicts = Counter()
     for graph in exhaustive_acyclic_graphs(3, 4):
         algebra = build_oracle(graph, p)
-        memo = IdealMemo(algebra)
         for size in range(len(graph.vertices) + 1):
             for subset in itertools.combinations(graph.vertices, size):
-                ideal = memo.of_vertices(subset)
-                for held in (ideal, memo.perp(ideal)):
+                ideal = summed_ideal(algebra, subset)
+                for held in (ideal, perp_subspace(algebra, ideal)):
                     assert vertex_set_of(algebra, held) == _referee_vertex_set(algebra, held.basis)
-                    assert memo.vertex_set(held) == vertex_set_of(algebra, held)
                     verdict = is_graded_subspace(algebra, held)
                     assert verdict == _referee_is_graded(algebra, held.basis)
                     verdicts["ideal", verdict] += 1
@@ -517,34 +521,47 @@ def test_rref_gradedness_and_vertex_sets_match_the_per_vector_referee(p):
     assert set(verdicts) == {("ideal", True), ("whole", True), ("whole", False), ("blocks", True), ("blocks", False)}
 
 
-def test_memo_interns_equal_ideals():
+def test_equal_ideals_compare_equal():
     # M_2 is simple: a and b generate the same ideal, and so does {a, b}
-    memo = IdealMemo(build_oracle(path_ab(), 3))
-    whole = memo.of_vertices({"a"})
-    assert memo.of_vertices({"b"}) is whole
-    assert memo.of_vertices({"a", "b"}) is whole
-    assert memo.perp(memo.perp(whole)) is whole
+    algebra = build_oracle(path_ab(), 3)
+    whole = summed_ideal(algebra, {"a"})
+    assert summed_ideal(algebra, {"b"}) == whole
+    assert summed_ideal(algebra, {"a", "b"}) == whole
+    assert perp_subspace(algebra, perp_subspace(algebra, whole)) == whole
 
 
-def test_memo_reduces_each_distinct_sum_once(monkeypatch):
-    # 7 vertices and 3 sinks: 2^7 subsets, at most 2^3 distinct ideals
+def test_subset_sums_run_no_block_sum_solves(monkeypatch):
+    # 7 vertices and 3 sinks: 2^7 subsets, 2^3 distinct ideals, and every
+    # block of an ideal is 0 or the whole block, so no sum needs a solve
     graph = load_graph(str(Path(__file__).parent / "golden" / "oracle-7v.json"))
     algebra = build_oracle(graph, 2)
-    memo = IdealMemo(algebra)
-    singles = {v: memo.of_vertices([v]) for v in graph.vertices}
-    calls = []
+    singles = {v: ideal_generated_by(algebra, [algebra.vertex_image(v)]) for v in graph.vertices}
+    zero_ideal = ideal_generated_by(algebra, [])
+    solves, reductions = [], []
+    block_sum, reduce_rows = oracle._block_sum, oracle.reduce_rowspace
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return reduce_rowspace(*args, **kwargs)
+    def counted_sum(*args):
+        solves.append(args)
+        return block_sum(*args)
 
-    monkeypatch.setattr("leavitt.oracle.reduce_rowspace", counted)
+    def counted_reduction(*args, **kwargs):
+        reductions.append(args)
+        return reduce_rows(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_block_sum", counted_sum)
+    monkeypatch.setattr(oracle, "reduce_rowspace", counted_reduction)
     subsets = [s for size in range(8) for s in itertools.combinations(graph.vertices, size)]
-    got = {subset: memo.of_vertices(subset) for subset in subsets}
+    got = {subset: reduce(sum_of_ideals, [singles[v] for v in subset], zero_ideal) for subset in subsets}
+    assert solves == [] and reductions == []
+    # the count is live: two partial spans of one block need a solve
+    row = zero(algebra)
+    row[0] = 1
+    line = IdealSubspace(algebra, block_spans(algebra, [row]))
+    sum_of_ideals(line, IdealSubspace(algebra, block_spans(algebra, [np.roll(row, 1)])))
+    assert len(solves) == 1
     monkeypatch.undo()
-    pairs = {(id(memo.of_vertices(s[:-1])), id(singles[s[-1]])) for s in subsets if len(s) > 1}
-    assert len(calls) <= len(pairs) < len(subsets) - 1 - len(graph.vertices)
-    # unchanged: each subset's ideal is still its head's extended by its last vertex's
+    assert len({ideal.block_key for ideal in got.values()}) == 2 ** len(algebra.sinks)
+    # each subset's ideal is its head's extended by its last vertex's
     want = {(): whole(got[()])}
     for subset in subsets[1:]:
         want[subset] = reduce_rowspace(singles[subset[-1]].basis, 2, *want[subset[:-1]])
@@ -552,10 +569,9 @@ def test_memo_reduces_each_distinct_sum_once(monkeypatch):
         assert got[subset].basis.tobytes() == want[subset][0].tobytes()
 
 
-def test_memo_rejects_unknown_vertices():
-    memo = IdealMemo(build_oracle(path_ab(), 2))
+def test_vertex_image_rejects_unknown_vertices():
     with pytest.raises(UnknownVertexError):
-        memo.of_vertices({"a", "zz"})
+        build_oracle(path_ab(), 2).vertex_image("zz")
 
 
 def _random_element(algebra, rng):
@@ -767,14 +783,13 @@ def _referee_results(cases):
 
 
 def _block_results(cases):
-    """The same from the block solves; a hereditary saturated set's ideal also as memo sums."""
-    memos = {}
+    """The same from the block solves; a hereditary saturated set's ideal also
+    as the sum of its vertices' ideals."""
     out = []
     for algebra, kind, case in cases:
         ideal = ideal_generated_by(algebra, _generators(algebra, kind, case))
         if kind == "hs":
-            memo = memos.setdefault(id(algebra), IdealMemo(algebra))
-            summed = memo.of_vertices(case)
+            summed = summed_ideal(algebra, case)
             assert _sig(*whole(summed)) == _sig(*whole(ideal))
         subspaces = [ideal] if kind == "vertex" else [ideal, perp_subspace(algebra, ideal)]
         out.append([_sig(*whole(s)) for s in subspaces])
@@ -891,7 +906,7 @@ def test_block_sums_of_partial_spans():
             want = rref(np.vstack(rows[0] + rows[1]), p)
             for scope in (nullcontext(), block_cache()):
                 with scope:
-                    got = _sum_of_ideals(head, last)
+                    got = sum_of_ideals(head, last)
                 assert _sig(*whole(got)) == _sig(*want)
                 assert vertex_set_of(algebra, got) == _whole_vertex_set(algebra, got.basis)
                 verdict = is_graded_subspace(algebra, got)
@@ -959,15 +974,14 @@ def test_ideals_differing_in_one_block_get_different_keys():
     # path a -> b plus two isolated sinks: blocks of sizes 2, 1 and 1
     graph = Graph(("a", "b", "c", "d"), (("e", "a", "b"),))
     algebra = build_oracle(graph, 3)
-    memo = IdealMemo(algebra)
     subsets = [s for size in range(5) for s in itertools.combinations(graph.vertices, size)]
-    ideals = {memo.of_vertices(s).block_key: memo.of_vertices(s) for s in subsets}
+    ideals = {ideal.block_key: ideal for ideal in (summed_ideal(algebra, s) for s in subsets)}
     assert len(ideals) == 2 ** len(algebra.sinks)
     for one, other in itertools.combinations(ideals.values(), 2):
         assert one != other
     # c and cd differ in block d only; c and d hold one unit each, in two
     # blocks of one size: their keys are per block, not concatenated bytes
-    c, d, cd = (memo.of_vertices(s) for s in (["c"], ["d"], ["c", "d"]))
+    c, d, cd = (summed_ideal(algebra, s) for s in (["c"], ["d"], ["c", "d"]))
     assert [x == y for x, y in zip(c.block_key, cd.block_key)] == [True, True, False]
     assert b"".join(basis.tobytes() for basis, _pivots in c.spans) == b"".join(
         basis.tobytes() for basis, _pivots in d.spans
