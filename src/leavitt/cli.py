@@ -23,7 +23,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .graphdoc import dump_graph_json, load_graph
-from .hereditary import hs_closure, lattice_with_regularity
+from .hereditary import hs_closure, lattice_pass, lattice_with_regularity
 from .ideals import analyze, perp, quotient_graph
 from .oracle import block_cache, build_oracle
 from .verify import VerifyConfig, oracle_checks_for_graph, run_verification
@@ -62,50 +62,39 @@ def cmd_analyze(args) -> int:
 
 def cmd_lattice(args) -> int:
     graph = load_graph(args.graph)
-    flagged = lattice_with_regularity(graph)
     if args.dot:
-        print(_lattice_dot(graph, list(flagged)), end="")
+        print(_lattice_dot(graph, list(lattice_with_regularity(graph))), end="")
         return 0
     if args.json:
-        _write_lattice_json(graph, flagged, sys.stdout)
+        _write_lattice_json(graph, sys.stdout)
         return 0
-    lines = [
-        f"{_format_names(h.sorted_vertices())} regular={'yes' if reg else 'no'}" for h, reg in flagged
-    ]
-    print(f"{len(lines)} hereditary saturated sets", *lines, sep="\n")
+    count, listing = lattice_pass(graph, lambda v: v + ", ", "")
+    print(f"{count} hereditary saturated sets")
+    for members, reg in listing:
+        sys.stdout.write(f"{{{members[:-2]}}} regular={'yes' if reg else 'no'}\n")
     return 0
 
 
-def _write_lattice_json(graph, flagged, out) -> None:
+def _write_lattice_json(graph, out) -> None:
     """Write ``json.dump(entries, out, indent=2)`` and a newline, one set at a time.
 
     ``entries`` is ``[{"vertices": [...sorted names], "is_regular": flag}]``
-    over the ``(set, flag)`` pairs of ``flagged``, which is read once, in
-    order, and may be an iterator.  Each set's names come in the order that
-    ``sorted_vertices()`` holds, which for a set of the lattice pass is the
-    pass's own, so nothing is sorted here.  Each vertex name is encoded once,
-    and when every name encodes to itself in quotes (checked once per graph),
-    a member list is written with one join over the bare names; otherwise
-    each name's encoding is looked up.  Each entry is written as soon as its
-    pair arrives, so the writer holds neither the document nor the listing.
-    Nothing is written before the first pair arrives, so an iterator that
-    raises at its first step leaves ``out`` empty.
+    over the sets of the lattice pass, in its order.  Each vertex name is
+    encoded once, with the separator that follows it in a member list, into
+    the pass's per-chunk tables, so the pass hands each set over as its member
+    list already written: the writer cuts the last separator and writes the
+    entry, and no set object is formed.  Each entry is written as soon as the
+    pass yields it, so the writer holds neither the document nor the listing.
+    A graph past the cutoff is refused before anything is written.
     """
-    quoted = {v: json.dumps(v) for v in graph.vertices}
-    plain = all(q == f'"{v}"' for v, q in quoted.items())
+    _, listing = lattice_pass(graph, lambda v: json.dumps(v) + ",\n      ", "")
     opening = "[\n"
-    for h, reg in flagged:
-        names = h.sorted_vertices()
-        if not names:
-            vertices = "[]"
-        elif plain:
-            vertices = '[\n      "' + '",\n      "'.join(names) + '"\n    ]'
-        else:
-            vertices = "[\n      " + ",\n      ".join([quoted[v] for v in names]) + "\n    ]"
+    for members, reg in listing:
+        vertices = f"[\n      {members[:-8]}\n    ]" if members else "[]"  # cut the last ",\n      "
         flag = "true" if reg else "false"
         out.write(f'{opening}  {{\n    "vertices": {vertices},\n    "is_regular": {flag}\n  }}')
         opening = ",\n"
-    out.write("[]\n" if opening == "[\n" else "\n]\n")
+    out.write("\n]\n")
 
 
 def _lattice_dot(graph, flagged) -> str:

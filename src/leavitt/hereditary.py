@@ -9,20 +9,17 @@ lattice of graded ideals of the path algebra.
 
 Both halves are one rule about emitters: an emitter is in the set exactly
 when all of its edges land inside.  :class:`HereditarySaturatedSet` checks
-that rule in one pass over the emitters (sinks are skipped), with one subset
-test of each emitter's edge targets against the set, and the closure is
-linear in the size of the graph too.  Only the lattice pass works on
-bitmasks: it branches over strongly connected components with bare masks,
-so its work grows with the number of sets it lists, and it reads each set's
-regularity off the same masks.  Per listed set it then does a fixed number
-of lookups, one per 8-bit chunk of its masks, and one checked construction,
-which is O(V + E).  The lookups form the set's member names already in
-sorted order, and the set keeps that order as its ``sorted_vertices()``: a
-listed set is sorted once, by the pass, and ``leavitt lattice`` writes its
-names with one join (any other set sorts on first use, once).  The pass is
-an iterator: it keeps one mask per set, but forms and yields the set
-objects one at a time, so a caller that writes each set out as it comes
-never holds them all.
+that rule in one pass over the emitters, and the closure is linear in the
+size of the graph too.  Only the lattice pass works on bitmasks: it branches
+over strongly connected components, reads each set's regularity off the
+same masks, checks each set's mask against the rule, and writes each set's
+members in sorted order through one lookup per 8-bit chunk, all in a fixed
+number of mask operations per listed set.  A caller says how a member is
+written, so ``leavitt lattice`` writes its listing with no set object;
+:func:`lattice_with_regularity` builds each set through the checking
+constructor, which keeps the pass's sorted names as its ``sorted_vertices()``.
+Both yield one set at a time, so a caller that writes each set out as it
+comes never holds them all.
 """
 
 from __future__ import annotations
@@ -37,8 +34,8 @@ from .graphs import Graph
 # The lattice pass costs O(#components) per listed set, but a graph with n
 # vertices can have 2^n sets (no edges); past this many vertices it refuses.
 ENUMERATION_CUTOFF = 20
-# The tail of the lattice pass reads masks through lookup tables of this many
-# bits: at most three lookups per table and set below the cutoff.
+# The lattice pass reads masks through one lookup table per chunk of this many
+# bits: three tables, so three lookups, cover the cutoff.
 CHUNK_BITS = 8
 
 
@@ -114,10 +111,26 @@ def enumerate_hs_sets(graph: Graph) -> list[HereditarySaturatedSet]:
 def lattice_with_regularity(graph: Graph) -> Iterator[tuple[HereditarySaturatedSet, bool]]:
     """Every hereditary saturated subset with its regularity flag, one at a time.
 
-    An iterator: each set is yielded as soon as it is formed, so a caller
-    that writes the sets out never holds them all.  The cap on the number of
-    vertices is checked, and :class:`LatticeTooLargeError` raised, at its
-    first step, before anything is yielded.
+    The sets and flags of :func:`lattice_pass`, each set built through the
+    checking constructor from the member names that the pass looked up, which
+    it keeps as its ``sorted_vertices()``.  An iterator: each set is yielded
+    as soon as it is formed, and :class:`LatticeTooLargeError` is raised at
+    its first step, before anything is yielded.
+    """
+    _, listing = lattice_pass(graph, lambda v: (v,), ())
+    for members, regular in listing:
+        listed = HereditarySaturatedSet(graph, members)
+        object.__setattr__(listed, "_sorted", members)  # sorted_vertices() hands it back
+        yield listed, regular
+
+
+def lattice_pass(graph: Graph, piece, empty) -> tuple[int, Iterator[tuple[object, bool]]]:
+    """The number of hereditary saturated sets, and the sets with their flags.
+
+    Each set comes as ``empty`` plus ``piece(v)`` for each member v in sorted
+    order (a one-name tuple, say, or an encoded name and its separator), with
+    its regularity flag, in (size, membership) order.  The cap on the number
+    of vertices is checked, and :class:`LatticeTooLargeError` raised, here.
 
     The pass branches over strongly connected components, successors first,
     carrying each partial set as a bare mask.  A hereditary set holds each
@@ -132,14 +145,12 @@ def lattice_with_regularity(graph: Graph) -> Iterator[tuple[HereditarySaturatedS
     The flag is the formula of :func:`leavitt.ideals.perp` on bitmasks:
     bar(H) is the OR of the backward reach masks of H's vertices, perp(H) is
     everything outside bar(H), and H is regular iff H == perp(perp(H)).
-    bar(H), bar(perp(H)) and H's member names are read through two tables
-    per 8-bit chunk of a mask (the OR of the backward reach masks of the
-    chunk's bits, and the chunk's names in sorted order), so each costs at
-    most three lookups below the cutoff, and the names come out in sorted
-    order.  Each yielded set is still built through the checking
-    constructor, O(V + E), from those names, and keeps them as its
-    ``sorted_vertices()``: the pass sorts each set once, and a writer joins
-    the names as they are.
+    bar(H), bar(perp(H)) and H's pieces are read through one table per 8-bit
+    chunk of a mask (the OR of the backward reach masks of the chunk's bits,
+    and the chunk's pieces in sorted order): three lookups each.  Each mask
+    is checked against the constructor's rule before it is yielded, one test
+    per emitter (in H exactly when its successor mask lies in H), and one
+    that breaks it raises the constructor's own ``ValueError``.
 
     Bit ``n - 1 - i`` stands for the i-th vertex in sorted order, so the
     masks are put in one bucket per size, and each bucket is listed in
@@ -179,41 +190,41 @@ def lattice_with_regularity(graph: Graph) -> Iterator[tuple[HereditarySaturatedS
     by_size = [[] for _ in range(n + 1)]
     for h in partial:
         by_size[h.bit_count()].append(h)
+    count = len(partial)
     del partial
+    emitters = [(b, s) for b, s in succ.items() if s]
     everything = (1 << n) - 1
-    # bit j stands for names[n - 1 - j]; a higher bit comes earlier in sorted order
-    chunks = list(zip(
-        range(0, n, CHUNK_BITS),
-        _chunk_tables([back[1 << j] for j in range(n)], int.__or__, 0),
-        _chunk_tables(names[::-1], lambda tail, name: (name, *tail), ()),
-    ))
-    chunk_mask = (1 << CHUNK_BITS) - 1
-    for bucket in by_size:
-        bucket.sort(reverse=True)
-        for h in bucket:
-            h_bar = perp_bar = 0
-            members = ()
-            for shift, bar_of, names_of in chunks:
-                part = h >> shift & chunk_mask
-                h_bar |= bar_of[part]
-                members = names_of[part] + members
-            perp_h = everything & ~h_bar
-            for shift, bar_of, _ in chunks:
-                perp_bar |= bar_of[perp_h >> shift & chunk_mask]
-            listed = HereditarySaturatedSet(graph, members)
-            object.__setattr__(listed, "_sorted", members)  # sorted_vertices() hands it back
-            yield listed, h == everything & ~perp_bar
+
+    def listing():
+        # bit j stands for names[n - 1 - j]; a higher bit comes earlier in sorted order
+        low_bar, mid_bar, high_bar = _chunk_tables([back[1 << j] for j in range(n)], int.__or__, 0)
+        low, mid, high = _chunk_tables([piece(v) for v in reversed(names)], lambda lo, hi: hi + lo, empty)
+        k, k2, m = CHUNK_BITS, 2 * CHUNK_BITS, (1 << CHUNK_BITS) - 1
+        for bucket in by_size:
+            bucket.sort(reverse=True)
+            for h in bucket:
+                for b, s in emitters:
+                    if (h & b != 0) != (s & ~h == 0):
+                        # the checking constructor rejects it, naming the vertex
+                        HereditarySaturatedSet(graph, [v for v in names if h & bit[v]])
+                c0, c1, c2 = h & m, h >> k & m, h >> k2
+                perp_h = everything & ~(low_bar[c0] | mid_bar[c1] | high_bar[c2])
+                perp_bar = low_bar[perp_h & m] | mid_bar[perp_h >> k & m] | high_bar[perp_h >> k2]
+                yield high[c2] + mid[c1] + low[c0], h == everything & ~perp_bar
+
+    return count, listing()
 
 
 def _chunk_tables(per_bit: list, join, empty) -> list[list]:
     """Lookup tables over the chunks of a mask, lowest chunk first (Four Russians).
 
     ``per_bit[j]`` is the value of bit j.  Entry c of the table of the chunk
-    that starts at bit s is the join of the values of the bits of ``c << s``:
-    each table doubles once per bit, so it has 2^min(bits, CHUNK_BITS) entries.
+    that starts at bit s joins the values of the bits of ``c << s``, each on
+    top of the lower ones: each table doubles once per bit.  There is one
+    table per chunk up to the cutoff; one past the last bit is ``[empty]``.
     """
     tables = []
-    for start in range(0, len(per_bit), CHUNK_BITS):
+    for start in range(0, ENUMERATION_CUTOFF, CHUNK_BITS):
         table = [empty]
         for value in per_bit[start:start + CHUNK_BITS]:
             table += [join(entry, value) for entry in table]

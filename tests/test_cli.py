@@ -13,6 +13,7 @@ from leavitt import (
     DEFAULT_DIMENSION_CAP,
     ENUMERATION_CUTOFF,
     Graph,
+    HereditarySaturatedSet,
     dump_graph_json,
     enumerate_hs_sets,
     ideals,
@@ -20,7 +21,7 @@ from leavitt import (
     lattice_with_regularity,
     load_graph,
 )
-from leavitt import cli, verify
+from leavitt import cli, hereditary, verify
 from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
 
@@ -219,15 +220,20 @@ def lattice_json_by_json_dumps(g):
     return json.dumps(entries, indent=2) + "\n"
 
 
+# 15 names, with the isolated a, b, z and the loop l 19 vertices: the first
+# three in sorted order ('"0', a, b) sit in the third chunk of a mask
+THREE_CHUNK_CHAIN = ('"0', "c\\1", "t\t2", "é3", "日4") + tuple(f"v{i:02d}" for i in range(5, 15))
+
+
 @settings(max_examples=50)
 @given(graphs_with_named_vertices(document_vertex_names))
 @example(Graph((), ()))
 @example(Graph(('"',), ()))
 @example(Graph(("\\",), (("l", "\\", "\\"),)))
-# Two chunks of the lattice pass and both ways of writing a member list: each
-# name looked up in its encoding (some names need escaping), and one join over
-# the bare names (every name is plain).  Chains, a cycle and a loop with an
-# exit keep the listings short (24 and 48 sets) and flag some sets irregular.
+# Two and three chunks of the lattice pass, with names that need escaping and
+# names that do not.  Chains, a cycle, a loop with an exit and a few isolated
+# vertices keep the listings short (24, 48 and 24 sets) and flag some sets
+# irregular.
 @example(Graph(
     ("a", "b", '"', "c\\d", "é", "ta\tb", "v1", "v2", "日"),
     (("e1", "a", "b"), ("e2", "b", "c\\d"), ("e3", '"', "é"), ("e4", "é", '"'),
@@ -238,6 +244,11 @@ def lattice_json_by_json_dumps(g):
     (("e1", "v0", "v1"), ("e2", "v1", "v2"), ("e3", "v3", "v4"), ("e4", "v4", "v3"),
      ("e5", "v5", "v5"), ("e6", "v5", "v6"), ("e7", "v6", "v7")),
 ))
+@example(Graph(
+    ("a", "b", "z", "l") + THREE_CHUNK_CHAIN,
+    tuple((f"c{i}", src, dst) for i, (src, dst) in enumerate(zip(THREE_CHUNK_CHAIN, THREE_CHUNK_CHAIN[1:])))
+    + (("loop", "l", "l"), ("exit", "l", THREE_CHUNK_CHAIN[-1])),
+))
 def test_lattice_json_is_byte_identical_to_json_dumps(tmp_path_factory, g):
     path = write_graph(tmp_path_factory.getbasetemp(), g, "json_writer.json")
     out = io.StringIO()
@@ -246,10 +257,39 @@ def test_lattice_json_is_byte_identical_to_json_dumps(tmp_path_factory, g):
     assert out.getvalue() == lattice_json_by_json_dumps(g)
 
 
-def test_lattice_json_writer_on_an_empty_listing():
+def test_lattice_json_writer_on_the_empty_graph():
+    # a listing is never empty (the empty set is always hereditary saturated),
+    # and the empty set's member list is the one written as []
     out = io.StringIO()
-    cli._write_lattice_json(Graph((), ()), [], out)
-    assert out.getvalue() == json.dumps([], indent=2) + "\n"
+    cli._write_lattice_json(Graph((), ()), out)
+    assert out.getvalue() == json.dumps([{"vertices": [], "is_regular": True}], indent=2) + "\n"
+
+
+def test_lattice_json_forms_no_set_objects(tmp_path, monkeypatch, capsys):
+    # the writer reads the pass's member lists, so it checks no set object;
+    # the wrapper that verify and --dot read still builds every set checked
+    built = []
+    check = HereditarySaturatedSet.__post_init__
+    monkeypatch.setattr(HereditarySaturatedSet, "__post_init__", lambda h: built.append(check(h)))
+    g = Graph(tuple(f"v{i:02d}" for i in range(12)), ())
+    assert main(["lattice", "--graph", write_graph(tmp_path, g), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 4096
+    assert built == []
+    assert len(list(lattice_with_regularity(g))) == 4096
+    assert len(built) == 4096
+
+
+# A broken pass that forgets each component's edges treats every component
+# as free, so it lists sets that break one half of the rule.  The mask-level
+# check stops it at the first such set with the checking constructor's error.
+@pytest.mark.parametrize("edge, first_broken", [(("a", "b"), ("a",)), (("b", "a"), ("a",))])
+def test_lattice_json_refuses_a_broken_pass(tmp_path, monkeypatch, capsys, edge, first_broken):
+    g = Graph(("a", "b"), (("e", *edge),))
+    monkeypatch.setattr(hereditary, "_bits", lambda mask: iter(()))
+    assert main(["lattice", "--graph", write_graph(tmp_path, g), "--json"]) == 5
+    with pytest.raises(ValueError) as rejected:
+        HereditarySaturatedSet(g, first_broken)
+    assert capsys.readouterr().err == f"internal error: ValueError: {rejected.value}\n"
 
 
 def test_lattice_empty_graph(tmp_path, capsys):
@@ -294,7 +334,7 @@ def test_lattice_json_holds_no_listing():
     g = Graph(tuple(f"v{i:02d}" for i in range(11)), ())
     tracemalloc.start()
     try:
-        cli._write_lattice_json(g, lattice_with_regularity(g), _Discard())
+        cli._write_lattice_json(g, _Discard())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
