@@ -19,6 +19,7 @@ from leavitt import (
     LatticeTooLargeError,
     ideals,
     lattice_with_regularity,
+    verify,
 )
 from leavitt.cli import main
 from leavitt.gfp import max_exact_prime
@@ -636,3 +637,76 @@ def test_no_block_solve_outlives_an_oracle_check(monkeypatch, capsys):
     assert main(argv) == 0
     assert _BLOCK_CACHE.get() is None
     capsys.readouterr()
+
+
+# -- failing runs, pinned byte for byte ----------------------------------------------------
+#
+# Every other golden copy is a passing run; these pin what a failing run
+# prints: the order of the failures within a row, each row's first detail and
+# the shrunk witness.
+
+
+def raises_on_one_vertex_sets(real):
+    """``ideals.pc_bijection_check``, ``real``, raising on every one-vertex set."""
+
+    def check(graph, h):
+        if len(h.vertices) == 1:
+            raise IndexError("no bijection check for one vertex")
+        return real(graph, h)
+
+    return check
+
+
+def raises_on_two_edge_algebras(real):
+    """``vertex_set_of``, ``real``, raising on the algebra of every graph with two edges."""
+
+    def read(algebra, subspace):
+        if len(algebra.graph.edges) == 2:
+            raise IndexError("no vertex set for two edges")
+        return real(algebra, subspace)
+
+    return read
+
+
+def never_graded(algebra, subspace):
+    raise IndexError("no grading")
+
+
+SMALL_ARGV = ["verify", "--max-vertices", "3", "--max-edges", "3", "--trials", "20"]
+ORACLE_7V_ARGV = ["oracle-check", "--graph", str(Path(__file__).parent / "golden" / "oracle-7v.json")]
+
+# golden copy name: (argv, the (target, value) pairs to monkeypatch)
+FAILING_RUNS = {
+    # every per-set row fails through the set constructor's ValueError, and the dichotomy
+    "verify-failing-bar-closure": (
+        SMALL_ARGV, [("leavitt.ideals.bar_closure", lambda ideal: ideal.vertices)]
+    ),
+    # the calculus per-set check raises: each of its rows fails for those sets
+    "verify-failing-pc-bijection-raises": (
+        SMALL_ARGV,
+        [("leavitt.ideals.pc_bijection_check", raises_on_one_vertex_sets(ideals.pc_bijection_check))],
+    ),
+    # the oracle per-set check, the lattice count and the random-ideal trials raise
+    "verify-failing-vertex-set-raises": (
+        SMALL_ARGV,
+        [("leavitt.verify.vertex_set_of", raises_on_two_edge_algebras(verify.vertex_set_of))],
+    ),
+    "verify-failing-laurent": (
+        SMALL_ARGV, [("leavitt.verify.laurent_perp_is_zero", lambda f: False)]
+    ),
+    # a set fails perp-vertex-set, then its check raises
+    "oracle-check-7v-failing-perp-raises": (
+        ORACLE_7V_ARGV,
+        [("leavitt.ideals.perp", lambda h: h), ("leavitt.verify.is_graded_subspace", never_graded)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FAILING_RUNS)
+def test_a_failing_run_matches_its_golden_copy(monkeypatch, capsys, name):
+    argv, patches = FAILING_RUNS[name]
+    for target, value in patches:
+        monkeypatch.setattr(target, value)
+    assert main(argv) == 1
+    want = (Path(__file__).parent / "golden" / f"{name}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
