@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 property failure, 2 parse error, 3 semantic error
 (unknown vertex, unsupported graph, negative verify bound, a non-prime
 ``--prime`` or one past the int64-exact bound), 4 resource cutoff, 5
 internal error (any other exception; one ``internal error:`` line on stderr).
+An exception inside a ``verify`` or ``oracle-check`` row check is recorded as
+a failure of its rows (exit 1); only one outside the row checks exits 5.
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ def main(argv=None) -> int:
     except (LatticeTooLargeError, OracleDimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except Exception as exc:  # a crash must not pass for a user error or a property failure
+    except Exception as exc:  # a crash outside the row checks is neither a user error nor a failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
 

@@ -9,6 +9,12 @@ graph-level laws run over seeded random graph samples (cycles allowed); the
 Laurent row covers the single exit-free cycle family.  A failing row is
 reported together with a greedily minimized witness graph.
 
+The rows are one table, ``ROWS``: each row's name in print order, its family
+and its seed offset.  The oracle family and the calculus family each state
+their per-set laws as one generator of the laws a set breaks, and one
+runner, :func:`_check_sets`, runs it over the listed sets; where the check
+of a set raises, every per-set row of its family fails for that set.
+
 Every per-graph check is a pure function of its own inputs: the oracle
 check of a graph also runs the ``perp-graded`` random-ideal trials that
 fall on it, drawn from a stream seeded by the run's seed and the graph, and
@@ -78,32 +84,36 @@ ROW_L_PRESERVED = "condition-l-preserved"
 ROW_MAXIMAL = "maximal-ideal-dichotomy"
 ROW_LAURENT = "laurent-annihilator-zero"
 
-ALL_ROWS = (
-    ROW_PERP_VSET,
-    ROW_DPERP_VSET,
-    ROW_REGULARITY,
-    ROW_PERP_REGULAR,
-    ROW_PERP_GRADED,
-    ROW_LATTICE_COUNT,
-    ROW_PC_BIJECTION,
-    ROW_QUOTIENT_L_PC,
-    ROW_REGULAR_L_IFF_PC,
-    ROW_L_PRESERVED,
-    ROW_MAXIMAL,
-    ROW_LAURENT,
+# every row in print order, as (name, family, seed offset); a "set" row has one
+# trial per listed set, and its seed is the run's seed plus its offset
+ROWS = (
+    (ROW_PERP_VSET, "oracle set", 0),
+    (ROW_DPERP_VSET, "oracle set", 0),
+    (ROW_REGULARITY, "oracle set", 0),
+    (ROW_PERP_REGULAR, "calculus set", 0),
+    (ROW_PERP_GRADED, "oracle set", 1),
+    (ROW_LATTICE_COUNT, "oracle graph", 0),
+    (ROW_PC_BIJECTION, "calculus set", 0),
+    (ROW_QUOTIENT_L_PC, "calculus set", 0),
+    (ROW_REGULAR_L_IFF_PC, "calculus set", 0),
+    (ROW_L_PRESERVED, "calculus set", 0),
+    (ROW_MAXIMAL, "calculus graph", 0),
+    (ROW_LAURENT, "laurent", 2),
 )
 
-# rows with one trial per hereditary saturated set; each family adds one row per graph
-ORACLE_SET_ROWS = (ROW_PERP_VSET, ROW_DPERP_VSET, ROW_REGULARITY, ROW_PERP_GRADED)
-CALCULUS_SET_ROWS = (
-    ROW_PERP_REGULAR,
-    ROW_PC_BIJECTION,
-    ROW_QUOTIENT_L_PC,
-    ROW_REGULAR_L_IFF_PC,
-    ROW_L_PRESERVED,
-)
-ORACLE_ROWS = ORACLE_SET_ROWS + (ROW_LATTICE_COUNT,)
-CALCULUS_ROWS = CALCULUS_SET_ROWS + (ROW_MAXIMAL,)
+
+def _rows_of(*families: str) -> tuple[str, ...]:
+    return tuple(name for name, family, _ in ROWS if family in families)
+
+
+def _seed(cfg: VerifyConfig, row: str) -> int:
+    """The seed ``verify`` prints for ``row``, and of the random stream it draws."""
+    return cfg.seed + next(offset for name, _, offset in ROWS if name == row)
+
+
+ALL_ROWS = tuple(name for name, _, _ in ROWS)
+ORACLE_ROWS = _rows_of("oracle set", "oracle graph")
+CALCULUS_ROWS = _rows_of("calculus set", "calculus graph")
 
 # the exhaustive oracle family stays desk-scale regardless of requested bounds
 ORACLE_FAMILY_MAX_VERTICES = 4
@@ -246,6 +256,26 @@ def _setup_failed(rows, graph: Graph, exc: Exception):
     return dict.fromkeys(rows, 1), [Failure(row, graph, f"setup failed: {exc}") for row in rows]
 
 
+def _check_sets(graph: Graph, lattice, rows, problems):
+    """Run one family's per-set ``rows`` over the ``lattice`` pass of ``graph``.
+
+    ``problems(h, flag)`` yields ``(row, detail)`` for each of the rows' laws
+    that the set h, listed with that regularity flag, breaks, so the rows of
+    a set share its solves and searches.  The set's label is built only for
+    a failure.  Where ``problems`` raises, every row fails for that set too,
+    after what it had yielded.  Returns (counts, failures) as the checks do.
+    """
+    failures: list[Failure] = []
+    for h, flag in lattice:
+        try:
+            for row, detail in problems(h, flag):
+                failures.append(Failure(row, graph, f"H={h.sorted_vertices()}: {detail}"))
+        except Exception as exc:
+            label = f"H={h.sorted_vertices()}: check raised {exc!r}"
+            failures += [Failure(row, graph, label) for row in rows]
+    return dict.fromkeys(rows, len(lattice)), failures
+
+
 def oracle_checks_for_graph(graph: Graph, p: int, algebra=None, seed=None, trials=0):
     """Rows refereed by the matrix oracle, for one acyclic graph, then
     ``trials`` perp-graded random-ideal trials on its algebra.
@@ -257,8 +287,8 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None, seed=None, trial
     ``regularity-verdict`` checks each flag as well as ``is_regular``.  The
     ideal of a vertex set is the sum of its vertices' ideals, folded in
     graph vertex order; each vertex's ideal and the zero ideal are built
-    once per call, on first use inside the rows' own error handling, so a
-    broken solve fails the rows rather than the set-up.  The lattice count
+    once per call, on first use inside the per-set runner's error handling,
+    so a broken solve fails the rows of a set rather than the set-up.  The lattice count
     reads the vertex set of each distinct ideal once.  Each trial's
     generators come from :func:`draw_generators`, on a stream seeded by
     ``seed`` and the graph (a str seed, which hashes alike under every
@@ -276,10 +306,6 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None, seed=None, trial
         return counts, failures + [Failure(ROW_PERP_GRADED, graph, failures[0].detail)] * trials
     lattice = list(lattice_with_regularity(graph))
 
-    counts = dict.fromkeys(ORACLE_SET_ROWS, len(lattice))
-    counts[ROW_LATTICE_COUNT] = 1
-    failures: list[Failure] = []
-
     @cache
     def generated(vertex: str | None) -> IdealSubspace:
         """The ideal of one vertex, or at None the zero ideal."""
@@ -289,42 +315,30 @@ def oracle_checks_for_graph(graph: Graph, p: int, algebra=None, seed=None, trial
         summands = [generated(v) for v in graph.vertices if v in vertices] or [generated(None)]
         return reduce(sum_of_ideals, summands)
 
-    for h, flag in lattice:
-        # the label is built only for a failing row, since nearly every row passes
-        def fail(row: str, detail: str) -> None:
-            failures.append(Failure(row, graph, f"H={h.sorted_vertices()}: {detail}"))
+    def problems(h, flag):
+        ideal = ideal_of(h.vertices)
+        perp1 = perp_subspace(algebra, ideal)
+        perp2 = perp_subspace(algebra, perp1)
 
-        try:
-            ideal = ideal_of(h.vertices)
-            perp1 = perp_subspace(algebra, ideal)
-            perp2 = perp_subspace(algebra, perp1)
+        got = vertex_set_of(algebra, perp1)
+        want = ideals.perp(h).vertices
+        if got != want:
+            yield ROW_PERP_VSET, f"oracle perp {sorted(got)} != calculus {sorted(want)}"
+        got2 = vertex_set_of(algebra, perp2)
+        want2 = ideals.double_perp(h).vertices
+        if got2 != want2:
+            yield ROW_DPERP_VSET, f"oracle double perp {sorted(got2)} != calculus {sorted(want2)}"
+        oracle_regular = perp2 == ideal
+        regular = ideals.is_regular(h)
+        if oracle_regular != regular:
+            yield ROW_REGULARITY, f"oracle regular={oracle_regular} but calculus says {regular}"
+        elif oracle_regular != flag:
+            yield ROW_REGULARITY, f"oracle regular={oracle_regular} but lattice says {flag}"
+        if not is_graded_subspace(algebra, perp1):
+            yield ROW_PERP_GRADED, "annihilator is not graded"
 
-            got = vertex_set_of(algebra, perp1)
-            want = ideals.perp(h).vertices
-            if got != want:
-                fail(ROW_PERP_VSET, f"oracle perp {sorted(got)} != calculus {sorted(want)}")
-            got2 = vertex_set_of(algebra, perp2)
-            want2 = ideals.double_perp(h).vertices
-            if got2 != want2:
-                fail(
-                    ROW_DPERP_VSET,
-                    f"oracle double perp {sorted(got2)} != calculus {sorted(want2)}",
-                )
-            oracle_regular = perp2 == ideal
-            calculus_regular = ideals.is_regular(h)
-            if oracle_regular != calculus_regular:
-                fail(
-                    ROW_REGULARITY,
-                    f"oracle regular={oracle_regular} but calculus says {calculus_regular}",
-                )
-            elif oracle_regular != flag:
-                fail(ROW_REGULARITY, f"oracle regular={oracle_regular} but lattice says {flag}")
-            if not is_graded_subspace(algebra, perp1):
-                fail(ROW_PERP_GRADED, "annihilator is not graded")
-        except Exception as exc:
-            for row in ORACLE_SET_ROWS:
-                fail(row, f"check raised {exc!r}")
-
+    counts, failures = _check_sets(graph, lattice, _rows_of("oracle set"), problems)
+    counts[ROW_LATTICE_COUNT] = 1
     try:
         vertex_sets: dict = {}  # the oracle vertex set of each distinct ideal, by block key
         for size in range(len(graph.vertices) + 1):
@@ -445,44 +459,35 @@ def calculus_checks_for_graph(graph: Graph):
     except Exception as exc:
         return _setup_failed(CALCULUS_ROWS, graph, exc)
 
-    counts = dict.fromkeys(CALCULUS_SET_ROWS, len(lattice))
-    failures: list[Failure] = []
-    for h, flag in lattice:
-        # the label is built only for a failing row, since nearly every row passes
-        def fail(row: str, detail: str) -> None:
-            failures.append(Failure(row, graph, f"H={h.sorted_vertices()}: {detail}"))
+    def problems(h, flag):
+        p1 = ideals.perp(h)
+        if not ideals.is_regular(p1):
+            yield ROW_PERP_REGULAR, "perp not regular"
+        p3 = ideals.perp(ideals.double_perp(h))
+        if p1.vertices != p3.vertices:
+            yield (
+                ROW_PERP_REGULAR,
+                f"perp {sorted(p1.vertices)} != triple perp {sorted(p3.vertices)}",
+            )
 
-        try:
-            p1 = ideals.perp(h)
-            if not ideals.is_regular(p1):
-                fail(ROW_PERP_REGULAR, "perp not regular")
-            p3 = ideals.perp(ideals.double_perp(h))
-            if p1.vertices != p3.vertices:
-                fail(
-                    ROW_PERP_REGULAR,
-                    f"perp {sorted(p1.vertices)} != triple perp {sorted(p3.vertices)}",
-                )
+        regular = ideals.is_regular(h)
+        quotient_l = ideals.quotient_graph(graph, h).condition_l()
+        pc_inside = pc <= h.vertices
+        if regular and not ideals.pc_bijection_check(graph, h):
+            yield ROW_PC_BIJECTION, "regular but cycle sets differ"
+        if quotient_l and not pc_inside:
+            yield ROW_QUOTIENT_L_PC, "quotient satisfies (L) but exit-free vertices escape H"
+        if regular and quotient_l != pc_inside:
+            yield (
+                ROW_REGULAR_L_IFF_PC,
+                f"regular but (L)-quotient={quotient_l} vs containment={pc_inside}",
+            )
+        elif regular != flag:
+            yield ROW_REGULAR_L_IFF_PC, f"calculus regular={regular} but lattice says {flag}"
+        if cond_l and regular and not quotient_l:
+            yield ROW_L_PRESERVED, "quotient lost Condition (L)"
 
-            regular = ideals.is_regular(h)
-            quotient_l = ideals.quotient_graph(graph, h).condition_l()
-            pc_inside = pc <= h.vertices
-            if regular and not ideals.pc_bijection_check(graph, h):
-                fail(ROW_PC_BIJECTION, "regular but cycle sets differ")
-            if quotient_l and not pc_inside:
-                fail(ROW_QUOTIENT_L_PC, "quotient satisfies (L) but exit-free vertices escape H")
-            if regular and quotient_l != pc_inside:
-                fail(
-                    ROW_REGULAR_L_IFF_PC,
-                    f"regular but (L)-quotient={quotient_l} vs containment={pc_inside}",
-                )
-            elif regular != flag:
-                fail(ROW_REGULAR_L_IFF_PC, f"calculus regular={regular} but lattice says {flag}")
-            if cond_l and regular and not quotient_l:
-                fail(ROW_L_PRESERVED, "quotient lost Condition (L)")
-        except Exception as exc:
-            for row in CALCULUS_SET_ROWS:
-                fail(row, f"check raised {exc!r}")
-
+    counts, failures = _check_sets(graph, lattice, _rows_of("calculus set"), problems)
     try:
         counts[ROW_MAXIMAL] = len(ideals.maximal_graded_ideals([h for h, _ in lattice]))
     except Exception as exc:  # the dichotomy itself raises AssertionError
@@ -534,25 +539,17 @@ def laurent_checks(rng: Random, p: int, trials: int):
 
 
 def minimize_counterexample(graph: Graph, still_fails) -> Graph:
-    """Greedily drop edges, then vertices, while the failure persists."""
-    changed = True
-    while changed:
-        changed = False
-        for e in graph.edges:
-            candidate = graph.without_edge(e.name)
-            if still_fails(candidate):
-                graph = candidate
-                changed = True
-                break
-        if changed:
-            continue
-        for v in graph.vertices:
-            candidate = graph.without_vertex(v)
-            if still_fails(candidate):
-                graph = candidate
-                changed = True
-                break
-    return graph
+    """Greedily drop edges, then vertices, while the failure persists: each
+    round takes the first smaller graph, edges first, that still fails."""
+    while True:
+        smaller = itertools.chain(
+            (graph.without_edge(e.name) for e in graph.edges),
+            (graph.without_vertex(v) for v in graph.vertices),
+        )
+        candidate = next((g for g in smaller if still_fails(g)), None)
+        if candidate is None:
+            return graph
+        graph = candidate
 
 
 def _still_fails(row: str, cfg: VerifyConfig, g: Graph) -> bool:
@@ -566,7 +563,8 @@ def _still_fails(row: str, cfg: VerifyConfig, g: Graph) -> bool:
         _counts, failures = calculus_checks_for_graph(g)
     else:
         trials = 32 if row == ROW_PERP_GRADED else 0
-        _counts, failures = oracle_checks_for_graph(g, cfg.prime, seed=cfg.seed + 1, trials=trials)
+        seed = _seed(cfg, ROW_PERP_GRADED)
+        _counts, failures = oracle_checks_for_graph(g, cfg.prime, seed=seed, trials=trials)
     return any(f.row == row for f in failures)
 
 
@@ -599,16 +597,12 @@ def run_verification(cfg: VerifyConfig) -> VerificationMatrix:
         return VerificationMatrix(cfg, ())
 
     counts: Counter[str] = Counter()
-    seeds = dict.fromkeys(ALL_ROWS, cfg.seed)
-    seeds[ROW_PERP_GRADED] = cfg.seed + 1
-    seeds[ROW_LAURENT] = cfg.seed + 2
-
     family = exhaustive_acyclic_graphs(
         min(cfg.max_vertices, ORACLE_FAMILY_MAX_VERTICES),
         min(cfg.max_edges, ORACLE_FAMILY_MAX_EDGES),
     )
     # the number of perp-graded trials that falls on each graph of the family
-    rng = Random(cfg.seed + 1)
+    rng = Random(_seed(cfg, ROW_PERP_GRADED))
     per_graph = Counter(rng.randrange(len(family)) for _ in range(cfg.trials))
     # drawn as they are checked, so that in process each graph is dropped,
     # with the lookup tables its checks cache on it, once it is checked
@@ -616,10 +610,12 @@ def run_verification(cfg: VerifyConfig) -> VerificationMatrix:
     randoms = (random_graph(graph_rng, cfg.max_vertices, cfg.max_edges) for _ in range(cfg.trials))
 
     with _task_map(len(family) + cfg.trials) as run:
-        oracle_task = partial(_oracle_task, cfg.prime, cfg.seed + 1)
+        oracle_task = partial(_oracle_task, cfg.prime, _seed(cfg, ROW_PERP_GRADED))
         oracle_results = run(oracle_task, family, [per_graph[k] for k in range(len(family))])
         calculus_results = run(_calculus_task, randoms)
-        counts[ROW_LAURENT], failures = laurent_checks(Random(cfg.seed + 2), cfg.prime, cfg.trials)
+        counts[ROW_LAURENT], failures = laurent_checks(
+            Random(_seed(cfg, ROW_LAURENT)), cfg.prime, cfg.trials
+        )
         for c, fs in itertools.chain(oracle_results, calculus_results):
             counts.update(c)
             failures += fs
@@ -634,7 +630,7 @@ def run_verification(cfg: VerifyConfig) -> VerificationMatrix:
             counterexample = document_from_graph(witness)
         detail = fs[0].detail if fs else ""
         results.append(
-            RowResult(name, counts[name], len(fs), seeds[name], counterexample, detail)
+            RowResult(name, counts[name], len(fs), _seed(cfg, name), counterexample, detail)
         )
     return VerificationMatrix(cfg, tuple(results))
 

@@ -26,6 +26,7 @@ from leavitt.gfp import max_exact_prime
 from leavitt.oracle import _BLOCK_CACHE, OracleAlgebra, _sink_paths, build_oracle, is_graded_subspace
 from leavitt.verify import (
     ALL_ROWS,
+    CALCULUS_ROWS,
     ORACLE_ROWS,
     ROW_LATTICE_COUNT,
     ROW_MAXIMAL,
@@ -193,14 +194,24 @@ def test_exhaustive_family_matches_the_ordered_pair_referee(bounds):
         assert len(family) == 198
 
 
-def test_oracle_checks_report_setup_failure(single_loop):
-    counts, failures = oracle_checks_for_graph(single_loop, 2, seed=43, trials=3)
-    assert counts == {**dict.fromkeys(ORACLE_ROWS, 1), ROW_PERP_GRADED: 4}
+def no_exit_free_cycles(graph):
+    raise RuntimeError("no cycle search")
+
+
+@pytest.mark.parametrize("family", ["oracle", "calculus"])
+def test_checks_report_setup_failure(monkeypatch, single_loop, family):
+    if family == "oracle":  # the oracle refuses a graph with a cycle
+        counts, failures = oracle_checks_for_graph(single_loop, 2, seed=43, trials=3)
+        rows = [*ORACLE_ROWS, *[ROW_PERP_GRADED] * 3]
+    else:
+        monkeypatch.setattr(Graph, "exit_free_cycle_vertices", no_exit_free_cycles)
+        counts, failures = calculus_checks_for_graph(single_loop)
+        rows = list(CALCULUS_ROWS)
+    assert counts == Counter(rows)
     # one failure per row, then one per trial, each with the set-up detail
-    assert [f.row for f in failures] == [*ORACLE_ROWS, *[ROW_PERP_GRADED] * 3]
+    assert [f.row for f in failures] == rows
     assert failures[0].detail.startswith("setup failed: ")
-    graded = [f for f in failures if f.row == ROW_PERP_GRADED]
-    assert len(graded) == 4 and all(f.detail == failures[0].detail for f in graded)
+    assert all(f.detail == failures[0].detail for f in failures)
 
 
 def test_calculus_checks_clean_on_loop_with_exit(loop_with_exit):
@@ -672,8 +683,9 @@ def never_graded(algebra, subspace):
     raise IndexError("no grading")
 
 
+GOLDEN = Path(__file__).parent / "golden"
 SMALL_ARGV = ["verify", "--max-vertices", "3", "--max-edges", "3", "--trials", "20"]
-ORACLE_7V_ARGV = ["oracle-check", "--graph", str(Path(__file__).parent / "golden" / "oracle-7v.json")]
+ORACLE_7V_ARGV = ["oracle-check", "--graph", str(GOLDEN / "oracle-7v.json")]
 
 # golden copy name: (argv, the (target, value) pairs to monkeypatch)
 FAILING_RUNS = {
@@ -684,7 +696,10 @@ FAILING_RUNS = {
     # the calculus per-set check raises: each of its rows fails for those sets
     "verify-failing-pc-bijection-raises": (
         SMALL_ARGV,
-        [("leavitt.ideals.pc_bijection_check", raises_on_one_vertex_sets(ideals.pc_bijection_check))],
+        [(
+            "leavitt.ideals.pc_bijection_check",
+            raises_on_one_vertex_sets(ideals.pc_bijection_check),
+        )],
     ),
     # the oracle per-set check, the lattice count and the random-ideal trials raise
     "verify-failing-vertex-set-raises": (
@@ -708,5 +723,5 @@ def test_a_failing_run_matches_its_golden_copy(monkeypatch, capsys, name):
     for target, value in patches:
         monkeypatch.setattr(target, value)
     assert main(argv) == 1
-    want = (Path(__file__).parent / "golden" / f"{name}.txt").read_text(encoding="utf-8")
+    want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
