@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 property failure, 2 parse error, 3 semantic error
 (unknown vertex, unsupported graph, negative verify bound, a non-prime
 ``--prime`` or one past the int64-exact bound), 4 resource cutoff, 5
-internal error (any other exception; one ``internal error:`` line on stderr).
+internal error (any other exception; one ``internal error:`` line on stderr),
+141 when the reader of stdout closes it early, as ``| head`` does (128 +
+SIGPIPE, what a shell reports for a writer killed by that signal; nothing on
+stderr).
 An exception inside a ``verify`` or ``oracle-check`` row check is recorded as
 a failure of its rows (exit 1); only one outside the row checks exits 5.
 """
@@ -11,7 +14,9 @@ a failure of its rows (exit 1); only one outside the row checks exits 5.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -69,32 +74,52 @@ def cmd_lattice(args) -> int:
         return 0
     if args.json:
         _write_lattice_json(graph, sys.stdout)
-        return 0
-    count, listing = lattice_pass(graph, lambda v: v + ", ", "")
-    print(f"{count} hereditary saturated sets")
-    for members, reg in listing:
-        sys.stdout.write(f"{{{members[:-2]}}} regular={'yes' if reg else 'no'}\n")
+    else:
+        _write_lattice_text(graph, sys.stdout)
     return 0
 
 
+def _write_lattice_text(graph, out) -> None:
+    """Write the number of sets, then one ``{a, b} regular=yes|no`` line per set.
+
+    The pass hands each set over as its member names already joined, each
+    name followed by ", ": the writer cuts the last separator.  Each batch of
+    lines is joined and written as soon as the pass yields it, as
+    :func:`_write_lattice_json` does.
+    """
+    count, batches = lattice_pass(graph, lambda v: v + ", ", "")
+    out.write(f"{count} hereditary saturated sets\n")
+    answer = ("no", "yes")
+    for member_lists, flags in batches:
+        out.write("".join([
+            f"{{{members[:-2]}}} regular={answer[reg]}\n" for members, reg in zip(member_lists, flags)
+        ]))
+
+
 def _write_lattice_json(graph, out) -> None:
-    """Write ``json.dump(entries, out, indent=2)`` and a newline, one set at a time.
+    """Write ``json.dump(entries, out, indent=2)`` and a newline, one batch at a time.
 
     ``entries`` is ``[{"vertices": [...sorted names], "is_regular": flag}]``
     over the sets of the lattice pass, in its order.  Each vertex name is
     encoded once, with the separator that follows it in a member list, into
     the pass's per-chunk tables, so the pass hands each set over as its member
     list already written: the writer cuts the last separator and writes the
-    entry, and no set object is formed.  Each entry is written as soon as the
-    pass yields it, so the writer holds neither the document nor the listing.
-    A graph past the cutoff is refused before anything is written.
+    entry, and no set object is formed.  Each batch of entries is joined and
+    written as soon as the pass yields it, so the writer holds neither the
+    document nor the listing.  A graph past the cutoff is refused before
+    anything is written.
     """
-    _, listing = lattice_pass(graph, lambda v: json.dumps(v) + ",\n      ", "")
+    _, batches = lattice_pass(graph, lambda v: json.dumps(v) + ",\n      ", "")
+    flag = ("false", "true")
     opening = "[\n"
-    for members, reg in listing:
-        vertices = f"[\n      {members[:-8]}\n    ]" if members else "[]"  # cut the last ",\n      "
-        flag = "true" if reg else "false"
-        out.write(f'{opening}  {{\n    "vertices": {vertices},\n    "is_regular": {flag}\n  }}')
+    for member_lists, flags in batches:
+        entries = [
+            f'  {{\n    "vertices": [\n      {members[:-8]}\n    ],\n    "is_regular": {flag[reg]}\n  }}'
+            for members, reg in zip(member_lists, flags)  # cut the last ",\n      "
+        ]
+        if not member_lists[0]:  # the empty set, listed first: the one set without members
+            entries[0] = f'  {{\n    "vertices": [],\n    "is_regular": {flag[flags[0]]}\n  }}'
+        out.write(opening + ",\n".join(entries))
         opening = ",\n"
     out.write("\n]\n")
 
@@ -236,6 +261,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout early (``leavitt lattice ... | head``): not an
+        # error of this program, so nothing goes to stderr.  Point stdout at
+        # devnull so that the flush at exit cannot raise again (Python's signal
+        # docs, "Note on SIGPIPE").
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
+        return 141
     except GraphDocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,22 +10,26 @@ lattice of graded ideals of the path algebra.
 Both halves are one rule about emitters: an emitter is in the set exactly
 when all of its edges land inside.  :class:`HereditarySaturatedSet` checks
 that rule in one pass over the emitters, and the closure is linear in the
-size of the graph too.  Only the lattice pass works on bitmasks: it branches
-over strongly connected components, reads each set's regularity off the
-same masks, checks each set's mask against the rule, and writes each set's
-members in sorted order through one lookup per 8-bit chunk, all in a fixed
-number of mask operations per listed set.  A caller says how a member is
-written, so ``leavitt lattice`` writes its listing with no set object;
-:func:`lattice_with_regularity` builds each set through the checking
-constructor, which keeps the pass's sorted names as its ``sorted_vertices()``.
-Both yield one set at a time, so a caller that writes each set out as it
-comes never holds them all.
+size of the graph too.  Only the lattice pass works on bitmasks.  It takes
+its reach masks from one Warshall closure over the successor masks, and
+branches over strongly connected components on whole lists of masks, one
+list per size.  Then, a batch of sets at a time, it checks each mask
+against the rule, reads each set's regularity off the same masks and writes
+each set's members in sorted order through one lookup per 8-bit chunk, all
+in a fixed number of mask operations per listed set.  A caller says how a
+member is written, so ``leavitt lattice`` writes its listing with no set
+object, one joined string per batch; :func:`lattice_with_regularity` builds
+each set through the checking constructor, which keeps the pass's sorted
+names as its ``sorted_vertices()``, and yields one set at a time.  Neither
+holds more than one batch of texts or sets, so a caller that writes each
+out as it comes never holds the listing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .errors import LatticeTooLargeError
@@ -37,6 +41,9 @@ ENUMERATION_CUTOFF = 20
 # The lattice pass reads masks through one lookup table per chunk of this many
 # bits: three tables, so three lookups, cover the cutoff.
 CHUNK_BITS = 8
+# The lattice pass hands its sets over in batches of at most this many: each
+# batch's fixed cost is spread thin, and its texts stay small beside the masks.
+BATCH_SETS = 256
 
 
 @dataclass(frozen=True)
@@ -114,47 +121,57 @@ def lattice_with_regularity(graph: Graph) -> Iterator[tuple[HereditarySaturatedS
     The sets and flags of :func:`lattice_pass`, each set built through the
     checking constructor from the member names that the pass looked up, which
     it keeps as its ``sorted_vertices()``.  An iterator: each set is yielded
-    as soon as it is formed, and :class:`LatticeTooLargeError` is raised at
-    its first step, before anything is yielded.
+    as soon as its batch is formed, and :class:`LatticeTooLargeError` is
+    raised at its first step, before anything is yielded.
     """
-    _, listing = lattice_pass(graph, lambda v: (v,), ())
-    for members, regular in listing:
-        listed = HereditarySaturatedSet(graph, members)
-        object.__setattr__(listed, "_sorted", members)  # sorted_vertices() hands it back
-        yield listed, regular
+    _, batches = lattice_pass(graph, lambda v: (v,), ())
+    for member_lists, flags in batches:
+        for members, regular in zip(member_lists, flags):
+            listed = HereditarySaturatedSet(graph, members)
+            object.__setattr__(listed, "_sorted", members)  # sorted_vertices() hands it back
+            yield listed, regular
 
 
-def lattice_pass(graph: Graph, piece, empty) -> tuple[int, Iterator[tuple[object, bool]]]:
+def lattice_pass(graph: Graph, piece, empty) -> tuple[int, Iterator[tuple[list, list[bool]]]]:
     """The number of hereditary saturated sets, and the sets with their flags.
 
     Each set comes as ``empty`` plus ``piece(v)`` for each member v in sorted
     order (a one-name tuple, say, or an encoded name and its separator), with
-    its regularity flag, in (size, membership) order.  The cap on the number
-    of vertices is checked, and :class:`LatticeTooLargeError` raised, here.
+    its regularity flag, in (size, membership) order.  The sets come in
+    batches of at most :data:`BATCH_SETS`, each a list of member texts and the
+    list of their flags, yielded as soon as it is formed.  The cap on the number of vertices is
+    checked, and :class:`LatticeTooLargeError` raised, here.
+
+    Bit ``n - 1 - i`` stands for the i-th vertex in sorted order, so a
+    higher mask comes earlier in sorted order among sets of one size.  The
+    forward and backward reach masks are the reflexive-transitive closures
+    of the successor and predecessor masks (:func:`_reach_masks`).
 
     The pass branches over strongly connected components, successors first,
-    carrying each partial set as a bare mask.  A hereditary set holds each
-    component wholly or not at all, and both halves only look along
-    out-edges.  So once every component that a component C reaches is
-    decided, C's choice is local: out if an edge of C leaves to a vertex
-    outside the set (hereditary), in if C is one vertex without a loop whose
-    edges all land inside (saturated), and either way otherwise (a sink, or
-    C has an internal edge).  No branch dead-ends, so finding the sets costs
-    O(#components) mask operations per listed set.
+    carrying the partial sets as bare masks in one descending list per size.
+    A hereditary set holds each component wholly or not at all, and both
+    halves only look along out-edges.  So once every component that a
+    component C reaches is decided, C's choice is local: out if an edge of C
+    leaves to a vertex outside the set (hereditary), in if C is one vertex
+    without a loop whose edges all land inside (saturated), and either way
+    otherwise (a sink, or C has an internal edge).  Each component is applied
+    to whole lists: the sets that may take C grow by C into the list of
+    their size plus |C|, the sets that must take it leave their list, and
+    each list that gains sets is then two descending runs, which one sort
+    merges.  No branch
+    dead-ends, so finding the sets costs O(#components) mask operations per
+    listed set, and listing them in order needs no sort of its own.
 
     The flag is the formula of :func:`leavitt.ideals.perp` on bitmasks:
     bar(H) is the OR of the backward reach masks of H's vertices, perp(H) is
     everything outside bar(H), and H is regular iff H == perp(perp(H)).
-    bar(H), bar(perp(H)) and H's pieces are read through one table per 8-bit
-    chunk of a mask (the OR of the backward reach masks of the chunk's bits,
-    and the chunk's pieces in sorted order): three lookups each.  Each mask
-    is checked against the constructor's rule before it is yielded, one test
-    per emitter (in H exactly when its successor mask lies in H), and one
-    that breaks it raises the constructor's own ``ValueError``.
-
-    Bit ``n - 1 - i`` stands for the i-th vertex in sorted order, so the
-    masks are put in one bucket per size, and each bucket is listed in
-    descending mask order: that is the (size, membership) order.
+    perp(H), perp(perp(H)) and H's pieces are read through one table per
+    8-bit chunk of a mask (everything outside the OR of the backward reach
+    masks of the chunk's bits, ANDed over the chunks; and the chunk's pieces
+    in sorted order): three lookups each.  Each batch is checked against the
+    constructor's rule before it is yielded, one test per emitter and set
+    (in H exactly when its successor mask lies in H), and the first set that
+    breaks it raises the constructor's own ``ValueError``.
     """
     n = len(graph.vertices)
     if n > ENUMERATION_CUTOFF:
@@ -162,57 +179,76 @@ def lattice_pass(graph: Graph, piece, empty) -> tuple[int, Iterator[tuple[object
             f"graph has {n} vertices; exhaustive enumeration is capped at {ENUMERATION_CUTOFF}"
         )
     names = sorted(graph.vertices)
-    bit = {v: 1 << (n - 1 - i) for i, v in enumerate(names)}
-    succ = dict.fromkeys(bit.values(), 0)
+    position = {v: n - 1 - i for i, v in enumerate(names)}
+    succ, pred = [0] * n, [0] * n
     for e in graph.edges:
-        succ[bit[e.src]] |= bit[e.dst]
-    fwd = {bit[v]: sum(bit[w] for w in graph.tree(v)) for v in names}
-    back = {bit[v]: sum(bit[w] for w in graph.backward_reach((v,))) for v in names}
-    # a component is fwd & back of any of its vertices; reaching more comes later
-    components = sorted({fwd[b] & back[b] for b in succ}, key=lambda c: fwd[c & -c].bit_count())
-    partial = [0]  # the sets over the components decided so far
-    for comp in components:
+        src, dst = position[e.src], position[e.dst]
+        succ[src] |= 1 << dst
+        pred[dst] |= 1 << src
+    fwd, back = _reach_masks(succ), _reach_masks(pred)
+    # a component is fwd & back of any of its vertices; one that reaches more
+    # comes later, and among equals the lower mask comes first
+    components = sorted({(f.bit_count(), f & b) for f, b in zip(fwd, back)})
+    by_size = {0: [0]}  # the sets over the components decided so far, per size, descending
+    for _, comp in components:
         edges_to = 0
-        for b in _bits(comp):
-            edges_to |= succ[b]
+        for j in _bits(comp):
+            edges_to |= succ[j]
         exits = edges_to & ~comp
+        size = comp.bit_count()
+        grown = [(s + size, [h | comp for h in sets if h & exits == exits]) for s, sets in by_size.items()]
         # one vertex without a loop that emits; larger components have internal edges
-        forced = edges_to and not edges_to & comp
-        grown = []
-        for h in partial:
-            if exits & ~h:
-                grown.append(h)
-            elif forced:
-                grown.append(h | comp)
-            else:
-                grown += (h, h | comp)
-        partial = grown
-    by_size = [[] for _ in range(n + 1)]
-    for h in partial:
-        by_size[h.bit_count()].append(h)
-    count = len(partial)
-    del partial
-    emitters = [(b, s) for b, s in succ.items() if s]
+        if edges_to and not edges_to & comp:
+            kept = {s: [h for h in sets if h & exits != exits] for s, sets in by_size.items()}
+            by_size = {s: sets for s, sets in kept.items() if sets}
+        for s, sets in grown:
+            if sets:
+                if s in by_size:
+                    sets += by_size[s]  # the sets with C, then those without: merge the two runs
+                    sets.sort(reverse=True)
+                by_size[s] = sets
+    count = sum(map(len, by_size.values()))
+    emitters = [(1 << j, s) for j, s in enumerate(succ) if s]
     everything = (1 << n) - 1
 
-    def listing():
+    def batches():
         # bit j stands for names[n - 1 - j]; a higher bit comes earlier in sorted order
-        low_bar, mid_bar, high_bar = _chunk_tables([back[1 << j] for j in range(n)], int.__or__, 0)
+        low_perp, mid_perp, high_perp = _chunk_tables([everything ^ b for b in back], int.__and__, everything)
         low, mid, high = _chunk_tables([piece(v) for v in reversed(names)], lambda lo, hi: hi + lo, empty)
         k, k2, m = CHUNK_BITS, 2 * CHUNK_BITS, (1 << CHUNK_BITS) - 1
-        for bucket in by_size:
-            bucket.sort(reverse=True)
-            for h in bucket:
-                for b, s in emitters:
-                    if (h & b != 0) != (s & ~h == 0):
-                        # the checking constructor rejects it, naming the vertex
-                        HereditarySaturatedSet(graph, [v for v in names if h & bit[v]])
-                c0, c1, c2 = h & m, h >> k & m, h >> k2
-                perp_h = everything & ~(low_bar[c0] | mid_bar[c1] | high_bar[c2])
-                perp_bar = low_bar[perp_h & m] | mid_bar[perp_h >> k & m] | high_bar[perp_h >> k2]
-                yield high[c2] + mid[c1] + low[c0], h == everything & ~perp_bar
+        # each size's list is dropped once it is listed
+        listed = chain.from_iterable(by_size.pop(s) for s in sorted(by_size))
+        while batch := list(islice(listed, BATCH_SETS)):
+            broken = {h for b, s in emitters for h in batch if (h & b != 0) != (s & ~h == 0)}
+            if broken:
+                # the checking constructor rejects the first of them, naming the vertex
+                first = next(h for h in batch if h in broken)
+                HereditarySaturatedSet(graph, [v for v in names if first >> position[v] & 1])
+            perps = [low_perp[h & m] & mid_perp[h >> k & m] & high_perp[h >> k2] for h in batch]
+            yield (
+                [high[h >> k2] + mid[h >> k & m] + low[h & m] for h in batch],
+                [h == low_perp[p & m] & mid_perp[p >> k & m] & high_perp[p >> k2]
+                 for h, p in zip(batch, perps)],
+            )
 
-    return count, listing()
+    return count, batches()
+
+
+def _reach_masks(step: list[int]) -> list[int]:
+    """Reflexive-transitive closure of a relation on bit positions (Warshall).
+
+    ``step[j]`` is the mask of the positions one step from j.  Entry j of the
+    result is the mask of every position that a path from j reaches, j
+    included.  Round k lets paths pass through k: each mask that holds bit k
+    takes in k's mask.  A position with no step adds no path and is skipped,
+    so O(V) mask operations per position that has a step.
+    """
+    reach = [s | 1 << j for j, s in enumerate(step)]
+    for k, s in enumerate(step):
+        if s:
+            bit, via = 1 << k, reach[k]
+            reach = [r | via if r & bit else r for r in reach]
+    return reach
 
 
 def _chunk_tables(per_bit: list, join, empty) -> list[list]:
@@ -233,7 +269,8 @@ def _chunk_tables(per_bit: list, join, empty) -> list[list]:
 
 
 def _bits(mask: int):
+    """The positions of the bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
-        yield low
+        yield low.bit_length() - 1
         mask ^= low

@@ -1,9 +1,13 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,6 +37,7 @@ from .strategies import (
     primes_around,
     ring,
 )
+from .test_hereditary import naive_enumerate_hs_sets
 
 
 @pytest.fixture
@@ -220,6 +225,20 @@ def lattice_json_by_json_dumps(g):
     return json.dumps(entries, indent=2) + "\n"
 
 
+# Two and three chunks of the lattice pass, with names that need escaping and
+# names that do not.  Chains, a cycle, a loop with an exit and a few isolated
+# vertices keep the listings short (24, 48 and 24 sets) and flag some sets
+# irregular.
+ESCAPED_TWO_CHUNKS = Graph(
+    ("a", "b", '"', "c\\d", "é", "ta\tb", "v1", "v2", "日"),
+    (("e1", "a", "b"), ("e2", "b", "c\\d"), ("e3", '"', "é"), ("e4", "é", '"'),
+     ("e5", "ta\tb", "v1"), ("e6", "v1", "v1"), ("e7", "v1", "v2")),
+)
+TWO_CHUNKS = Graph(
+    tuple(f"v{i}" for i in range(10)),
+    (("e1", "v0", "v1"), ("e2", "v1", "v2"), ("e3", "v3", "v4"), ("e4", "v4", "v3"),
+     ("e5", "v5", "v5"), ("e6", "v5", "v6"), ("e7", "v6", "v7")),
+)
 # 15 names, with the isolated a, b, z and the loop l 19 vertices: the first
 # three in sorted order ('"0', a, b) sit in the third chunk of a mask
 THREE_CHUNK_CHAIN = ('"0', "c\\1", "t\t2", "é3", "日4") + tuple(f"v{i:02d}" for i in range(5, 15))
@@ -230,20 +249,8 @@ THREE_CHUNK_CHAIN = ('"0', "c\\1", "t\t2", "é3", "日4") + tuple(f"v{i:02d}" fo
 @example(Graph((), ()))
 @example(Graph(('"',), ()))
 @example(Graph(("\\",), (("l", "\\", "\\"),)))
-# Two and three chunks of the lattice pass, with names that need escaping and
-# names that do not.  Chains, a cycle, a loop with an exit and a few isolated
-# vertices keep the listings short (24, 48 and 24 sets) and flag some sets
-# irregular.
-@example(Graph(
-    ("a", "b", '"', "c\\d", "é", "ta\tb", "v1", "v2", "日"),
-    (("e1", "a", "b"), ("e2", "b", "c\\d"), ("e3", '"', "é"), ("e4", "é", '"'),
-     ("e5", "ta\tb", "v1"), ("e6", "v1", "v1"), ("e7", "v1", "v2")),
-))
-@example(Graph(
-    tuple(f"v{i}" for i in range(10)),
-    (("e1", "v0", "v1"), ("e2", "v1", "v2"), ("e3", "v3", "v4"), ("e4", "v4", "v3"),
-     ("e5", "v5", "v5"), ("e6", "v5", "v6"), ("e7", "v6", "v7")),
-))
+@example(ESCAPED_TWO_CHUNKS)
+@example(TWO_CHUNKS)
 @example(Graph(
     ("a", "b", "z", "l") + THREE_CHUNK_CHAIN,
     tuple((f"c{i}", src, dst) for i, (src, dst) in enumerate(zip(THREE_CHUNK_CHAIN, THREE_CHUNK_CHAIN[1:])))
@@ -255,6 +262,37 @@ def test_lattice_json_is_byte_identical_to_json_dumps(tmp_path_factory, g):
     with contextlib.redirect_stdout(out):
         assert main(["lattice", "--graph", path, "--json"]) == 0
     assert out.getvalue() == lattice_json_by_json_dumps(g)
+
+
+def listing_by_subset_scan(g):
+    """Referee: each set of the subset scan, in its order, as its sorted
+    names with the verdict of ``is_regular``."""
+    return [
+        (tuple(sorted(h)), is_regular(HereditarySaturatedSet(g, h))) for h in naive_enumerate_hs_sets(g)
+    ]
+
+
+def lattice_text_of(listing):
+    """Plain ``lattice`` output for a listing of (sorted names, flag) pairs:
+    the count line, then one line per set."""
+    return f"{len(listing)} hereditary saturated sets\n" + "".join(
+        "{" + ", ".join(members) + "} regular=" + ("yes" if reg else "no") + "\n" for members, reg in listing
+    )
+
+
+@settings(max_examples=50)
+@given(graphs_with_named_vertices(document_vertex_names))
+@example(Graph((), ()))
+@example(Graph(('"',), ()))
+@example(Graph(("\\",), (("l", "\\", "\\"),)))
+@example(ESCAPED_TWO_CHUNKS)
+@example(TWO_CHUNKS)
+def test_lattice_text_is_byte_identical_to_the_subset_scan(tmp_path_factory, g):
+    path = write_graph(tmp_path_factory.getbasetemp(), g, "text_writer.json")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["lattice", "--graph", path]) == 0
+    assert out.getvalue() == lattice_text_of(listing_by_subset_scan(g))
 
 
 def test_lattice_json_writer_on_the_empty_graph():
@@ -292,6 +330,65 @@ def test_lattice_json_refuses_a_broken_pass(tmp_path, monkeypatch, capsys, edge,
     assert capsys.readouterr().err == f"internal error: ValueError: {rejected.value}\n"
 
 
+def lattice_output(path, *mode):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["lattice", "--graph", path, *mode]) == 0
+    return out.getvalue()
+
+
+def edgeless(n):
+    return Graph(tuple(f"v{i:02d}" for i in range(n)), ())
+
+
+# The two 2-cycles of test_lattice_of_two_cycles_joined_by_one_edge beside 12
+# isolated vertices: 3 * 2^12 sets, of which the 2^12 holding {c, d} without
+# {a, b} are not regular.
+CYCLES_AND_ISOLATED = Graph(
+    ("a", "b", "c", "d") + edgeless(12).vertices,
+    (("ab", "a", "b"), ("ba", "b", "a"), ("bc", "b", "c"), ("cd", "c", "d"), ("dc", "d", "c")),
+)
+
+
+# Sets of one size outgrow one batch of the lattice pass here: 1,716 and 3,432
+# sets of 6 and 7 members in the edgeless graphs, and 1,914 sets of 8 members,
+# 924 of them not regular, in the graph with edges.
+@pytest.mark.parametrize("g", [edgeless(13), edgeless(14), CYCLES_AND_ISOLATED],
+                         ids=["edgeless13", "edgeless14", "cycles-and-isolated"])
+def test_listings_across_batch_boundaries(tmp_path, g):
+    expected = listing_by_subset_scan(g)
+    size, largest = Counter(len(members) for members, _ in expected).most_common(1)[0]
+    assert largest > hereditary.BATCH_SETS
+    if g.edges:
+        assert {reg for members, reg in expected if len(members) == size} == {True, False}
+    assert [(h.sorted_vertices(), reg) for h, reg in lattice_with_regularity(g)] == expected
+
+    path = write_graph(tmp_path, g)
+    entries = [{"vertices": list(members), "is_regular": reg} for members, reg in expected]
+    assert lattice_output(path, "--json") == json.dumps(entries, indent=2) + "\n"
+    assert lattice_output(path) == lattice_text_of(expected)
+
+
+# A reader that stops after one line closes the pipe while leavitt still
+# writes (a 16-vertex edgeless listing is megabytes): exit 141, 128 + SIGPIPE,
+# as a shell reports for a writer that signal stops, and nothing on stderr.
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+def test_lattice_into_a_pipe_closed_after_one_line(tmp_path, mode):
+    path = write_graph(tmp_path, edgeless(16))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leavitt.cli", "lattice", "--graph", path, *mode],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_lattice_empty_graph(tmp_path, capsys):
     path = write_graph(tmp_path, Graph((), ()))
     assert main(["lattice", "--graph", path]) == 0
@@ -327,18 +424,27 @@ class _Discard:
         pass
 
 
-def test_lattice_json_holds_no_listing():
-    # The 2,048 sets of an edgeless 11-vertex graph: the writer reads them one
-    # at a time, so its peak is the pass's masks and tables (0.10 MiB);
-    # building the whole listing of set objects first peaked at 1.59 MiB.
-    g = Graph(tuple(f"v{i:02d}" for i in range(11)), ())
+def peak_of_writing(writer, g):
     tracemalloc.start()
     try:
-        cli._write_lattice_json(g, _Discard())
+        writer(g, _Discard())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**19
+    return peak
+
+
+def test_lattice_json_holds_no_listing():
+    # The 2,048 sets of an edgeless 11-vertex graph: the writer reads them a
+    # batch at a time, so its peak is the pass's masks and tables and one
+    # batch's entries (0.24 MiB); building the whole listing of set objects
+    # first peaked at 1.59 MiB.
+    assert peak_of_writing(cli._write_lattice_json, edgeless(11)) < 2**19
+
+
+def test_lattice_text_holds_no_listing():
+    # the same graph as plain text, whose lines are shorter: 0.16 MiB
+    assert peak_of_writing(cli._write_lattice_text, edgeless(11)) < 2**19
 
 
 def test_quotient(graph_file, capsys):
